@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -39,18 +40,44 @@ _SUITE_NAMES = ("algebra", "biortho", "susy", "greens")
 # config parsing
 # ---------------------------------------------------------------------------
 
+# argparse types: raising ArgumentTypeError turns bad input into a usage
+# error (exit 2) at parse time, before any model is built
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
 def _parse_z(text: str) -> complex:
     parts = text.split(",")
     if len(parts) != 2:
-        raise ValueError(f"displacement must be given as re,im — got {text!r}")
-    return complex(float(parts[0]), float(parts[1]))
+        raise argparse.ArgumentTypeError(f"displacement must be given as re,im — got {text!r}")
+    return complex(_finite_float(parts[0]), _finite_float(parts[1]))
+
+
+def _parse_eps_grid(text: str) -> list[float]:
+    grid = [_positive_float(t) for t in text.split(",") if t]
+    if not grid:
+        raise argparse.ArgumentTypeError("eps grid must be a comma list of positive radii")
+    return grid
 
 
 def _build_model(args: argparse.Namespace) -> BoundaryModel | InteriorModel:
-    z = _parse_z(args.z)
     if args.model == "boundary":
-        return BoundaryModel(args.n, z)
-    return InteriorModel(args.alpha, z)
+        return BoundaryModel(args.n, args.z)
+    return InteriorModel(args.alpha, args.z)
 
 
 def _parse_testfn(spec: str) -> TestFunction:
@@ -265,13 +292,9 @@ def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         model = _build_model(args)
         scheme = Scheme(SchemeId(args.scheme.lower()), model)
         f = _parse_testfn(args.testfn)
-        eps_grid = [float(t) for t in args.eps_grid.split(",") if t]
-        if not eps_grid or any(e <= 0 for e in eps_grid):
-            raise ValueError("eps grid must be a comma list of positive radii")
-        if args.coupling_c <= 0:
-            raise ValueError("cutoff coupling must be positive")
     except ValueError as exc:
         parser.error(str(exc))
+    eps_grid = args.eps_grid
     xp = args.xp
     target = complex(np.asarray(f.make_eval(model)(np.array([xp]))).ravel()[0])
     tol = args.tol if args.tol is not None else 1e-9
@@ -376,9 +399,10 @@ def cmd_green(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 def _add_model_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--model", choices=("boundary", "interior"), default="boundary")
     sp.add_argument("--n", type=int, default=2, help="coupling index of the boundary family")
-    sp.add_argument("--alpha", type=float, default=1.0, help="resonance momentum of the interior family")
-    sp.add_argument("--z", default="0,1", help="complex displacement as re,im (default 0,1)")
-    sp.add_argument("--tol", type=float, default=None, help="quadrature tolerance override")
+    sp.add_argument("--alpha", type=_finite_float, default=1.0,
+                    help="resonance momentum of the interior family")
+    sp.add_argument("--z", type=_parse_z, default="0,1", help="complex displacement as re,im (default 0,1)")
+    sp.add_argument("--tol", type=_positive_float, default=None, help="quadrature tolerance override")
     sp.add_argument("--out", default=None, help="output file (default stdout)")
 
 
@@ -399,10 +423,10 @@ def make_parser() -> argparse.ArgumentParser:
     s.add_argument("--scheme", required=True, help="scheme id, e.g. res3, res12, int04")
     s.add_argument("--testfn", default="gaussian:0,1",
                    help="gaussian[:c,w] | hermite:n[,c,w] | rational:q | chain:l | psi0 | psi1")
-    s.add_argument("--eps-grid", dest="eps_grid", default="0.4,0.2,0.1,0.05")
-    s.add_argument("--coupling-c", dest="coupling_c", type=float, default=50.0,
+    s.add_argument("--eps-grid", dest="eps_grid", type=_parse_eps_grid, default="0.4,0.2,0.1,0.05")
+    s.add_argument("--coupling-c", dest="coupling_c", type=_positive_float, default=50.0,
                    help="cutoff coupling: A = c/eps")
-    s.add_argument("--xp", type=float, default=0.3, help="reconstruction point")
+    s.add_argument("--xp", type=_finite_float, default=0.3, help="reconstruction point")
 
     i = sub.add_parser("indexes", help="report the spectral index triple as JSON")
     _add_model_flags(i)
@@ -414,9 +438,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("green", help="evaluate the Green function at a point")
     _add_model_flags(g)
-    g.add_argument("--x", type=float, required=True)
-    g.add_argument("--xp", type=float, required=True)
-    g.add_argument("--energy", type=float, required=True)
+    g.add_argument("--x", type=_finite_float, required=True)
+    g.add_argument("--xp", type=_finite_float, required=True)
+    g.add_argument("--energy", type=_finite_float, required=True)
     return parser
 
 

@@ -12,6 +12,9 @@ order, no randomness):
   evaluation, half-line Abel regularization where classical convergence
   fails) and exact one-sided tail integrals built on the exponential
   integral, so slowly decaying oscillatory integrands never need giant grids.
+  :meth:`OscRational.integral_tails` evaluates the tails of ``self * e^{ikx}``
+  for a whole array of wave numbers k in one grouped pass; the scalar
+  :func:`osc_power_tail` is the one-term oracle it is tested against.
 * :class:`GaussianPacket` / :func:`quad_packet` -- closed-form smearing of an
   exact Laurent expression against a Gaussian-windowed polynomial weight,
   via Hermite-polynomial Gaussian moments.
@@ -348,6 +351,10 @@ def osc_power_tail(mu: float, z: complex, q: int, X: float, side: int = 1) -> co
     ``side=-1`` gives the left tail over (-inf, -X] instead.  Nonpositive
     powers q are Abel-regularized (legitimate for mu != 0); the classical
     cases reduce to the complex exponential integral.
+
+    This scalar, one-term form is the oracle for the batched evaluator behind
+    :meth:`OscRational.integral_tails`, which runs the same recurrences over
+    an array of frequencies; the package itself calls only the batched one.
     """
     if side == -1:
         # t -> -t maps the left tail onto a right tail with reflected data
@@ -376,6 +383,41 @@ def osc_power_tail(mu: float, z: complex, q: int, X: float, side: int = 1) -> co
             1j * mu / (qq - 1)
         ) * val
     return val
+
+
+def _right_tails(nu: np.ndarray, z: complex, coeffs: dict[int, complex], X: float) -> np.ndarray:
+    """sum_q coeffs[q] * osc_power_tail(nu, z, q, X) for every frequency in ``nu``.
+
+    One exponential-integral call seeds the upward recurrence in q >= 1 and
+    the plain oscillation seeds the Abel-regularized one in q <= 0; each
+    coefficient is collected as its recurrence passes q.  Zero frequencies
+    take the closed form (q >= 2 only, as in the oracle).
+    """
+    zero = nu == 0.0
+    if zero.any() and min(coeffs) <= 1:
+        raise ValueError("tail diverges for q <= 1 at zero frequency")
+    d = X - z
+    iw = 1j * np.where(zero, 1.0, nu)  # placeholder at zeros, overwritten below
+    ph = np.exp(iw * X)
+    out = np.zeros(nu.shape, dtype=np.complex128)
+    qmin, qmax = min(coeffs), max(coeffs)
+    if qmax >= 1:
+        val = np.exp(iw * z) * _exp1(-iw * d)  # q == 1
+        for q in range(1, qmax + 1):
+            if q >= 2:
+                val = ph * d ** (1 - q) / (q - 1) + (iw / (q - 1)) * val
+            if q in coeffs:
+                out += coeffs[q] * val
+    if qmin <= 0:
+        val = -ph / iw  # q == 0
+        for j in range(0, 1 - qmin):
+            if j >= 1:
+                val = -ph * d**j / iw - (j / iw) * val
+            if -j in coeffs:
+                out += coeffs[-j] * val
+    if zero.any():
+        out[zero] = sum(c * d ** (1 - q) / (q - 1) for q, c in coeffs.items())
+    return out
 
 
 class OscRational:
@@ -442,11 +484,16 @@ class OscRational:
     def __mul__(self, other: "OscRational | complex | float | int") -> "OscRational":
         if isinstance(other, OscRational):
             self._require_same_center(other)
-            items = []
+            # the constructor's accumulation, minus its per-item conversions
+            # (both operands' keys and coefficients are already normalised)
+            acc: dict[tuple[float, int], complex] = {}
             for (mu1, q1), c1 in self.terms.items():
                 for (mu2, q2), c2 in other.terms.items():
-                    items.append((mu1 + mu2, q1 + q2, c1 * c2))
-            return OscRational(self.z, items)
+                    key = (round(mu1 + mu2, 12), q1 + q2)
+                    acc[key] = acc.get(key, 0.0 + 0.0j) + c1 * c2
+            out = OscRational(self.z)
+            out.terms = {k: v for k, v in acc.items() if v != 0}
+            return out
         return OscRational(
             self.z, [(mu, q, c * complex(other)) for (mu, q), c in self.terms.items()]
         )
@@ -484,15 +531,29 @@ class OscRational:
             total += c * ft_inverse_power(q, mu, self.z)
         return total
 
-    def integral_tails(self, X: float) -> complex:
-        """Exact value of the two tails |x| >= X."""
-        total = 0.0 + 0.0j
-        for (mu, q), c in sorted(self.terms.items()):
-            total += c * (
-                osc_power_tail(mu, self.z, q, X, side=1)
-                + osc_power_tail(mu, self.z, q, X, side=-1)
-            )
-        return total
+    def integral_tails(self, X: float, k: np.ndarray | None = None) -> complex | np.ndarray:
+        """Exact value of the two tails |x| >= X of ``self * e^{ikx}``.
+
+        ``k=None`` integrates ``self`` alone (k = 0) and returns a complex.  A
+        real array ``k`` returns an array of the same shape, one tail per wave
+        number, from one pass over the terms: grouped by frequency mu, each
+        (mu, side) pair runs the :func:`osc_power_tail` recurrences vectorised
+        over mu + k.  Raises ``ValueError`` where mu + k vanishes under a
+        power q <= 1, whose tail diverges.
+        """
+        kv = np.zeros(1) if k is None else np.asarray(k, dtype=np.float64)
+        groups: dict[float, dict[int, complex]] = {}
+        for (mu, q), c in self.terms.items():
+            groups.setdefault(mu, {})[q] = c
+        total = np.zeros(kv.shape, dtype=np.complex128)
+        for mu, coeffs in sorted(groups.items()):
+            # rounded like OscRational keys: the tail of the per-k product
+            nu = np.round(mu + kv, 12)
+            total += _right_tails(nu, self.z, coeffs, X)
+            # t -> -t maps the left tail onto a right tail with reflected data
+            reflected = {q: (-1.0) ** q * c for q, c in coeffs.items()}
+            total += _right_tails(-nu, -self.z, reflected, X)
+        return complex(total[0]) if k is None else total
 
     def integral_line(self, X: float = 60.0, tol: float = 1e-10) -> QuadResult:
         """Core quadrature on [-X, X] plus exact tails."""

@@ -189,3 +189,36 @@ def test_green_subcommand_singular_energy():
     with pytest.raises(SystemExit) as exc:
         run(["green", "--n", "1", "--x", "1", "--xp", "0", "--energy", "0"])
     assert exc.value.code == 2
+
+
+def test_sweep_negative_hermite_order_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", "--scheme", "res3", "--testfn", "hermite:-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Hermite order must be >= 0" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["green", "--z", "nan,1", "--x", "1", "--xp", "0", "--energy", "1"],
+        ["green", "--z", "0,inf", "--x", "1", "--xp", "0", "--energy", "1"],
+        ["green", "--model", "interior", "--alpha", "nan", "--x", "1", "--xp", "0", "--energy", "1"],
+        ["green", "--x", "nan", "--xp", "0", "--energy", "1"],
+        ["green", "--x", "1", "--xp=-inf", "--energy", "1"],
+        ["green", "--x", "1", "--xp", "0", "--energy", "nan"],
+        ["sweep", "--scheme", "res3", "--xp", "nan"],
+        ["sweep", "--scheme", "res3", "--eps-grid", "nan"],
+        ["sweep", "--scheme", "res3", "--eps-grid", "0.4,inf"],
+        ["sweep", "--scheme", "res3", "--tol", "nan"],
+        ["verify", "--suite", "algebra", "--tol", "inf"],
+    ],
+)
+def test_non_finite_numbers_are_usage_errors(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(args)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite" in captured.err and "Traceback" not in captured.err

@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
+import epresolve.quadrature as quadrature
 from epresolve.boundary import BoundaryModel, bm_scatter
 from epresolve.exact import ExpLaurent
+from epresolve.interior import InteriorModel, im_tail_model
 from epresolve.quadrature import (
     ContourSpec,
     GaussianPacket,
@@ -236,6 +240,153 @@ def test_oscrational_poly_shift():
     g = OscRational(z, [(0.0, 1, 1.0)])
     xs = np.linspace(-2, 2, 7)
     assert np.allclose(f.eval(xs), g.eval(xs))
+
+
+def test_oscrational_product_matches_constructor_accumulation():
+    # __mul__ convolves keys in place; the constructor path is its reference
+    model = InteriorModel(1.0, 0.2 + 1j)
+    f = im_tail_model(model, "psi1", 8)
+    g = im_tail_model(model, "inv_w", 8) + OscRational.cosine(model.z, 2.0, 0.5)
+    items = [
+        (mu1 + mu2, q1 + q2, c1 * c2)
+        for (mu1, q1), c1 in f.terms.items()
+        for (mu2, q2), c2 in g.terms.items()
+    ]
+    want = OscRational(model.z, items).terms
+    got = (f * g).terms
+    assert got == want and list(got) == list(want)
+
+
+# ---------------------------------------------------------------------------
+# batched tails over k against the scalar oracle
+# ---------------------------------------------------------------------------
+
+def _oracle_tails(f, X, ks):
+    """Per-k tails of f * e^{ikx} as sums of scalar osc_power_tail terms.
+
+    Returns the values and the sums of the term magnitudes, the scale the
+    batched evaluator's rounding is measured against (terms can cancel).
+    """
+    values, scales = [], []
+    for k in ks:
+        g = f * OscRational.wave(f.z, float(k))
+        parts = [
+            c * (osc_power_tail(mu, g.z, q, X, 1) + osc_power_tail(mu, g.z, q, X, -1))
+            for (mu, q), c in sorted(g.terms.items())
+        ]
+        values.append(sum(parts))
+        scales.append(sum(abs(v) for v in parts))
+    return np.array(values), np.array(scales)
+
+
+def _tails_agree(f, X, ks, rtol=1e-10):
+    got = f.integral_tails(X, np.asarray(ks))
+    want, scale = _oracle_tails(f, X, ks)
+    return got.shape == want.shape and bool(np.all(np.abs(got - want) <= rtol * scale))
+
+
+# The upward recurrence loses about log10((|nu| |X - z|)^(q-1) / (q-1)!)
+# digits and the Abel one about log10(j! / (|nu| |X - z|)^j), where the two
+# sides round their complex products differently.  Frequencies nu = mu + k on
+# a quarter grid, |nu| in {0} u [0.25, 2.75], and X in [3, 6] keep both under
+# five digits, so the rtol 1e-10 comparison tests the recurrences, not luck.
+_osc_terms = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.5, -0.5, 1.25, -1.5]),
+        st.integers(-4, 6),
+        st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@given(
+    terms=_osc_terms,
+    z_re=st.floats(-1.0, 1.0),
+    z_im=st.floats(0.3, 2.0),
+    z_sign=st.sampled_from([1.0, -1.0]),
+    X=st.floats(3.0, 6.0),
+    ks=st.lists(st.integers(-6, 6).map(lambda j: j / 4), min_size=1, max_size=6),
+)
+@settings(max_examples=150, deadline=None)
+def test_batched_tails_match_scalar_oracle(terms, z_re, z_im, z_sign, X, ks):
+    f = OscRational(complex(z_re, z_sign * z_im), terms)
+    try:
+        _oracle_tails(f, X, ks)
+    except ValueError:
+        # a zero frequency under q <= 1: the batched call must refuse as well
+        with pytest.raises(ValueError):
+            f.integral_tails(X, np.asarray(ks))
+        return
+    assert _tails_agree(f, X, ks)
+
+
+def test_batched_tails_zero_frequency_elements():
+    z, X = 0.2 - 0.7j, 12.0
+    ks = np.array([-0.5, 0.25, 0.75])
+    # mu + k == 0 exactly at k = -0.5 under q >= 2: closed form there
+    zero_part = [(0.5, 3, 1.5 - 0.5j), (0.5, 2, 0.3j)]
+    rest = [(-1.0, 1, 2.0), (-1.0, -2, 0.7)]
+    f = OscRational(z, zero_part + rest)
+    assert _tails_agree(f, X, ks)
+    closed = sum(c * ((X - z) ** (1 - q) + (-1.0) ** q * (X + z) ** (1 - q)) / (q - 1)
+                 for _, q, c in zero_part)
+    want = closed + _oracle_tails(OscRational(z, rest), X, [-0.5])[0][0]
+    assert abs(f.integral_tails(X, ks)[0] - want) <= 1e-12 * abs(want)
+    # ... and under q <= 1 the tail diverges, as the oracle says
+    for q in (1, 0, -2):
+        g = OscRational(z, [(0.5, q, 1.0), (1.0, 3, 1.0)])
+        with pytest.raises(ValueError):
+            osc_power_tail(0.0, z, q, X, 1)
+        with pytest.raises(ValueError):
+            g.integral_tails(X, ks)
+        assert _tails_agree(g, X, ks[1:])
+
+
+def test_batched_tails_one_shot_path():
+    z, X = -0.3 + 1.1j, 9.0
+    f = OscRational(z, [(0.0, 2, 1.0), (0.7, 1, -0.4j), (-0.7, -1, 0.25), (1.9, 4, 3.0)])
+    one = f.integral_tails(X)
+    assert isinstance(one, complex)
+    assert one == f.integral_tails(X, np.array([0.0]))[0]
+    want = sum(
+        c * (osc_power_tail(mu, z, q, X, 1) + osc_power_tail(mu, z, q, X, -1))
+        for (mu, q), c in sorted(f.terms.items())
+    )
+    assert abs(one - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("which", ["psi0", "psi1"])
+def test_batched_tails_on_chain_member_models(which):
+    # the products the interior chain transform integrates, at its X = 40
+    model = InteriorModel(1.0, 0.2 + 1j)
+    a, z = model.alpha, model.z
+    member = im_tail_model(model, which, 5)
+    inv_w = im_tail_model(model, "inv_w", 5)
+    p1 = member * ((OscRational.cosine(z, 2 * a, 2 * a) + OscRational.constant(z, 2 * a)) * inv_w)
+    ks = np.linspace(-7.0, 7.0, 15) + 0.01
+    for f in (member, p1):
+        got = f.integral_tails(40.0, ks)
+        want, _ = _oracle_tails(f, 40.0, ks)
+        assert np.allclose(got, want, rtol=1e-10, atol=0.0)
+
+
+def test_batched_tails_mutation_control(monkeypatch):
+    # dropping the reflection sign (-1)^q of the left tail must be caught
+    z, X = 0.4 + 0.9j, 5.0
+    f = OscRational(z, [(0.5, 1, 1.0), (-1.5, 3, 0.5j), (1.25, -1, 0.3)])
+    ks = [-0.25, 0.5, 1.0]
+    assert _tails_agree(f, X, ks)
+    right = quadrature._right_tails
+
+    def unsigned(nu, zc, coeffs, X):
+        if zc == -z:  # the reflected (left) side: undo its (-1)^q
+            coeffs = {q: (-1.0) ** q * c for q, c in coeffs.items()}
+        return right(nu, zc, coeffs, X)
+
+    monkeypatch.setattr(quadrature, "_right_tails", unsigned)
+    assert not _tails_agree(f, X, ks)
 
 
 # ---------------------------------------------------------------------------
