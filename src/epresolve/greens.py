@@ -52,9 +52,24 @@ def _k_upper(E: complex) -> complex:
     return k
 
 
-def _psi_boundary(model: BoundaryModel, k: complex, x: float) -> complex:
-    vals = bm_scatter(model).eval(np.array([k]), np.array([float(x)]), model.z)
-    return complex(np.asarray(vals).reshape(-1)[0]) / k**model.n
+def _green_k(
+    model: BoundaryModel | InteriorModel, ks: np.ndarray, x: float, xp: float
+) -> np.ndarray:
+    """Green function at an array of momenta: one evaluation per solution.
+
+    The product of the scattering solutions at the larger coordinate (momentum
+    k) and the smaller one (momentum -k), weighted by pi*i/k.  The boundary
+    solution is built once and divided by k**n to undo its scaling.
+    """
+    hi, lo = (x, xp) if x >= xp else (xp, x)
+    if isinstance(model, BoundaryModel):
+        psi = bm_scatter(model)
+        left = psi.eval(ks, hi, model.z) / ks**model.n
+        right = psi.eval(-ks, lo, model.z) / (-ks) ** model.n
+    else:
+        left = im_scatter(model, ks, hi).value
+        right = im_scatter(model, -ks, lo).value
+    return (math.pi * 1j / ks) * left * right
 
 
 def green(
@@ -68,38 +83,19 @@ def green(
     embedded resonance for the trigonometric one) is refused.
     """
     k = _k_upper(complex(E))
-    hi, lo = (x, xp) if x >= xp else (xp, x)
     if isinstance(model, BoundaryModel):
         if abs(k) < 1e-8:
             raise ValueError("Green function is singular at the spectral origin")
-        left = _psi_boundary(model, k, hi)
-        right = _psi_boundary(model, -k, lo)
-    else:
-        a = model.alpha
-        if abs(k * k - a * a) < 1e-6:
-            raise ValueError("Green function is singular at the embedded momentum")
-        left = complex(im_scatter(model, k, hi).value)
-        right = complex(im_scatter(model, -k, lo).value)
-    return (math.pi * 1j / k) * left * right
-
-
-def _green_k(model, k: complex, x: float, xp: float) -> complex:
-    # same product as `green` but parametrized by momentum, for contour work
-    hi, lo = (x, xp) if x >= xp else (xp, x)
-    if isinstance(model, BoundaryModel):
-        left = _psi_boundary(model, k, hi)
-        right = _psi_boundary(model, -k, lo)
-    else:
-        left = complex(im_scatter(model, k, hi).value)
-        right = complex(im_scatter(model, -k, lo).value)
-    return (math.pi * 1j / k) * left * right
+    elif abs(k * k - model.alpha**2) < 1e-6:
+        raise ValueError("Green function is singular at the embedded momentum")
+    return complex(_green_k(model, np.array([k]), x, xp)[0])
 
 
 def pole_order(
     model: BoundaryModel | InteriorModel,
     center: complex,
     radius: float,
-    max_order: int = 12,
+    max_order: int | None = None,
     tol: float = 1e-7,
 ) -> int:
     """Order of the momentum-plane pole of the Green function at ``center``.
@@ -110,12 +106,19 @@ def pole_order(
     smallest p with M_{p-1} significant and all later moments below
     tol * |M_{p-1}| * radius^(p-j).  Raises when no p separates cleanly.
 
+    Moments are taken up to ``max_order``; the default bound comes from the
+    model: max(12, 2n+3) for the inverse-square family, whose momentum-plane
+    order 2n+1 then has two vanishing moments above it as witnesses, and 12
+    for the trigonometric one.
+
     For the trigonometric family probed at center = alpha, the energy map
     E = k**2 is biholomorphic (alpha != 0), so the momentum-plane order *is*
     the energy-plane order there.
     """
     if radius <= 0:
         raise ValueError("probe radius must be positive")
+    if max_order is None:
+        max_order = max(12, 2 * model.n + 3) if isinstance(model, BoundaryModel) else 12
     theta = np.arange(_MOMENT_SAMPLES) * (2 * math.pi / _MOMENT_SAMPLES)
     offs = radius * np.exp(1j * theta)
     ks = complex(center) + offs
@@ -123,7 +126,7 @@ def pole_order(
 
     orders = []
     for x, xp in _PROBES:
-        g = np.array([_green_k(model, complex(kv), x, xp) for kv in ks])
+        g = _green_k(model, ks, x, xp)
         moments = [np.sum(offs**j * g * dk) for j in range(max_order + 1)]
         mags = [abs(m) for m in moments]
         floor = 1e-9 * max(mags)
@@ -139,8 +142,9 @@ def pole_order(
                 break
         if found is None:
             raise ValueError(
-                "contour moments do not separate into a clean pole order; "
-                "shrink the radius or move the probe points"
+                f"contour moments up to order {max_order} do not separate into a "
+                "clean pole order; the pole may be of higher order (raise max_order) "
+                "or the contour may enclose another singularity"
             )
         orders.append(found)
     # an accidental solution zero at one probe can only lower the apparent

@@ -76,6 +76,9 @@ class _D3:
     """Tiny value-plus-two-derivatives arithmetic (internal)."""
 
     __slots__ = ("v", "a", "b")
+    # keeps ``ndarray * _D3`` from building an object array: numpy defers to
+    # __rmul__, which scales the three components elementwise
+    __array_ufunc__ = None
 
     def __init__(self, v, a, b):
         self.v, self.a, self.b = v, a, b
@@ -131,7 +134,9 @@ def im_potential(model: InteriorModel, x: np.ndarray | float) -> np.ndarray | co
     return out
 
 
-def _scatter_d3(model: InteriorModel, k: complex, x: np.ndarray, regularized: bool) -> _D3:
+def _scatter_d3(
+    model: InteriorModel, k: np.ndarray | complex, x: np.ndarray, regularized: bool
+) -> _D3:
     a = model.alpha
     W, W1, W2, _, _ = im_w_bundle(model, x)
     dW = _D3(W, W1, W2)
@@ -156,26 +161,27 @@ def _scatter_d3(model: InteriorModel, k: complex, x: np.ndarray, regularized: bo
 
 def im_scatter(
     model: InteriorModel,
-    k: complex,
+    k: np.ndarray | complex,
     x: np.ndarray | float,
     regularized: bool = False,
 ) -> PointEval:
-    """Scattering solution at spectral value k, with analytic derivatives.
+    """Scattering solution at spectral value(s) k, with analytic derivatives.
 
-    The plain solution has simple poles at k = +-alpha; evaluation inside
-    |k^2 - alpha^2| < 1e-6 is refused unless ``regularized=True``, which
-    returns the pole-free multiple (k^2 - alpha^2) * psi instead.
+    An array of k broadcasts against x.  The plain solution has simple poles
+    at k = +-alpha; evaluation inside |k^2 - alpha^2| < 1e-6 is refused unless
+    ``regularized=True``, which returns the pole-free multiple
+    (k^2 - alpha^2) * psi instead.
     """
-    kc = complex(k)
-    disp = kc * kc - model.alpha**2
-    if not regularized and abs(disp) < 1e-6:
+    ka = np.asarray(k, dtype=np.complex128)
+    disp = ka * ka - model.alpha**2
+    if not regularized and np.any(np.abs(disp) < 1e-6):
         raise ValueError(
             "spectral value sits on a pole of the solution; "
             "use regularized=True for the pole-free multiple"
         )
     xa = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    d = _scatter_d3(model, kc, xa, regularized)
-    if np.ndim(x) == 0:
+    d = _scatter_d3(model, ka if ka.ndim else complex(ka), xa, regularized)
+    if np.ndim(x) == 0 and ka.ndim == 0:
         return PointEval(complex(d.v[0]), complex(d.a[0]), complex(d.b[0]))
     return PointEval(d.v, d.a, d.b)
 

@@ -16,6 +16,10 @@ def read_json(path):
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
@@ -146,6 +150,31 @@ def test_indexes_boundary(tmp_path):
     payload = read_json(out)
     assert (payload["n1"], payload["n2"], payload["n3"]) == (2, 3, 3)
     assert payload["k_plane_pole_order"] == 7
+
+
+def test_indexes_boundary_past_order_twelve(tmp_path, capsys):
+    # momentum-plane order 2n+1 = 13 exceeds the old fixed moment bound of 12
+    out = tmp_path / "idx6.json"
+    assert run(["indexes", "--n", "6", "--out", str(out)]) == 0
+    payload = read_json(out)
+    assert (payload["n1"], payload["n2"], payload["n3"]) == (3, 6, 6)
+    assert payload["k_plane_pole_order"] == 13
+    assert capsys.readouterr().err == ""
+
+
+def test_verify_greens_large_n_ends_in_a_verdict(tmp_path, capsys):
+    out = tmp_path / "greens7.json"
+    code = run(["verify", "--n", "7", "--suite", "greens", "--out", str(out)])
+    assert "Traceback" not in capsys.readouterr().err
+    payload = json.loads(out.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+    reports = {r["identity"]: r for r in payload["reports"]}
+    stability = reports["green-pole-stability"]
+    assert stability["passed"] is True and stability["residual"] == 0.0
+    assert stability["trace"] == ["order 15 at radius 0.5", "order 15 at radius 0.25"]
+    # green-jump fails for n >= 5 (finite-difference residual 4.0e-5 at
+    # n = 5, 1.06 at n = 7): a known defect; a failed report gives exit 1
+    assert not reports["green-jump"]["passed"]
+    assert code == 1
 
 
 def test_indexes_interior(tmp_path):

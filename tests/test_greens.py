@@ -1,13 +1,24 @@
 """Green functions, pole orders at the exceptional point, and the indexes."""
 
 import cmath
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from epresolve.boundary import BoundaryModel, bm_potential
-from epresolve.greens import IndexTriple, green, indexes, pole_order
-from epresolve.interior import InteriorModel, im_potential
+from epresolve.boundary import BoundaryModel, bm_potential, bm_scatter_ladder
+from epresolve.exact import el_mutate
+from epresolve.greens import (
+    _MOMENT_SAMPLES,
+    _PROBES,
+    IndexTriple,
+    _green_k,
+    green,
+    indexes,
+    pole_order,
+)
+from epresolve.interior import InteriorModel, im_potential, im_scatter
 from epresolve.resolution import eps_chain
 
 INTERIOR = InteriorModel(1.0, 1j)
@@ -95,8 +106,9 @@ def test_green_refuses_the_singular_momentum():
 
 @pytest.mark.parametrize(
     "n expected".split(),
-    [(1, 3), (2, 5), (3, 7)],
-    ids="n1 n2 n3".split(),
+    # n >= 6 needs more than 12 moments: the default bound follows the model
+    [(1, 3), (2, 5), (3, 7), (6, 13), (7, 15)],
+    ids="n1 n2 n3 n6 n7".split(),
 )
 def test_boundary_pole_orders(n, expected):
     m = BoundaryModel(n)
@@ -107,6 +119,68 @@ def test_boundary_pole_orders(n, expected):
 def test_interior_pole_order():
     assert pole_order(INTERIOR, 1.0 + 0j, 0.25) == 2
     assert pole_order(INTERIOR, 1.0 + 0j, 0.125) == 2
+
+
+def _contour(center, radius):
+    # the momenta pole_order evaluates the Green function on
+    theta = np.arange(_MOMENT_SAMPLES) * (2 * math.pi / _MOMENT_SAMPLES)
+    return center + radius * np.exp(1j * theta)
+
+
+def _oracle(model, k, x, xp, psi=None):
+    """Scalar Green function at one momentum, off the array code path.
+
+    Boundary: the ladder-built solution ``psi`` (default
+    bm_scatter_ladder), one ExpLaurent.eval per scalar k.  Interior: one
+    im_scatter call per scalar k.
+    """
+    hi, lo = max(x, xp), min(x, xp)
+    if isinstance(model, BoundaryModel):
+        psi = bm_scatter_ladder(model) if psi is None else psi
+        left = psi.eval(k, hi, model.z) / k**model.n
+        right = psi.eval(-k, lo, model.z) / (-k) ** model.n
+    else:
+        left = im_scatter(model, k, hi).value
+        right = im_scatter(model, -k, lo).value
+    return (math.pi * 1j / k) * left * right
+
+
+def _oracle_contour(model, ks, x, xp, psi=None):
+    return np.array([_oracle(model, complex(k), x, xp, psi) for k in ks])
+
+
+@pytest.mark.parametrize("radius", [0.5, 0.25], ids="r0.5 r0.25".split())
+@pytest.mark.parametrize("n", range(6), ids=[f"n{n}" for n in range(6)])
+def test_array_green_matches_scalar_oracle_boundary(n, radius):
+    m = BoundaryModel(n)
+    ks = _contour(0j, radius)
+    mutated = el_mutate(bm_scatter_ladder(m), Fraction(1, 10**6))
+    for x, xp in _PROBES:
+        got = _green_k(m, ks, x, xp)
+        np.testing.assert_allclose(got, _oracle_contour(m, ks, x, xp), rtol=1e-12, atol=0)
+        # mutation control: one coefficient off by 1e-6 fails the same check
+        bad = _oracle_contour(m, ks, x, xp, mutated)
+        assert not np.allclose(got, bad, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("radius", [0.25, 0.125], ids="r0.25 r0.125".split())
+@pytest.mark.parametrize("alpha", [1.0, 1.5], ids="a1 a1.5".split())
+def test_array_green_matches_scalar_oracle_interior(alpha, radius):
+    m = InteriorModel(alpha, 1j)
+    ks = _contour(alpha, radius)
+    moved = InteriorModel(alpha, 1j + 1e-6)
+    for x, xp in _PROBES:
+        got = _green_k(m, ks, x, xp)
+        np.testing.assert_allclose(got, _oracle_contour(m, ks, x, xp), rtol=1e-12, atol=0)
+        # control: a displacement moved by 1e-6 fails the same check
+        bad = _oracle_contour(moved, ks, x, xp)
+        assert not np.allclose(got, bad, rtol=1e-12, atol=0)
+
+
+def test_pole_order_reports_an_explicit_bound_that_is_too_low():
+    with pytest.raises(ValueError, match="up to order 12") as exc:
+        pole_order(BoundaryModel(6), 0j, 0.5, max_order=12)
+    assert "radius" not in str(exc.value)
 
 
 def test_pole_order_validates_radius():
