@@ -24,7 +24,7 @@ from .quadrature import (
     OscRational,
     _adaptive,
     _adaptive_oscillatory,
-    _gl,
+    composite_gauss,
     packet_product_moment,
     quad_packet,
 )
@@ -209,11 +209,7 @@ def smear_interior_scatter(
     x because the smooth k-dependence is Fourier-transformed against g.
     """
     half = g.support_radius(1e-20)
-    n_panels = max(12, int(4 * half))
-    edges = np.linspace(g.center - half, g.center + half, n_panels + 1)
-    xg, wg = _gl(16)
-    nodes = (0.5 * (edges[:-1] + edges[1:])[:, None] + 0.5 * np.diff(edges)[:, None] * xg).ravel()
-    weights = (0.5 * np.diff(edges)[:, None] * np.broadcast_to(wg, (n_panels, 16))).ravel()
+    nodes, weights = composite_gauss(g.center - half, g.center + half, max(12, int(4 * half)), 16)
     gw = np.asarray(g.eval(nodes)) * weights
     knodes = (-nodes if negate_k else nodes).astype(np.complex128)
 

@@ -292,17 +292,17 @@ def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         model = _build_model(args)
         scheme = Scheme(SchemeId(args.scheme.lower()), model)
         f = _parse_testfn(args.testfn)
+        f.check_model(model)
     except ValueError as exc:
         parser.error(str(exc))
     eps_grid = args.eps_grid
     xp = args.xp
     target = complex(np.asarray(f.make_eval(model)(np.array([xp]))).ravel()[0])
-    tol = args.tol if args.tol is not None else 1e-9
     rows = []
     try:
         for eps in eps_grid:
             A = args.coupling_c / eps
-            value = complex(apply_scheme(scheme, eps, A, f, xp, tol=tol))
+            value = complex(apply_scheme(scheme, eps, A, f, xp, tol=args.tol))
             rows.append(
                 [
                     scheme.kind.value,
@@ -402,7 +402,6 @@ def _add_model_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--alpha", type=_finite_float, default=1.0,
                     help="resonance momentum of the interior family")
     sp.add_argument("--z", type=_parse_z, default="0,1", help="complex displacement as re,im (default 0,1)")
-    sp.add_argument("--tol", type=_positive_float, default=None, help="quadrature tolerance override")
     sp.add_argument("--out", default=None, help="output file (default stdout)")
 
 
@@ -427,6 +426,7 @@ def make_parser() -> argparse.ArgumentParser:
     s.add_argument("--coupling-c", dest="coupling_c", type=_positive_float, default=50.0,
                    help="cutoff coupling: A = c/eps")
     s.add_argument("--xp", type=_finite_float, default=0.3, help="reconstruction point")
+    s.add_argument("--tol", type=_positive_float, default=1e-9, help="quadrature tolerance")
 
     i = sub.add_parser("indexes", help="report the spectral index triple as JSON")
     _add_model_flags(i)

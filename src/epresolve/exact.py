@@ -38,6 +38,7 @@ __all__ = [
     "binom",
     "i_power",
     "el_diff_x",
+    "el_eval_terms",
     "el_apply_q",
     "el_apply_h",
     "el_limit_k0_deriv",
@@ -423,15 +424,12 @@ class ExpLaurent:
     def eval(self, k: np.ndarray | complex, x: np.ndarray | complex, z: complex) -> np.ndarray | complex:
         """Numerically evaluate at spectral value(s) k and coordinate(s) x.
 
-        Broadcasts k against x.  Pure numpy; the jit-compiled grid kernel in
-        :mod:`epresolve.kernels` exists for the hot paths.
+        Broadcasts k against x.  The term loop is :func:`el_eval_terms`,
+        shared with the grid kernel :func:`epresolve.kernels.el_eval_grid`.
         """
         karr = np.asarray(k, dtype=np.complex128)
-        xarr = np.asarray(x, dtype=np.complex128)
-        xz = xarr - z
-        out = np.zeros(np.broadcast(karr, xarr).shape, dtype=np.complex128)
-        for (m, p), c in self.terms.items():
-            out = out + c.to_complex() * karr**m * xz**p
+        xz = np.asarray(x, dtype=np.complex128) - z
+        out = el_eval_terms(((m, p, c.to_complex()) for (m, p), c in self.terms.items()), karr, xz)
         phase = np.exp(1j * karr * (self.phase_x * xz + self.phase_z * z))
         scale = (2.0 * math.pi) ** (-0.5 * self.unit_pow)
         result = scale * out * phase
@@ -453,6 +451,20 @@ class ExpLaurent:
 
 
 _EL_ZERO = ExpLaurent()
+
+
+def el_eval_terms(
+    terms: Iterable[tuple[int, int, complex]], k: np.ndarray, xz: np.ndarray
+) -> np.ndarray:
+    """sum of c * k**m * xz**p over the (m, p, c) triples, in the given order.
+
+    The term loop of every numeric Laurent evaluation; ``k`` and the centered
+    coordinate ``xz = x - z`` are arrays broadcast against each other.
+    """
+    out = np.zeros(np.broadcast(k, xz).shape, dtype=np.complex128)
+    for m, p, c in terms:
+        out += c * k ** int(m) * xz ** int(p)
+    return out
 
 
 def el_diff_x(f: ExpLaurent) -> ExpLaurent:

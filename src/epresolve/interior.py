@@ -140,7 +140,7 @@ def _scatter_d3(
     a = model.alpha
     W, W1, W2, _, _ = im_w_bundle(model, x)
     dW = _D3(W, W1, W2)
-    # half-angle coding, deliberately different from the grid kernels:
+    # half-angle coding, kept different from the grid kernel as its oracle:
     # i k W' - W''/2 = 4 i a k cos^2(a x) + 2 a^2 sin(2 a x)
     cos2 = np.cos(a * x) ** 2 + 0j
     sin_two = np.sin(2 * a * x) + 0j

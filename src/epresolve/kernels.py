@@ -1,12 +1,11 @@
-"""Grid-evaluation kernels, jit-compiled when numba is available.
+"""Grid-evaluation kernels on (spectral x coordinate) tensor grids.
 
 The tensor contractions behind the smeared pairings evaluate exact Laurent
-expressions and the interior-model scattering solution on (spectral x
-coordinate) grids.  Those inner loops dominate the wall time of the numeric
-suites, so they are compiled with numba when possible.
-
-Set ``EPRESOLVE_NO_NUMBA=1`` (or run without numba installed) to force the
-pure-numpy reference implementations; results are identical to rounding.
+expressions and the interior-model scattering solution on grids of spectral
+values ``k`` (rows) and coordinates ``x`` (columns).  Both kernels are thin
+numpy wrappers over the package's single evaluator of each quantity: the
+term loop of :meth:`epresolve.exact.ExpLaurent.eval` and the W bundle of
+:func:`epresolve.interior.im_w_bundle`.
 
 Parameters follow a packed convention: an exact expression contributes
 integer power arrays ``ms`` (spectral), ``ps`` (coordinate) and complex
@@ -17,45 +16,16 @@ coefficients ``cs`` plus its phase integers and an overall scale; see
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-try:  # pragma: no cover - exercised implicitly by the dispatch below
-    from numba import njit
+from .exact import el_eval_terms
+from .interior import InteriorModel, im_w_bundle
 
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
+__all__ = ["el_eval_grid", "interior_psi_grid"]
 
 
-NUMBA_ENABLED = NUMBA_AVAILABLE and os.environ.get("EPRESOLVE_NO_NUMBA", "") != "1"
-
-__all__ = [
-    "NUMBA_AVAILABLE",
-    "NUMBA_ENABLED",
-    "el_eval_grid",
-    "el_eval_grid_numpy",
-    "interior_psi_grid",
-    "interior_psi_grid_numpy",
-    "w_bundle_numpy",
-]
-
-
-# ---------------------------------------------------------------------------
-# reference implementations (vectorized numpy)
-# ---------------------------------------------------------------------------
-
-def el_eval_grid_numpy(
+def el_eval_grid(
     ms: np.ndarray,
     ps: np.ndarray,
     cs: np.ndarray,
@@ -69,29 +39,12 @@ def el_eval_grid_numpy(
     """Evaluate a packed Laurent expression on the (k, x) tensor grid."""
     K = np.asarray(k, dtype=np.complex128)[:, None]
     XZ = np.asarray(x, dtype=np.float64)[None, :] - z
-    out = np.zeros((K.shape[0], XZ.shape[1]), dtype=np.complex128)
-    for m, p, c in zip(ms, ps, cs):
-        out += c * K ** int(m) * XZ ** int(p)
+    out = el_eval_terms(zip(ms, ps, cs), K, XZ)
     out *= scale * np.exp(1j * K * (sigma * XZ + tau * z))
     return out
 
 
-def w_bundle_numpy(
-    x: np.ndarray, alpha: float, z: complex
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Denominator function W = sin(2 a x) + 2 a (x - z) and four derivatives."""
-    xa = np.asarray(x, dtype=np.float64)
-    s = np.sin(2 * alpha * xa)
-    c = np.cos(2 * alpha * xa)
-    W = s + 2 * alpha * (xa - z)
-    W1 = 2 * alpha * c + 2 * alpha + 0j
-    W2 = -4 * alpha**2 * s + 0j
-    W3 = -8 * alpha**3 * c + 0j
-    W4 = 16 * alpha**4 * s + 0j
-    return W, W1, W2, W3, W4
-
-
-def interior_psi_grid_numpy(
+def interior_psi_grid(
     k: np.ndarray, x: np.ndarray, alpha: float, z: complex, regularized: bool
 ) -> np.ndarray:
     """Interior scattering solution (or its pole-free multiple) on a grid.
@@ -100,74 +53,10 @@ def interior_psi_grid_numpy(
     """
     K = np.asarray(k, dtype=np.complex128)[:, None]
     X = np.asarray(x, dtype=np.float64)[None, :]
-    W, W1, W2, _, _ = w_bundle_numpy(X, alpha, z)
+    W, W1, W2, _, _ = im_w_bundle(InteriorModel(alpha, z), X)
     num = 1j * K * W1 - 0.5 * W2
     base = np.exp(1j * K * X) / math.sqrt(2 * math.pi)
     disp = K * K - alpha * alpha
     if regularized:
         return (disp + num / W) * base
     return (1.0 + num / (disp * W)) * base
-
-
-# ---------------------------------------------------------------------------
-# jit-compiled loop implementations
-# ---------------------------------------------------------------------------
-
-def _el_eval_grid_loops(ms, ps, cs, sigma, tau, scale, k, x, z):  # pragma: no cover
-    nk = k.shape[0]
-    nx = x.shape[0]
-    nt = ms.shape[0]
-    out = np.empty((nk, nx), dtype=np.complex128)
-    # powers factor per axis: hoist them out of the cell loop
-    xzp = np.empty((nx, nt), dtype=np.complex128)
-    for j in range(nx):
-        xz = x[j] - z
-        for t in range(nt):
-            xzp[j, t] = xz ** ps[t]
-    kp = np.empty(nt, dtype=np.complex128)
-    for i in range(nk):
-        ki = k[i]
-        for t in range(nt):
-            kp[t] = ki ** ms[t]
-        for j in range(nx):
-            xz = x[j] - z
-            acc = 0.0 + 0.0j
-            for t in range(nt):
-                acc += cs[t] * kp[t] * xzp[j, t]
-            out[i, j] = acc * scale * np.exp(1j * ki * (sigma * xz + tau * z))
-    return out
-
-
-def _interior_psi_grid_loops(k, x, alpha, z, regularized):  # pragma: no cover
-    nk = k.shape[0]
-    nx = x.shape[0]
-    out = np.empty((nk, nx), dtype=np.complex128)
-    norm = 1.0 / math.sqrt(2.0 * math.pi)
-    a2 = alpha * alpha
-    for j in range(nx):
-        xj = x[j]
-        s = math.sin(2 * alpha * xj)
-        c = math.cos(2 * alpha * xj)
-        W = s + 2 * alpha * (xj - z)
-        W1 = 2 * alpha * c + 2 * alpha
-        W2 = -4 * a2 * s
-        for i in range(nk):
-            ki = k[i]
-            num = 1j * ki * W1 - 0.5 * W2
-            base = np.exp(1j * ki * xj) * norm
-            disp = ki * ki - a2
-            if regularized:
-                out[i, j] = (disp + num / W) * base
-            else:
-                out[i, j] = (1.0 + num / (disp * W)) * base
-    return out
-
-
-if NUMBA_ENABLED:
-    el_eval_grid = njit(cache=True)(_el_eval_grid_loops)
-    interior_psi_grid = njit(cache=True)(_interior_psi_grid_loops)
-else:
-    el_eval_grid = el_eval_grid_numpy
-
-    def interior_psi_grid(k, x, alpha, z, regularized):
-        return interior_psi_grid_numpy(k, x, alpha, z, regularized)

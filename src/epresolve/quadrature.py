@@ -48,6 +48,7 @@ __all__ = [
     "quad_line",
     "quad_contour",
     "quad_packet",
+    "composite_gauss",
     "OscRational",
     "gauss_moment",
     "osc_power_tail",
@@ -80,6 +81,19 @@ def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
         got = np.polynomial.legendre.leggauss(n)
         _GL_CACHE[n] = got
     return got
+
+
+def composite_gauss(lo: float, hi: float, n_panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of an ``order``-point Gauss-Legendre rule on each of
+    ``n_panels`` equal panels of [lo, hi]; exact for polynomials of degree
+    2*order - 1 on every panel."""
+    xg, wg = _gl(order)
+    edges = np.linspace(lo, hi, n_panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * np.diff(edges)
+    nodes = (mid[:, None] + half[:, None] * xg).ravel()
+    weights = (half[:, None] * wg).ravel()
+    return nodes, weights
 
 
 def _panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[complex, float, int]:

@@ -21,6 +21,7 @@ ids used consistently across reports, the CLI, and tests.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -32,14 +33,14 @@ from scipy.special import sici
 
 from .boundary import BoundaryModel, bm_assoc, bm_scatter
 from .exact import ExpLaurent, RC_ONE, RationalComplex, i_power
-from .interior import InteriorModel, im_psi0, im_psi1, im_tail_model
+from .interior import InteriorModel, im_psi0, im_psi1, im_tail_model, im_w_bundle
 from .kernels import el_eval_grid, interior_psi_grid
 from .quadrature import (
     ContourSpec,
     OscRational,
     _adaptive,
     _adaptive_oscillatory,
-    _gl,
+    composite_gauss,
     ft_inverse_power,
     quad_contour,
 )
@@ -558,6 +559,22 @@ class TestFunction:
     def is_chain(self) -> bool:
         return self.kind == "chain"
 
+    def check_model(self, model: BoundaryModel | InteriorModel) -> None:
+        """Raise ValueError unless this function fits ``model``'s family.
+
+        Boundary chain members exist for 0 <= l < n only; the interior members
+        belong to the interior family.  Non-chain kinds fit both families.
+        """
+        if not self.is_chain:
+            return
+        if self.ref[0] != "assoc":
+            if not isinstance(model, InteriorModel):
+                raise ValueError("interior chain members apply to the interior family only")
+        elif not isinstance(model, BoundaryModel):
+            raise ValueError("boundary chain members apply to the boundary family only")
+        elif not 0 <= self.ref[1] < model.n:
+            raise ValueError(f"boundary chain members at index {model.n} are 0 <= l < {model.n}, got {self.ref[1]}")
+
 
 # ---------------------------------------------------------------------------
 # schemes
@@ -604,14 +621,7 @@ def _grid_for(f: TestFunction, k_max: float) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss grid resolving both f's support and e^{ikx} phases."""
     W = f.window()
     h = min(0.5, 9.0 / max(k_max, 1.0))
-    n_panels = max(8, int(math.ceil(2 * W / h)))
-    edges = np.linspace(-W, W, n_panels + 1)
-    xg, wg = _gl(16)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    nodes = (mid[:, None] + half[:, None] * xg).ravel()
-    weights = (half[:, None] * np.broadcast_to(wg, (n_panels, 16))).ravel()
-    return nodes, weights
+    return composite_gauss(-W, W, max(8, int(math.ceil(2 * W / h))), 16)
 
 
 def _spectral_reach(f: TestFunction) -> float:
@@ -832,7 +842,7 @@ def _blocks_applied(model: BoundaryModel, f: TestFunction, eps: float, xp: float
             pref = -c * (-0.25) ** l / (2 * math.pi * eps ** (2 * l + 1)) * (xp - z) ** (m - 2 * l - 1)
             mom_p = _f_osc_moment(model, f, eps, m + 1)
             mom_m = _f_osc_moment(model, f, -eps, m + 1)
-            total += pref * 0.5 * (cmath_exp(-1j * eps * xp) * mom_p + cmath_exp(1j * eps * xp) * mom_m)
+            total += pref * 0.5 * (cmath.exp(-1j * eps * xp) * mom_p + cmath.exp(1j * eps * xp) * mom_m)
     # sin block: +sin(eps D)/(pi (x-z)) * sum ...
     for l in range(1, n):
         for m in range(min(2 * l - 1, n - 1) + 1):
@@ -842,12 +852,8 @@ def _blocks_applied(model: BoundaryModel, f: TestFunction, eps: float, xp: float
             pref = c * (-0.25) ** l / (math.pi * eps ** (2 * l)) * (xp - z) ** (m - 2 * l)
             mom_p = _f_osc_moment(model, f, eps, m + 1)
             mom_m = _f_osc_moment(model, f, -eps, m + 1)
-            total += pref * (cmath_exp(-1j * eps * xp) * mom_p - cmath_exp(1j * eps * xp) * mom_m) / 2j
+            total += pref * (cmath.exp(-1j * eps * xp) * mom_p - cmath.exp(1j * eps * xp) * mom_m) / 2j
     return total
-
-
-def cmath_exp(v: complex) -> complex:
-    return complex(np.exp(v))
 
 
 def _n2_trig_terms(model: BoundaryModel, f: TestFunction, eps: float, xp: float, which: set) -> complex:
@@ -874,22 +880,22 @@ def _n2_trig_terms(model: BoundaryModel, f: TestFunction, eps: float, xp: float,
         pref = 6.0 / (math.pi * eps * (xp - z))
         # sin^2(eps D / 2) = (1 - cos(eps D))/2
         val = 0.5 * mom(0.0, 1, 0)
-        val -= 0.25 * (cmath_exp(-1j * eps * xp) * mom(eps, 1, 0) + cmath_exp(1j * eps * xp) * mom(-eps, 1, 0))
+        val -= 0.25 * (cmath.exp(-1j * eps * xp) * mom(eps, 1, 0) + cmath.exp(1j * eps * xp) * mom(-eps, 1, 0))
         total += pref * val
     if "odd" in which:
         pref = 12.0 / (math.pi * eps**2 * (xp - z) ** 2)
         # D sin^2(eps D/4) sin(eps D/2) = D [sin(eps D/2)/2 - sin(eps D)/4]
         for mu, c in ((eps / 2, 0.5), (eps, -0.25)):
-            val = (cmath_exp(-1j * mu * xp) * mom(mu, 2, 1) - cmath_exp(1j * mu * xp) * mom(-mu, 2, 1)) / 2j
+            val = (cmath.exp(-1j * mu * xp) * mom(mu, 2, 1) - cmath.exp(1j * mu * xp) * mom(-mu, 2, 1)) / 2j
             total += pref * c * val
     if "square" in which:
         pref = 3.0 / (2 * math.pi * eps**3 * (xp - z) ** 2)
         # [eps D - 2 sin(eps D/2)]^2 = eps^2 D^2 - 4 eps D sin(eps D/2) + 2 - 2 cos(eps D)
         val = eps**2 * mom(0.0, 2, 2)
-        s = (lambda mu: (cmath_exp(-1j * mu * xp) * mom(mu, 2, 1) - cmath_exp(1j * mu * xp) * mom(-mu, 2, 1)) / 2j)
+        s = (lambda mu: (cmath.exp(-1j * mu * xp) * mom(mu, 2, 1) - cmath.exp(1j * mu * xp) * mom(-mu, 2, 1)) / 2j)
         val -= 4 * eps * s(eps / 2)
         val += 2 * mom(0.0, 2, 0)
-        val -= cmath_exp(-1j * eps * xp) * mom(eps, 2, 0) + cmath_exp(1j * eps * xp) * mom(-eps, 2, 0)
+        val -= cmath.exp(-1j * eps * xp) * mom(eps, 2, 0) + cmath.exp(1j * eps * xp) * mom(-eps, 2, 0)
         total += pref * val
     return total
 
@@ -907,22 +913,16 @@ def _interior_transform(model: InteriorModel, f: TestFunction) -> Callable[[np.n
     in the Abel sense; the tail machinery evaluates exactly that).
     """
     a, z = model.alpha, model.z
-    if f.kind in ("gaussian", "hermite_gaussian", "rational_decay"):
-        # the transform inherits an exp(-|k| Im x0) tail from the complex
-        # zeros of the denominator, so the k-range outlives the packet's own
-        # bandwidth; _INTERIOR_REACH_PAD pushes that tail below 1e-10
-        nodes, weights = _grid_for(f, _spectral_reach(f) + 2 * a + _INTERIOR_REACH_PAD)
-        fv = f.make_eval(model)(nodes)
-        s = np.sin(2 * a * nodes)
-        c2 = np.cos(2 * a * nodes)
-        W = s + 2 * a * (nodes - z)
-        u1 = (2 * a * c2 + 2 * a) / W
-        u2 = (-4 * a * a * s) / W
-        w0 = fv * weights
-        w1 = fv * u1 * weights
-        w2 = fv * u2 * weights
 
-        def theta(k: np.ndarray) -> np.ndarray:
+    def plane_wave_core(nodes: np.ndarray, weights: np.ndarray, fv: np.ndarray):
+        # three fixed-grid plane-wave transforms of fv, fv W'/W and fv W''/W,
+        # assembled with the explicit pole factor 1/(k^2 - a^2)
+        W, W1, W2, _, _ = im_w_bundle(model, nodes)
+        w0 = fv * weights
+        w1 = fv * (W1 / W) * weights
+        w2 = fv * (W2 / W) * weights
+
+        def core(k: np.ndarray) -> np.ndarray:
             karr = np.atleast_1d(np.asarray(k, dtype=np.complex128))
             ph = np.exp(1j * karr[:, None] * nodes[None, :])
             g0 = ph @ w0
@@ -930,7 +930,14 @@ def _interior_transform(model: InteriorModel, f: TestFunction) -> Callable[[np.n
             g2 = ph @ w2
             return (g0 + (1j * karr * g1 - 0.5 * g2) / (karr * karr - a * a)) / math.sqrt(2 * math.pi)
 
-        return theta
+        return core
+
+    if f.kind in ("gaussian", "hermite_gaussian", "rational_decay"):
+        # the transform inherits an exp(-|k| Im x0) tail from the complex
+        # zeros of the denominator, so the k-range outlives the packet's own
+        # bandwidth; _INTERIOR_REACH_PAD pushes that tail below 1e-10
+        nodes, weights = _grid_for(f, _spectral_reach(f) + 2 * a + _INTERIOR_REACH_PAD)
+        return plane_wave_core(nodes, weights, f.make_eval(model)(nodes))
     if f.kind == "chain":
         which = "psi0" if f.ref[0] == "interior0" else "psi1"
         member = im_psi0 if which == "psi0" else im_psi1
@@ -942,20 +949,8 @@ def _interior_transform(model: InteriorModel, f: TestFunction) -> Callable[[np.n
         # resolve phases up to k_max plus the potential's harmonics; the
         # remainder integrals are exact large-x models
         h = min(0.5, 9.0 / (_spectral_reach(f) + 8 * a))
-        n_panels = int(math.ceil(2 * X / h))
-        xg, wg = _gl(16)
-        edges = np.linspace(-X, X, n_panels + 1)
-        midp = 0.5 * (edges[:-1] + edges[1:])
-        halfp = 0.5 * np.diff(edges)
-        nodes = (midp[:, None] + halfp[:, None] * xg).ravel()
-        weights = (halfp[:, None] * np.broadcast_to(wg, (n_panels, 16))).ravel()
-        mv = member(model, nodes).value
-        s = np.sin(2 * a * nodes)
-        c2 = np.cos(2 * a * nodes)
-        W = s + 2 * a * (nodes - z)
-        w0 = mv * weights
-        w1 = mv * ((2 * a * c2 + 2 * a) / W) * weights
-        w2 = mv * ((-4 * a * a * s) / W) * weights
+        nodes, weights = composite_gauss(-X, X, int(math.ceil(2 * X / h)), 16)
+        core = plane_wave_core(nodes, weights, member(model, nodes).value)
         # tail products with the wave's plane-phase factored out: each tail
         # integral takes the whole k array in one batched call
         inv_w = im_tail_model(model, "inv_w", 5)
@@ -965,16 +960,11 @@ def _interior_transform(model: InteriorModel, f: TestFunction) -> Callable[[np.n
 
         def theta(k: np.ndarray) -> np.ndarray:
             karr = np.atleast_1d(np.asarray(k, dtype=np.complex128))
-            ph = np.exp(1j * karr[:, None] * nodes[None, :])
-            g0 = ph @ w0
-            g1 = ph @ w1
-            g2 = ph @ w2
-            core = (g0 + (1j * karr * g1 - 0.5 * g2) / (karr * karr - a * a)) / math.sqrt(2 * math.pi)
             kr = karr.real
             t0 = member_tail.integral_tails(X, kr)
             t1 = p1.integral_tails(X, kr)
             t2 = p2.integral_tails(X, kr)
-            return core + (t0 + (1j * kr * t1 + t2) / (kr * kr - a * a)) / rt2pi
+            return core(karr) + (t0 + (1j * kr * t1 + t2) / (kr * kr - a * a)) / rt2pi
 
         return theta
     raise ValueError(f"unsupported test function kind {f.kind!r}")
@@ -1004,17 +994,10 @@ def _ik_interior(
         # deterministic rule beats adaptivity here; the only oscillation in
         # k comes from the x' plane-wave phase, well under a panel width
         total = 0.0 + 0.0j
-        xg, wg = _gl(12)
         for lo, hi in segments:
-            if hi <= lo:
-                continue
-            n_panels = max(6, int(math.ceil((hi - lo) * 0.4)))
-            edges = np.linspace(lo, hi, n_panels + 1)
-            midp = 0.5 * (edges[:-1] + edges[1:])
-            halfp = 0.5 * np.diff(edges)
-            nodes = (midp[:, None] + halfp[:, None] * xg).ravel()
-            weights = (halfp[:, None] * np.broadcast_to(wg, (n_panels, 12))).ravel()
-            total += np.sum(integrand(nodes) * weights)
+            if hi > lo:
+                nodes, weights = composite_gauss(lo, hi, max(6, int(math.ceil((hi - lo) * 0.4))), 12)
+                total += np.sum(integrand(nodes) * weights)
         return total
     total = 0.0 + 0.0j
     for lo, hi in segments:
@@ -1041,7 +1024,7 @@ def _interior_pair_moment(
             return ev_f(x) * ev_m(model, x).value * np.exp(1j * mu * np.asarray(x))
 
         core = _adaptive_oscillatory(integrand, -X, X, 1e-12, abs(mu) + 2 * model.alpha)
-        return (core.value + tail_model.integral_tails(X)) * cmath_exp(-1j * mu * xp)
+        return (core.value + tail_model.integral_tails(X)) * cmath.exp(-1j * mu * xp)
     ev_f = f.make_eval(model)
     W = f.window()
 
@@ -1049,7 +1032,7 @@ def _interior_pair_moment(
         return ev_f(x) * ev_m(model, x).value * np.exp(1j * mu * np.asarray(x))
 
     core = _adaptive_oscillatory(integrand, -W, W, 1e-12, abs(mu) + 2 * model.alpha)
-    return core.value * cmath_exp(-1j * mu * xp)
+    return core.value * cmath.exp(-1j * mu * xp)
 
 
 def _interior_singular_terms(
@@ -1137,6 +1120,7 @@ def apply_scheme(
     if eps <= 0 or A <= 0:
         raise ValueError("regulators must be positive")
     kind, model = scheme.kind, scheme.model
+    f.check_model(model)
     if kind in _INTERIOR_IDS:
         if eps >= model.alpha:
             raise ValueError("puncture radius must stay below the resonance momentum")
@@ -1235,7 +1219,7 @@ def reproduce_psi20_terms(model: BoundaryModel, eps: float) -> tuple[complex, co
         for i in range(dpow + 1):
             coeff = c * math.comb(dpow, i) * (-(xp - z)) ** (dpow - i)
             terms.append((mu, qbase - i - pm, coeff * cm))
-        return OscRational(z, terms) * cmath_exp(-1j * mu * xp)
+        return OscRational(z, terms) * cmath.exp(-1j * mu * xp)
 
     # first term: 12 D [sin(eps D/2)/2 - sin(eps D)/4] / (pi eps^2 (x-z)^2 (xp-z)^2)
     pref1 = 12.0 / (math.pi * eps**2 * (xp - z) ** 2)
@@ -1278,7 +1262,7 @@ def reproduce_psi0_term(model: InteriorModel, eps: float, xp: float = 0.0) -> co
     # sin^2(eps D / 2) = 1/2 - cos(eps D)/2
     tail_model = sq * OscRational.constant(model.z, 0.5)
     for s in (1, -1):
-        wave = OscRational.wave(model.z, s * eps, 0, -0.25 * cmath_exp(-1j * s * eps * xp))
+        wave = OscRational.wave(model.z, s * eps, 0, -0.25 * cmath.exp(-1j * s * eps * xp))
         tail_model = tail_model + sq * wave
     total = core.value + tail_model.integral_tails(X)
     return (2.0 / (math.pi * eps * a)) * total

@@ -231,6 +231,47 @@ def test_sweep_negative_hermite_order_is_usage_error(capsys):
 @pytest.mark.parametrize(
     "args",
     [
+        ["--n", "2", "--scheme", "res3", "--testfn", "chain:9", "--eps-grid", "0.4"],
+        ["--n", "2", "--scheme", "res3", "--testfn", "chain:2", "--eps-grid", "0.4"],
+        ["--n", "0", "--scheme", "res3", "--testfn", "chain:0", "--eps-grid", "0.4"],
+        ["--scheme", "res3", "--testfn", "chain:-1"],
+        ["--model", "interior", "--scheme", "res12", "--testfn", "chain:1"],
+        ["--scheme", "res3", "--testfn", "psi1"],
+        ["--scheme", "res3", "--testfn", "psi0"],
+    ],
+)
+def test_sweep_testfn_outside_the_model_is_usage_error(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", *args])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err and "chain members" in captured.err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--suite", "algebra"],
+        ["indexes"],
+        ["susy"],
+        ["green", "--x", "1", "--xp", "0", "--energy", "1"],
+    ],
+)
+def test_tol_is_a_sweep_only_option(args, capsys):
+    run(args)  # the same command without --tol is valid
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run([*args, "--tol", "1e-9"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --tol" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
         ["green", "--z", "nan,1", "--x", "1", "--xp", "0", "--energy", "1"],
         ["green", "--z", "0,inf", "--x", "1", "--xp", "0", "--energy", "1"],
         ["green", "--model", "interior", "--alpha", "nan", "--x", "1", "--xp", "0", "--energy", "1"],
@@ -241,7 +282,7 @@ def test_sweep_negative_hermite_order_is_usage_error(capsys):
         ["sweep", "--scheme", "res3", "--eps-grid", "nan"],
         ["sweep", "--scheme", "res3", "--eps-grid", "0.4,inf"],
         ["sweep", "--scheme", "res3", "--tol", "nan"],
-        ["verify", "--suite", "algebra", "--tol", "inf"],
+        ["sweep", "--scheme", "res3", "--tol", "inf"],
     ],
 )
 def test_non_finite_numbers_are_usage_errors(args, capsys):

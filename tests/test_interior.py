@@ -15,7 +15,7 @@ from epresolve.interior import (
     im_tail_model,
     im_w_bundle,
 )
-from epresolve.kernels import interior_psi_grid_numpy
+from epresolve.kernels import interior_psi_grid
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +83,7 @@ def test_scatter_two_codings_agree(model):
     xs = _stress_x()
     for k in (0.35, 1.7, -2.4):
         pe = im_scatter(model, k, xs)
-        grid = interior_psi_grid_numpy(
+        grid = interior_psi_grid(
             np.array([k], dtype=complex), xs, model.alpha, model.z, False
         )[0]
         assert np.max(np.abs(pe.value - grid)) < 1e-12 * (1 + np.max(np.abs(grid)))

@@ -1,11 +1,6 @@
-"""Grid kernels: compiled and reference paths agree; fallback flag works."""
-
-import os
-import subprocess
-import sys
+"""Grid kernels: wiring of the packed Laurent grid and the interior grid."""
 
 import numpy as np
-import pytest
 
 from epresolve import kernels
 from epresolve.boundary import BoundaryModel, bm_scatter
@@ -14,36 +9,16 @@ K = np.linspace(-12.0, 12.0, 160)
 X = np.linspace(-8.0, 8.0, 90)
 
 
-@pytest.mark.skipif(not kernels.NUMBA_ENABLED, reason="compiled path disabled")
-def test_laurent_grid_matches_reference():
+def test_laurent_grid_matches_expression_eval():
     F = bm_scatter(BoundaryModel(3))
     ms, ps, cs = F.to_term_arrays()
     scale = (2.0 * np.pi) ** (-0.5 * F.unit_pow)
-    ref = kernels.el_eval_grid_numpy(ms, ps, cs, F.phase_x, F.phase_z, scale, K, X, 1j)
-    jit = kernels.el_eval_grid(ms, ps, cs, F.phase_x, F.phase_z, scale, K, X, 1j)
-    assert np.max(np.abs(ref - jit)) < 1e-10 * np.max(np.abs(ref))
-
-
-@pytest.mark.skipif(not kernels.NUMBA_ENABLED, reason="compiled path disabled")
-@pytest.mark.parametrize("regularized", [False, True], ids="plain regularized".split())
-def test_interior_grid_matches_reference(regularized):
-    k = K + (0.0 if regularized else 0.3)  # keep the plain variant off the poles
-    ref = kernels.interior_psi_grid_numpy(k, X, 1.0, 1j, regularized)
-    jit = kernels.interior_psi_grid(k, X, 1.0, 1j, regularized)
-    assert np.max(np.abs(ref - jit)) < 1e-12 * np.max(np.abs(ref))
+    grid = kernels.el_eval_grid(ms, ps, cs, F.phase_x, F.phase_z, scale, K, X, 1j)
+    ref = F.eval(K[:, None], X[None, :], 1j)
+    assert grid.shape == (K.size, X.size)
+    assert np.max(np.abs(grid - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
 def test_regularized_grid_is_finite_at_the_resonance():
-    out = kernels.interior_psi_grid_numpy(np.array([1.0, -1.0]), X, 1.0, 1j, True)
+    out = kernels.interior_psi_grid(np.array([1.0, -1.0]), X, 1.0, 1j, True)
     assert np.all(np.isfinite(out))
-
-
-def test_env_flag_forces_numpy_dispatch():
-    code = (
-        "import os; os.environ['EPRESOLVE_NO_NUMBA']='1'; "
-        "from epresolve import kernels; "
-        "assert not kernels.NUMBA_ENABLED; "
-        "assert kernels.el_eval_grid is kernels.el_eval_grid_numpy"
-    )
-    env = dict(os.environ, EPRESOLVE_NO_NUMBA="1")
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -16,6 +16,7 @@ from epresolve.quadrature import (
     ContourSpec,
     GaussianPacket,
     OscRational,
+    composite_gauss,
     ft_inverse_power,
     gauss_moment,
     osc_power_tail,
@@ -35,6 +36,23 @@ def test_line_gaussian():
     assert abs(r.value - math.sqrt(math.pi)) < 1e-10
     assert r.error < 1e-8
     assert r.evaluations > 0
+
+
+@pytest.mark.parametrize("order", [3, 12, 16])
+def test_composite_gauss_is_exact_to_degree_2_order_minus_1(order):
+    lo, hi, n_panels = -1.3, 2.1, 5
+    nodes, weights = composite_gauss(lo, hi, n_panels, order)
+    assert nodes.shape == weights.shape == (n_panels * order,)
+    assert abs(weights.sum() - (hi - lo)) < 1e-13
+    coeffs = np.cos(np.arange(2 * order))  # degree 2*order - 1
+    anti = np.polynomial.polynomial.polyint(coeffs)
+    exact = np.polynomial.polynomial.polyval(hi, anti) - np.polynomial.polynomial.polyval(lo, anti)
+    got = np.sum(weights * np.polynomial.polynomial.polyval(nodes, coeffs))
+    assert abs(got - exact) < 1e-12 * max(1.0, abs(exact))
+    # control: one degree higher on a single panel is no longer exact
+    x1, w1 = composite_gauss(lo, hi, 1, order)
+    top = np.sum(w1 * x1 ** (2 * order))
+    assert abs(top - (hi ** (2 * order + 1) - lo ** (2 * order + 1)) / (2 * order + 1)) > 1e-8
 
 
 def test_line_double_pole_vanishes():
