@@ -75,9 +75,14 @@ def _parse_eps_grid(text: str) -> list[float]:
 
 
 def _build_model(args: argparse.Namespace) -> BoundaryModel | InteriorModel:
+    # each family's flag is rejected on the other family instead of ignored
     if args.model == "boundary":
-        return BoundaryModel(args.n, args.z)
-    return InteriorModel(args.alpha, args.z)
+        if args.alpha is not None:
+            raise ValueError("--alpha applies to the interior family only (--model interior)")
+        return BoundaryModel(2 if args.n is None else args.n, args.z)
+    if args.n is not None:
+        raise ValueError("--n applies to the boundary family only (--model boundary)")
+    return InteriorModel(1.0 if args.alpha is None else args.alpha, args.z)
 
 
 def _parse_testfn(spec: str) -> TestFunction:
@@ -398,9 +403,10 @@ def cmd_green(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 def _add_model_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--model", choices=("boundary", "interior"), default="boundary")
-    sp.add_argument("--n", type=int, default=2, help="coupling index of the boundary family")
-    sp.add_argument("--alpha", type=_finite_float, default=1.0,
-                    help="resonance momentum of the interior family")
+    sp.add_argument("--n", type=int, default=None,
+                    help="coupling index of the boundary family (default 2)")
+    sp.add_argument("--alpha", type=_finite_float, default=None,
+                    help="resonance momentum of the interior family (default 1.0)")
     sp.add_argument("--z", type=_parse_z, default="0,1", help="complex displacement as re,im (default 0,1)")
     sp.add_argument("--out", default=None, help="output file (default stdout)")
 

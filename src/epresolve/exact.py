@@ -19,21 +19,30 @@ check free of floating-point error.
 
 Differentiation, ladder application, ``k -> -k`` substitution and the
 ``k -> 0`` limit of phase-stripped expressions are all closed operations here.
+
+The sparse term-sum core shared by every term algebra of the package lives
+here too: :func:`add_terms` accumulates keyed coefficients and drops what
+cancels to exact zero, and :func:`mul_terms` convolves two term dicts.
+:class:`ExpLaurent`, :class:`epresolve.quadrature.OscRational` and the
+two-point gap algebra of :mod:`epresolve.resolution` all run on it.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping
 
 import numpy as np
 
 __all__ = [
     "RationalComplex",
     "ExpLaurent",
+    "add_terms",
+    "mul_terms",
     "dfact",
     "binom",
     "i_power",
@@ -94,6 +103,9 @@ class RationalComplex:
     @property
     def is_zero(self) -> bool:
         return not self.re and not self.im
+
+    def __bool__(self) -> bool:
+        return bool(self.re or self.im)
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other: "RationalComplex | Fraction | int") -> "RationalComplex":
@@ -192,6 +204,52 @@ def dfact(m: int) -> Fraction:
     return Fraction(sign, int(dfact(2 * j - 1)))
 
 
+def add_terms(dst: dict, items: Iterable[tuple[Hashable, object]]) -> dict:
+    """Add the (key, coeff) pairs into ``dst`` in order; return ``dst``.
+
+    An entry is deleted the moment it cancels to exact zero, so ``dst``
+    never holds a zero coefficient and its insertion order is the order in
+    which surviving keys first appeared.  Coefficients need ``+`` and a
+    truth value that is False at zero (:class:`RationalComplex`,
+    :class:`~fractions.Fraction` and ``complex`` all qualify).
+
+    >>> add_terms({"a": 1}, [("b", 2), ("a", -1), ("b", 1)])
+    {'b': 3}
+    """
+    for key, coeff in items:
+        prev = dst.get(key)
+        if prev is not None:
+            coeff = prev + coeff
+        if coeff:
+            dst[key] = coeff
+        else:
+            dst.pop(key, None)
+    return dst
+
+
+def _add_keys(a: tuple, b: tuple) -> tuple:
+    return tuple(map(operator.add, a, b))
+
+
+def mul_terms(
+    a: Mapping, b: Mapping, key_add: Callable[[Hashable, Hashable], Hashable] = _add_keys
+) -> dict:
+    """Product of two term dicts: every pair of terms, keys combined by ``key_add``.
+
+    The default adds tuple keys elementwise (exponent vectors).
+    """
+    return add_terms(
+        {}, ((key_add(ka, kb), ca * cb) for ka, ca in a.items() for kb, cb in b.items())
+    )
+
+
+def _checked_term(item: tuple[tuple[int, int], object]) -> tuple[tuple[int, int], RationalComplex]:
+    (m, p), coeff = item
+    if not isinstance(m, numbers.Integral) or not isinstance(p, numbers.Integral):
+        raise TypeError("term keys must be integer (k_pow, xz_pow) pairs")
+    return (int(m), int(p)), RationalComplex.from_value(coeff)
+
+
 _TermMap = Mapping[tuple[int, int], RationalComplex]
 
 
@@ -212,24 +270,20 @@ class ExpLaurent:
         unit_pow: int = 0,
     ) -> None:
         items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[tuple[int, int], RationalComplex] = {}
-        for (m, p), coeff in items:
-            if not isinstance(m, numbers.Integral) or not isinstance(p, numbers.Integral):
-                raise TypeError("term keys must be integer (k_pow, xz_pow) pairs")
-            coeff = RationalComplex.from_value(coeff)
-            if coeff.is_zero:
-                continue
-            key = (int(m), int(p))
-            prev = clean.get(key)
-            total = coeff if prev is None else prev + coeff
-            if total.is_zero:
-                clean.pop(key, None)
-            else:
-                clean[key] = total
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", add_terms({}, map(_checked_term, items)))
         object.__setattr__(self, "phase_x", int(phase_x))
         object.__setattr__(self, "phase_z", int(phase_z))
         object.__setattr__(self, "unit_pow", int(unit_pow))
+
+    @classmethod
+    def _normalized(cls, terms: dict, phase_x: int, phase_z: int, unit_pow: int) -> "ExpLaurent":
+        """Wrap a term dict that is already clean: ring-operation results."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "terms", terms)
+        object.__setattr__(out, "phase_x", phase_x)
+        object.__setattr__(out, "phase_z", phase_z)
+        object.__setattr__(out, "unit_pow", unit_pow)
+        return out
 
     def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
         raise AttributeError("ExpLaurent instances are immutable")
@@ -263,13 +317,6 @@ class ExpLaurent:
     def _grading(self) -> tuple[int, int, int]:
         return (self.phase_x, self.phase_z, self.unit_pow)
 
-    def compatible(self, other: "ExpLaurent") -> bool:
-        return (
-            self.is_zero
-            or other.is_zero
-            or self._grading() == other._grading()
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExpLaurent):
             return NotImplemented
@@ -295,18 +342,12 @@ class ExpLaurent:
                 "cannot add expressions with different phase/unit grading: "
                 f"{self._grading()} vs {other._grading()}"
             )
-        merged = dict(self.terms)
-        for key, coeff in other.terms.items():
-            prev = merged.get(key)
-            total = coeff if prev is None else prev + coeff
-            if total.is_zero:
-                merged.pop(key, None)
-            else:
-                merged[key] = total
-        return ExpLaurent(merged, *self._grading())
+        return ExpLaurent._normalized(
+            add_terms(dict(self.terms), other.terms.items()), *self._grading()
+        )
 
     def __neg__(self) -> "ExpLaurent":
-        return ExpLaurent(
+        return ExpLaurent._normalized(
             {key: -coeff for key, coeff in self.terms.items()}, *self._grading()
         )
 
@@ -317,27 +358,16 @@ class ExpLaurent:
         if isinstance(other, ExpLaurent):
             if self.is_zero or other.is_zero:
                 return _EL_ZERO
-            out: dict[tuple[int, int], RationalComplex] = {}
-            for (m1, p1), c1 in self.terms.items():
-                for (m2, p2), c2 in other.terms.items():
-                    key = (m1 + m2, p1 + p2)
-                    prod = c1 * c2
-                    prev = out.get(key)
-                    total = prod if prev is None else prev + prod
-                    if total.is_zero:
-                        out.pop(key, None)
-                    else:
-                        out[key] = total
-            return ExpLaurent(
-                out,
-                phase_x=self.phase_x + other.phase_x,
-                phase_z=self.phase_z + other.phase_z,
-                unit_pow=self.unit_pow + other.unit_pow,
+            return ExpLaurent._normalized(
+                mul_terms(self.terms, other.terms),
+                self.phase_x + other.phase_x,
+                self.phase_z + other.phase_z,
+                self.unit_pow + other.unit_pow,
             )
         scalar = RationalComplex.from_value(other)
         if scalar.is_zero or self.is_zero:
             return _EL_ZERO
-        return ExpLaurent(
+        return ExpLaurent._normalized(
             {key: coeff * scalar for key, coeff in self.terms.items()},
             *self._grading(),
         )
@@ -367,23 +397,14 @@ class ExpLaurent:
     # -- calculus ------------------------------------------------------------
     def diff_x(self) -> "ExpLaurent":
         """Exact d/dx.  The phase contributes i*sigma*k per term."""
-        out: dict[tuple[int, int], RationalComplex] = {}
-
-        def _acc(key: tuple[int, int], val: RationalComplex) -> None:
-            prev = out.get(key)
-            total = val if prev is None else prev + val
-            if total.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = total
-
-        sigma = self.phase_x
-        for (m, p), c in self.terms.items():
-            if sigma:
-                _acc((m + 1, p), c * RC_I * sigma)
-            if p:
-                _acc((m, p - 1), c * p)
-        return ExpLaurent(out, *self._grading())
+        i_sigma = RC_I * self.phase_x
+        out = add_terms({}, (
+            ((m + dm, p - dp), c * factor)
+            for (m, p), c in self.terms.items()
+            for dm, dp, factor in ((1, 0, i_sigma), (0, 1, p))
+            if factor
+        ))
+        return ExpLaurent._normalized(out, *self._grading())
 
     def subst_neg_k(self) -> "ExpLaurent":
         """Substitute k -> -k: coefficients flip by (-1)**m, phases negate."""
@@ -391,24 +412,6 @@ class ExpLaurent:
             {(m, p): (c if m % 2 == 0 else -c) for (m, p), c in self.terms.items()},
             phase_x=-self.phase_x,
             phase_z=-self.phase_z,
-            unit_pow=self.unit_pow,
-        )
-
-    # -- structure probes -------------------------------------------------
-    def min_k_power(self) -> int | None:
-        if self.is_zero:
-            return None
-        return min(m for m, _ in self.terms)
-
-    def max_k_power(self) -> int | None:
-        if self.is_zero:
-            return None
-        return max(m for m, _ in self.terms)
-
-    def coeff_of_k(self, m: int) -> "ExpLaurent":
-        """The (x-z)-Laurent coefficient of k**m, with phases dropped."""
-        return ExpLaurent(
-            {(0, p): c for (mm, p), c in self.terms.items() if mm == m},
             unit_pow=self.unit_pow,
         )
 
@@ -532,23 +535,14 @@ def el_limit_k0_deriv(f: ExpLaurent, order: int) -> ExpLaurent:
     if bad:
         raise ValueError(f"k->0 limit divergent: negative k-powers remain at {sorted(bad)}")
     sigma = f.phase_x
-    out: dict[tuple[int, int], RationalComplex] = {}
-    for (m, p), c in f.terms.items():
-        if m > order:
-            continue
-        j = order - m
-        if sigma == 0 and j > 0:
-            continue
-        factor = RationalComplex.from_value(
-            Fraction(math.factorial(order), math.factorial(j))
-        )
-        phase_part = i_power(j) * Fraction(sigma) ** j if j else RC_ONE
-        contrib = c * factor * phase_part
-        key = (0, p + j)
-        prev = out.get(key)
-        total = contrib if prev is None else prev + contrib
-        if total.is_zero:
-            out.pop(key, None)
-        else:
-            out[key] = total
-    return ExpLaurent(out, phase_x=0, phase_z=0, unit_pow=f.unit_pow)
+
+    def contrib(j: int) -> RationalComplex:
+        # order!/j! * (i*sigma)**j
+        return i_power(j) * Fraction(math.factorial(order) * sigma**j, math.factorial(j))
+
+    out = add_terms({}, (
+        ((0, p + order - m), c * contrib(order - m))
+        for (m, p), c in f.terms.items()
+        if m <= order and (sigma or m == order)
+    ))
+    return ExpLaurent._normalized(out, 0, 0, f.unit_pow)

@@ -39,7 +39,7 @@ import numpy as np
 from numpy.polynomial import hermite as _herm
 from scipy.special import exp1 as _exp1
 
-from .exact import ExpLaurent
+from .exact import ExpLaurent, add_terms, mul_terms
 
 __all__ = [
     "QuadResult",
@@ -434,27 +434,30 @@ def _right_tails(nu: np.ndarray, z: complex, coeffs: dict[int, complex], X: floa
     return out
 
 
+def _add_osc_keys(a: tuple[float, int], b: tuple[float, int]) -> tuple[float, int]:
+    # frequencies are rounded to 12 decimals, as in the constructor
+    return (round(a[0] + b[0], 12), a[1] + b[1])
+
+
 class OscRational:
     """Finite sum  sum_t c_t e^{i mu_t x} (x - z)^(-q_t)  with one pole center.
 
     The exact integration rules above make whole-line and one-sided tail
     integrals of these sums closed-form, which is what renders the slowly
     decaying oscillatory pairings in this package tractable.  Terms are kept
-    in a dict keyed by (rounded frequency, power); multiplication convolves
-    keys.  Positive powers of (x-z) use negative q.
+    in a dict keyed by (rounded frequency, power) and combined by the term
+    core of :mod:`epresolve.exact` (:func:`~epresolve.exact.add_terms`,
+    :func:`~epresolve.exact.mul_terms`).  Positive powers of (x-z) use
+    negative q.
     """
 
     __slots__ = ("z", "terms")
 
     def __init__(self, z: complex, terms: Iterable[tuple[float, int, complex]] = ()):
         self.z = complex(z)
-        acc: dict[tuple[float, int], complex] = {}
-        for mu, q, c in terms:
-            if c == 0:
-                continue
-            key = (round(float(mu), 12), int(q))
-            acc[key] = acc.get(key, 0.0 + 0.0j) + complex(c)
-        self.terms = {k: v for k, v in acc.items() if v != 0}
+        self.terms = add_terms(
+            {}, (((round(float(mu), 12), int(q)), complex(c)) for mu, q, c in terms)
+        )
 
     # -- constructors ----------------------------------------------------
     @staticmethod
@@ -485,9 +488,9 @@ class OscRational:
 
     def __add__(self, other: "OscRational") -> "OscRational":
         self._require_same_center(other)
-        items = [(mu, q, c) for (mu, q), c in self.terms.items()]
-        items += [(mu, q, c) for (mu, q), c in other.terms.items()]
-        return OscRational(self.z, items)
+        out = OscRational(self.z)
+        out.terms = add_terms(dict(self.terms), other.terms.items())
+        return out
 
     def __neg__(self) -> "OscRational":
         return OscRational(self.z, [(mu, q, -c) for (mu, q), c in self.terms.items()])
@@ -498,15 +501,8 @@ class OscRational:
     def __mul__(self, other: "OscRational | complex | float | int") -> "OscRational":
         if isinstance(other, OscRational):
             self._require_same_center(other)
-            # the constructor's accumulation, minus its per-item conversions
-            # (both operands' keys and coefficients are already normalised)
-            acc: dict[tuple[float, int], complex] = {}
-            for (mu1, q1), c1 in self.terms.items():
-                for (mu2, q2), c2 in other.terms.items():
-                    key = (round(mu1 + mu2, 12), q1 + q2)
-                    acc[key] = acc.get(key, 0.0 + 0.0j) + c1 * c2
             out = OscRational(self.z)
-            out.terms = {k: v for k, v in acc.items() if v != 0}
+            out.terms = mul_terms(self.terms, other.terms, _add_osc_keys)
             return out
         return OscRational(
             self.z, [(mu, q, c * complex(other)) for (mu, q), c in self.terms.items()]
@@ -517,14 +513,6 @@ class OscRational:
     def shift_power(self, dq: int) -> "OscRational":
         """Multiply by (x-z)^(-dq)."""
         return OscRational(self.z, [(mu, q + dq, c) for (mu, q), c in self.terms.items()])
-
-    def max_growth(self) -> int:
-        """Largest positive power of (x-z) present (0 for decaying sums)."""
-        return max((-q for (_, q) in self.terms), default=0)
-
-    def min_decay(self) -> int:
-        """Smallest inverse power of (x-z) present."""
-        return min((q for (_, q) in self.terms), default=0)
 
     # -- evaluation ----------------------------------------------------------
     def eval(self, x: np.ndarray | float) -> np.ndarray | complex:

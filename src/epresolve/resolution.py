@@ -7,7 +7,9 @@ The module provides three layers:
    (``eps_chain``) and exact symbolic checks of the outer-product and
    convolution identities, including a two-point trigonometric-Laurent
    algebra that decides equality of the two closed forms of the exact
-   boundary resolution;
+   boundary resolution.  Its term dicts, like every sparse term sum in the
+   package, are accumulated and multiplied by the shared core in
+   :mod:`epresolve.exact` (``add_terms``, ``mul_terms``);
 2. scheme application: ``apply_scheme`` evaluates any of the eleven
    regularized reconstruction schemes on a concrete test function at fixed
    regulators (puncture radius eps, spectral cutoff A);
@@ -23,6 +25,8 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,7 +36,7 @@ import numpy as np
 from scipy.special import sici
 
 from .boundary import BoundaryModel, bm_assoc, bm_scatter
-from .exact import ExpLaurent, RC_ONE, RationalComplex, i_power
+from .exact import ExpLaurent, RationalComplex, add_terms, i_power, mul_terms
 from .interior import InteriorModel, im_psi0, im_psi1, im_tail_model, im_w_bundle
 from .kernels import el_eval_grid, interior_psi_grid
 from .quadrature import (
@@ -161,14 +165,12 @@ def _pair_basis(chain: EpsChain, model: BoundaryModel) -> dict[tuple[int, int, i
     n = chain.n
     betas = beta_seq(max(n, 1))
     sq = Fraction(2) * (-1) ** (n + 1)  # (i^(n+1))^2 * 2, over one eps power
-    out: dict[tuple[int, int, int], Fraction] = {}
-    for l in range(n):
-        for j in range(l + 1):
-            for jp in range(n - l):
-                coeff = sq * betas[j] * betas[jp]
-                key = (-1 - 2 * j - 2 * jp, l - j, n - 1 - l - jp)
-                out[key] = out.get(key, Fraction(0)) + coeff
-    return {k: v for k, v in out.items() if v}
+    return add_terms({}, (
+        ((-1 - 2 * j - 2 * jp, l - j, n - 1 - l - jp), sq * betas[j] * betas[jp])
+        for l in range(n)
+        for j in range(l + 1)
+        for jp in range(n - l)
+    ))
 
 
 def outer_product_gap(model: BoundaryModel, eps: Fraction | float = 1) -> dict:
@@ -180,18 +182,13 @@ def outer_product_gap(model: BoundaryModel, eps: Fraction | float = 1) -> dict:
     constructor can be exercised at the caller's radius.
     """
     n = model.n
-    chain = eps_chain(model, eps)
-    lhs = _pair_basis(chain, model)
-    rhs: dict[tuple[int, int, int], Fraction] = {}
-    for l in range(n):
-        coeff = Fraction(-2 * (-1) ** n, 2 * n - 2 * l - 1)
-        for m in range(l + 1):
-            key = (-(2 * n - 2 * l - 1), m, l - m)
-            rhs[key] = rhs.get(key, Fraction(0)) + coeff
-    gap = dict(lhs)
-    for key, v in rhs.items():
-        gap[key] = gap.get(key, Fraction(0)) - v
-    return {k: v for k, v in gap.items() if v}
+    lhs = _pair_basis(eps_chain(model, eps), model)
+    # minus the right-hand side, -2(-1)^n / (2n-2l-1) on every (m, l-m) pair
+    return add_terms(lhs, (
+        ((-(2 * n - 2 * l - 1), m, l - m), Fraction(2 * (-1) ** n, 2 * n - 2 * l - 1))
+        for l in range(n)
+        for m in range(l + 1)
+    ))
 
 
 def convolution_gap(model: BoundaryModel) -> list[Fraction]:
@@ -222,73 +219,35 @@ def convolution_gap(model: BoundaryModel) -> list[Fraction]:
 # cancel between the two points by construction and are tracked separately
 # during assembly to prove it.
 
-_TP = dict  # alias for readability: dict[tuple, RationalComplex]
+def _tp_product(*factors: dict) -> dict:
+    """Product of two-point term dicts, left to right."""
+    return functools.reduce(mul_terms, factors)
 
 
-def _tp_add(dst: _TP, key: tuple, val: RationalComplex) -> None:
-    prev = dst.get(key)
-    total = val if prev is None else prev + val
-    if total.is_zero:
-        dst.pop(key, None)
-    else:
-        dst[key] = total
-
-
-def _tp_mul(a: _TP, b: _TP) -> _TP:
-    out: _TP = {}
-    for (h1, hp1, a1, b1, e1), c1 in a.items():
-        for (h2, hp2, a2, b2, e2), c2 in b.items():
-            _tp_add(out, (h1 + h2, hp1 + hp2, a1 + a2, b1 + b2, e1 + e2), c1 * c2)
-    return out
-
-
-def _tp_scale(a: _TP, c: RationalComplex | Fraction | int) -> _TP:
-    cc = RationalComplex.from_value(c) if not isinstance(c, RationalComplex) else c
-    out: _TP = {}
-    for key, v in a.items():
-        _tp_add(out, key, v * cc)
-    return out
-
-
-def _tp_sub(a: _TP, b: _TP) -> _TP:
-    out = dict(a)
-    for key, v in b.items():
-        _tp_add(out, key, v * (-1))
-    return out
+def _negated(a: dict) -> Iterable[tuple[tuple, RationalComplex]]:
+    return ((key, -v) for key, v in a.items())
 
 
 _HALF_I = RationalComplex(Fraction(0), Fraction(1, 2))     # i/2
-_NEG_HALF_I = RationalComplex(Fraction(0), Fraction(-1, 2))
 
 
-def _tp_wave(var: int, halves: int) -> _TP:
-    """exp(i*(halves/2)*eps*(x-z)) on point ``var`` (0: x, 1: x')."""
-    key = (halves, 0, 0, 0, 0) if var == 0 else (0, halves, 0, 0, 0)
-    return {key: RC_ONE}
+def _tp_sin_delta(halves: int, c: RationalComplex | Fraction | int = 1) -> dict:
+    """c * sin((halves/2) * eps * (x - x')) expanded in two-point waves."""
+    c = RationalComplex.from_value(c)
+    return {(halves, -halves, 0, 0, 0): -_HALF_I * c, (-halves, halves, 0, 0, 0): _HALF_I * c}
 
 
-def _tp_sin_delta(halves: int) -> _TP:
-    """sin((halves/2) * eps * (x - x')) expanded in two-point waves."""
-    plus = _tp_mul(_tp_wave(0, halves), _tp_wave(1, -halves))
-    minus = _tp_mul(_tp_wave(0, -halves), _tp_wave(1, halves))
-    return _tp_sub(_tp_scale(plus, _NEG_HALF_I), _tp_scale(minus, _NEG_HALF_I))
+def _tp_cos_delta(halves: int, c: RationalComplex | Fraction | int = 1) -> dict:
+    """c * cos((halves/2) * eps * (x - x')) expanded in two-point waves."""
+    half = RationalComplex.from_value(c) * Fraction(1, 2)
+    return {(halves, -halves, 0, 0, 0): half, (-halves, halves, 0, 0, 0): half}
 
 
-def _tp_cos_delta(halves: int) -> _TP:
-    plus = _tp_mul(_tp_wave(0, halves), _tp_wave(1, -halves))
-    minus = _tp_mul(_tp_wave(0, -halves), _tp_wave(1, halves))
-    out = _tp_scale(plus, Fraction(1, 2))
-    for key, v in _tp_scale(minus, Fraction(1, 2)).items():
-        _tp_add(out, key, v)
-    return out
+def _tp_mono(a: int = 0, b: int = 0, e: int = 0, c: RationalComplex | Fraction | int = 1) -> dict:
+    return {(0, 0, a, b, e): RationalComplex.from_value(c)}
 
 
-def _tp_mono(a: int = 0, b: int = 0, e: int = 0, c: RationalComplex | int = 1) -> _TP:
-    cc = RationalComplex.from_value(c) if not isinstance(c, RationalComplex) else c
-    return {(0, 0, a, b, e): cc}
-
-
-def _solution_at_puncture(m: int, eta: int, var: int, z_units: list[int]) -> _TP:
+def _solution_at_puncture(m: int, eta: int, var: int, z_units: list[int]) -> dict:
     """The index-m generic solution at spectral value eta*eps, on point ``var``.
 
     eta = +-1 picks the puncture edge.  The displacement-phase unit count
@@ -296,91 +255,71 @@ def _solution_at_puncture(m: int, eta: int, var: int, z_units: list[int]) -> _TP
     exact cancellation.  The shared (2*pi)^(-1/2) is dropped here; callers
     account for one factor of 1/(2*pi) per solution pair.
     """
-    model = BoundaryModel(m)
-    F = bm_scatter(model)
-    out: _TP = {}
-    for (mk, p), c in F.terms.items():
-        # F has k-power mk; dividing by k^m leaves mk - m <= 0
-        kpow = mk - m
-        coeff = c * (Fraction(eta) ** kpow if kpow else Fraction(1))
-        key_pow = (0, 0, p, 0, kpow) if var == 0 else (0, 0, 0, p, kpow)
-        piece = {key_pow: coeff}
-        wave = _tp_wave(var, 2 * eta)
-        for key, v in _tp_mul(piece, wave).items():
-            _tp_add(out, key, v)
+    F = bm_scatter(BoundaryModel(m))
     z_units.append(eta)
-    return out
+
+    def key(p: int, kpow: int) -> tuple:
+        # the wave exp(i*eta*eps*(x-z)) is two half-units on point ``var``
+        return (2 * eta, 0, p, 0, kpow) if var == 0 else (0, 2 * eta, 0, p, kpow)
+
+    # F has k-power mk; dividing by k^m leaves mk - m <= 0
+    return {key(p, mk - m): c * Fraction(eta) ** (mk - m) for (mk, p), c in F.terms.items()}
 
 
-def _boundary_bracket(n: int) -> _TP:
+def _boundary_bracket(n: int) -> dict:
     """The endpoint-difference block of the first closed form, times 2*pi.
 
     Sum over l of ratio^l * [sol_{n-l-1}(x;k) sol_{n-l}(x';-k) / (i(x-z))]
     evaluated at k = +eps minus k = -eps.  The two solutions carry exactly
     cancelling displacement phases, asserted here.
     """
-    total: _TP = {}
-    inv_i = RationalComplex(Fraction(0), Fraction(-1))  # 1/i = -i
+    total: dict = {}
     for l in range(n):
-        ratio = _tp_mono(a=-l, b=l)
         for eta in (1, -1):
             z_units: list[int] = []
             left = _solution_at_puncture(n - l - 1, eta, 0, z_units)
             right = _solution_at_puncture(n - l, -eta, 1, z_units)
             assert sum(z_units) == 0  # displacement phases cancel exactly
-            prod = _tp_mul(left, right)
-            prod = _tp_mul(prod, ratio)
-            prod = _tp_mul(prod, _tp_mono(a=-1, c=inv_i))
-            prod = _tp_scale(prod, Fraction(eta))  # (+eps) minus (-eps)
-            for key, v in prod.items():
-                _tp_add(total, key, v)
+            # ratio^l / (i(x-z)), and (+eps) minus (-eps) through eta
+            factor = _tp_mono(a=-l - 1, b=l, c=RationalComplex(Fraction(0), Fraction(-eta)))
+            add_terms(total, _tp_product(left, right, factor).items())
     return total
 
 
-def _boundary_blocks(n: int, lower_shift: int) -> tuple[_TP, _TP]:
+def _boundary_blocks(n: int, lower_shift: int) -> tuple[dict, dict]:
     """The cos- and sin-proportional coefficient blocks of form 2, times 2*pi."""
-    cos_block: _TP = {}
+    cos_block: dict = {}
     for l in range(n):
         for m in range(min(2 * l, n - 1) + 1):
             c = coeff_C(2 * l + 1, m, n, lower_shift).re * Fraction(
                 math.factorial(n + 2 * l + 1 - m), math.factorial(n - 1 - m)
             )
             coeff = Fraction(-1, 4) ** l * c * Fraction(-1)
-            piece = _tp_mul(
-                _tp_cos_delta(2),
-                _tp_mono(a=-(m + 1), b=m - 2 * l - 1, e=-2 * l - 1, c=RationalComplex.from_value(coeff)),
-            )
-            for key, v in piece.items():
-                _tp_add(cos_block, key, v)
-    sin_block: _TP = {}
+            mono = _tp_mono(a=-(m + 1), b=m - 2 * l - 1, e=-2 * l - 1, c=coeff)
+            add_terms(cos_block, _tp_product(_tp_cos_delta(2), mono).items())
+    sin_block: dict = {}
     for l in range(1, n):
         for m in range(min(2 * l - 1, n - 1) + 1):
             c = coeff_C(2 * l, m, n, lower_shift).re * Fraction(
                 math.factorial(n + 2 * l - m), math.factorial(n - 1 - m)
             )
             coeff = Fraction(-1, 4) ** l * c * Fraction(2)
-            piece = _tp_mul(
-                _tp_sin_delta(2),
-                _tp_mono(a=-(m + 1), b=m - 2 * l, e=-2 * l, c=RationalComplex.from_value(coeff)),
-            )
-            for key, v in piece.items():
-                _tp_add(sin_block, key, v)
+            mono = _tp_mono(a=-(m + 1), b=m - 2 * l, e=-2 * l, c=coeff)
+            add_terms(sin_block, _tp_product(_tp_sin_delta(2), mono).items())
     return cos_block, sin_block
 
 
-def _sinc_difference(n: int) -> _TP:
+def _sinc_difference(n: int) -> dict:
     """(ratio^n - 1) * sin(eps*(x-x'))/(x-x'), times 2*pi (i.e. coefficient 2).
 
     The 1/(x-x') pole cancels against (ratio^n - 1); the quotient expands as
     -sum_j (x'-z)^j (x-z)^(-1-j), a pure two-point Laurent sum.
     """
-    quotient: _TP = {}
-    for j in range(n):
-        _tp_add(quotient, (0, 0, -1 - j, j, 0), RationalComplex.from_value(Fraction(-1)))
-    return _tp_scale(_tp_mul(_tp_sin_delta(2), quotient), Fraction(2))
+    quotient = {(0, 0, -1 - j, j, 0): RationalComplex(Fraction(-2)) for j in range(n)}
+    return _tp_product(_tp_sin_delta(2), quotient)
 
 
-def closed_form_gap(n: int, lower_shift: int = 0) -> _TP:
+def closed_form_gap(n: int, lower_shift: int = 0) -> dict:
     """Exact difference of the two closed forms of the boundary resolution.
 
     Empty dict <=> the endpoint-difference form and the coefficient-table
@@ -388,17 +327,14 @@ def closed_form_gap(n: int, lower_shift: int = 0) -> _TP:
     cancels).  Running this with ``lower_shift`` of 0 vs 1 adjudicates the
     two transcriptions of the coefficient table.
     """
-    bracket = _boundary_bracket(n)
     cos_block, sin_block = _boundary_blocks(n, lower_shift)
-    gap = _tp_sub(bracket, cos_block)
-    gap = _tp_sub(gap, sin_block)
     # form1 - form2 also carries (ratio^n - 1) * sinc
-    for key, v in _sinc_difference(n).items():
-        _tp_add(gap, key, v)
-    return gap
+    return add_terms(_boundary_bracket(n), itertools.chain(
+        _negated(cos_block), _negated(sin_block), _sinc_difference(n).items()
+    ))
 
 
-def _n2_rearranged_gap() -> _TP:
+def _n2_rearranged_gap() -> dict:
     """Exact gap between the index-2 trigonometric rearrangement and form 1.
 
     The rearranged kernel replaces the coefficient blocks by the scaled-chain
@@ -408,73 +344,61 @@ def _n2_rearranged_gap() -> _TP:
     """
     n = 2
     model = BoundaryModel(n)
-    chain = eps_chain(model, 1)
-    # chain outer product: unit^2*(2/eps) * sum_l members[l](x) members[1-l](x')
-    chain_tp: _TP = {}
+    # chain outer product: unit^2*(2/eps) * sum_l members[l](x) members[1-l](x');
+    # both chain members are single terms, so each product is one term
     betas = beta_seq(n)
     sq = Fraction(2) * (-1) ** (n + 1)
+    outer = []
     for l in range(n):
         for j in range(l + 1):
             for jp in range(n - l):
-                coeff = sq * betas[j] * betas[jp]
-                e = -1 - 2 * j - 2 * jp
-                fa = bm_assoc(model, l - j)
-                fb = bm_assoc(model, n - 1 - l - jp)
-                ((_, pa),) = fa.terms.keys()
-                ((_, pb),) = fb.terms.keys()
-                ca = next(iter(fa.terms.values()))
-                cb = next(iter(fb.terms.values()))
+                [((_, pa), ca)] = bm_assoc(model, l - j).terms.items()
+                [((_, pb), cb)] = bm_assoc(model, n - 1 - l - jp).terms.items()
                 # coefficients exclude the shared (2*pi)^-1, matching the
                 # times-2*pi convention of the other blocks
-                _tp_add(chain_tp, (0, 0, pa, pb, e), ca * cb * coeff)
+                coeff = sq * betas[j] * betas[jp]
+                outer.append(((0, 0, pa, pb, -1 - 2 * j - 2 * jp), ca * cb * coeff))
+
     # delta polynomial (x-x')^d expanded around z: sum binom (x-z)^i (-(x'-z))^(d-i)
-    def delta_pow(d: int) -> _TP:
-        out: _TP = {}
-        for i in range(d + 1):
-            c = Fraction(math.comb(d, i)) * (-1) ** (d - i)
-            _tp_add(out, (0, 0, i, d - i, 0), RationalComplex.from_value(c))
-        return out
+    def delta_pow(d: int) -> dict:
+        return {
+            (0, 0, i, d - i, 0): RationalComplex(Fraction(math.comb(d, i) * (-1) ** (d - i)))
+            for i in range(d + 1)
+        }
 
     # full sinc: sin(eps D)/(pi D) * 2pi -> 2 sin(eps D) * [1/D around z]
     # 1/D has no two-point Laurent expansion, so fold it with (1 - ratio^2)
     # exactly as in the general check: rearranged - form1 contains
     # (1 - ratio^2) sinc which IS expandable.
-    term6 = _tp_scale(
-        _tp_mul(_tp_mul(_tp_sin_delta(1), _tp_sin_delta(1)), _tp_mono(a=-1, b=-1, e=-1)),
-        Fraction(12),
-    )
+    term6 = _tp_product(_tp_sin_delta(1), _tp_sin_delta(1), _tp_mono(a=-1, b=-1, e=-1, c=12))
     # 12 D sin^2(eD/4) sin(eD/2): rewrite sin^2(a)sin(2a) = sin(eD/2)/2 - sin(eD)/4
-    trig12 = _tp_sub(_tp_scale(_tp_sin_delta(1), Fraction(1, 2)), _tp_scale(_tp_sin_delta(2), Fraction(1, 4)))
-    term12 = _tp_scale(
-        _tp_mul(_tp_mul(delta_pow(1), trig12), _tp_mono(a=-2, b=-2, e=-2)),
-        Fraction(24),
-    )
+    trig12 = add_terms(_tp_sin_delta(1, Fraction(1, 2)), _tp_sin_delta(2, Fraction(-1, 4)).items())
+    term12 = _tp_product(delta_pow(1), trig12, _tp_mono(a=-2, b=-2, e=-2, c=24))
     # 3 [eps D - 2 sin(eD/2)]^2 / (2 eps^3 ...): expand the square exactly
-    sq_block: _TP = {}
-    for key, v in _tp_mul(delta_pow(2), _tp_mono(e=2)).items():
-        _tp_add(sq_block, key, v)
-    for key, v in _tp_scale(_tp_mul(delta_pow(1), _tp_mul(_tp_sin_delta(1), _tp_mono(e=1))), Fraction(-4)).items():
-        _tp_add(sq_block, key, v)
-    _tp_add(sq_block, (0, 0, 0, 0, 0), RationalComplex.from_value(Fraction(2)))
-    for key, v in _tp_scale(_tp_cos_delta(2), Fraction(-2)).items():
-        _tp_add(sq_block, key, v)
-    term3sq = _tp_scale(_tp_mul(sq_block, _tp_mono(a=-2, b=-2, e=-3)), Fraction(3))
+    sq_block = add_terms(_tp_product(delta_pow(2), _tp_mono(e=2)), itertools.chain(
+        _tp_product(delta_pow(1), _tp_sin_delta(1), _tp_mono(e=1, c=-4)).items(),
+        _tp_mono(c=2).items(),
+        _tp_cos_delta(2, -2).items(),
+    ))
+    term3sq = _tp_product(sq_block, _tp_mono(a=-2, b=-2, e=-3, c=3))
     # assemble: rearranged - form1 = chain + term6 + term12 + term3sq
     #           + (1 - ratio^2) sinc  - bracket
-    gap: _TP = {}
-    for piece in (chain_tp, term6, term12, term3sq):
-        for key, v in piece.items():
-            _tp_add(gap, key, v)
-    for key, v in _sinc_difference(n).items():
-        _tp_add(gap, key, v * (-1))
-    for key, v in _boundary_bracket(n).items():
-        _tp_add(gap, key, v * (-1))
-    return gap
+    return add_terms({}, itertools.chain(
+        outer, term6.items(), term12.items(), term3sq.items(),
+        _negated(_sinc_difference(n)), _negated(_boundary_bracket(n)),
+    ))
 
 
 # ---------------------------------------------------------------------------
 # test functions
 # ---------------------------------------------------------------------------
+
+def _check_packet(center: float, width: float) -> None:
+    if not math.isfinite(center):
+        raise ValueError(f"test-function center must be finite, got {center!r}")
+    if not (math.isfinite(width) and width > 0):
+        raise ValueError(f"test-function width must be finite and positive, got {width!r}")
+
 
 @dataclass(frozen=True)
 class TestFunction:
@@ -497,12 +421,14 @@ class TestFunction:
 
     @staticmethod
     def gaussian(center: float = 0.0, width: float = 1.0) -> "TestFunction":
+        _check_packet(center, width)
         return TestFunction(kind="gaussian", center=center, width=width)
 
     @staticmethod
     def hermite_gaussian(order: int, center: float = 0.0, width: float = 1.0) -> "TestFunction":
         if order < 0:
             raise ValueError("Hermite order must be >= 0")
+        _check_packet(center, width)
         return TestFunction(kind="hermite_gaussian", center=center, width=width, order=order)
 
     @staticmethod
@@ -662,14 +588,12 @@ def _pf_decompose(centers: Sequence[tuple[complex, int]]) -> list[tuple[complex,
 
         for j in range(pt, 0, -1):
             out.append((ct, j, eval_state(state) / math.factorial(pt - j)))
-            nxt: dict[tuple[int, ...], complex] = {}
-            for exps, coeff in state.items():
-                for idx in range(len(exps)):
-                    ne = list(exps)
-                    ne[idx] += 1
-                    key = tuple(ne)
-                    nxt[key] = nxt.get(key, 0.0 + 0.0j) + coeff * (-exps[idx])
-            state = nxt
+            # d/dx of (x-cs)^(-e) raises e by one, with factor -e
+            state = add_terms({}, (
+                (exps[:idx] + (e + 1,) + exps[idx + 1:], coeff * (-e))
+                for exps, coeff in state.items()
+                for idx, e in enumerate(exps)
+            ))
     return out
 
 
@@ -1056,22 +980,19 @@ def _interior_singular_terms(
         total = _sinc_applied(model, f, eps, xp, alpha=a) / 1.0
         # bracket: (1/eps)cos(eps D) - (eps/(4a^2-eps^2)) cos(2a D)cos(eps D)
         #          - (2a/(4a^2-eps^2)) sin(2a D) sin(eps D)
-        waves: dict[float, complex] = {}
-
-        def add_wave(mu: float, c: complex) -> None:
-            waves[mu] = waves.get(mu, 0.0 + 0.0j) + c
-
-        for s1 in (1, -1):
-            add_wave(s1 * eps, 0.5 / eps)
         denom = 4 * a * a - eps * eps
-        for s1 in (1, -1):
-            for s2 in (1, -1):
-                add_wave(s1 * 2 * a + s2 * eps, -eps / denom * 0.25)
-                add_wave(s1 * 2 * a + s2 * eps, -(2 * a) / denom * (s1 * s2) * (-0.25))
+        waves = add_terms({}, itertools.chain(
+            ((s1 * eps, 0.5 / eps) for s1 in (1, -1)),
+            (
+                (s1 * 2 * a + s2 * eps, c)
+                for s1 in (1, -1)
+                for s2 in (1, -1)
+                for c in (-eps / denom * 0.25, -(2 * a) / denom * (s1 * s2) * (-0.25))
+            ),
+        ))
         bracket = 0.0 + 0.0j
         for mu, c in waves.items():
-            if c != 0:
-                bracket += c * pair("psi0", mu)
+            bracket += c * pair("psi0", mu)
         total += -(1.0 / (math.pi * a)) * bracket * p0_xp
         # partner cross term with the band integral J(D)
         ev_f = f.make_eval(model)

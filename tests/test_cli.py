@@ -283,6 +283,10 @@ def test_tol_is_a_sweep_only_option(args, capsys):
         ["sweep", "--scheme", "res3", "--eps-grid", "0.4,inf"],
         ["sweep", "--scheme", "res3", "--tol", "nan"],
         ["sweep", "--scheme", "res3", "--tol", "inf"],
+        *(
+            ["sweep", "--n", "1", "--scheme", "res3", "--eps-grid", "0.4", "--testfn", spec]
+            for spec in ("gaussian:0,0", "gaussian:inf", "gaussian:0,-1", "gaussian:nan,1", "hermite:1,0,0")
+        ),
     ],
 )
 def test_non_finite_numbers_are_usage_errors(args, capsys):
@@ -292,3 +296,25 @@ def test_non_finite_numbers_are_usage_errors(args, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "must be finite" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["verify", "--model", "interior", "--n", "3", "--suite", "algebra"], "--n"),
+        (["verify", "--alpha", "1.5", "--suite", "algebra"], "--alpha"),
+        (["indexes", "--model", "interior", "--n", "3"], "--n"),
+        (["indexes", "--n", "3", "--alpha", "1.5"], "--alpha"),
+        (["green", "--model", "interior", "--n", "1", "--x", "1", "--xp", "0", "--energy", "1"], "--n"),
+        (["green", "--alpha", "2", "--x", "1", "--xp", "0", "--energy", "1"], "--alpha"),
+        (["sweep", "--model", "interior", "--n", "2", "--scheme", "res12", "--eps-grid", "0.4"], "--n"),
+        (["sweep", "--alpha", "1.5", "--scheme", "res3", "--eps-grid", "0.4"], "--alpha"),
+    ],
+)
+def test_model_flag_of_the_other_family_is_usage_error(args, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(args)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag} applies to the" in captured.err and "Traceback" not in captured.err

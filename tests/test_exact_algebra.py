@@ -82,6 +82,7 @@ def test_rational_complex_ring_laws(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a + b == b + a
     assert a * b == b * a
+    assert bool(a) == (not a.is_zero)
 
 
 @given(rationals)

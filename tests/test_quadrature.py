@@ -275,6 +275,48 @@ def test_oscrational_product_matches_constructor_accumulation():
     assert got == want and list(got) == list(want)
 
 
+def _osc_sums(coeffs):
+    return st.lists(
+        st.tuples(st.sampled_from([0.0, 0.5, -0.5, 1.25]), st.integers(-3, 3), coeffs),
+        max_size=6,
+    ).map(lambda terms: OscRational(0.3 + 1j, terms))
+
+
+def _magnitudes(f):
+    return OscRational(f.z, [(mu, q, abs(c)) for (mu, q), c in f.terms.items()])
+
+
+def _close(p, q, scale, rtol=1e-12):
+    """p and q agree term by term within rtol of the summed term magnitudes."""
+    keys = set(p.terms) | set(q.terms)
+    return keys <= set(scale.terms) and all(
+        abs(p.terms.get(key, 0) - q.terms.get(key, 0)) <= rtol * scale.terms[key].real for key in keys
+    )
+
+
+# Gaussian-integer coefficients keep every product and sum exact, so the
+# two operand orders must give equal dicts, cancellations included
+@given(_osc_sums(st.builds(complex, st.integers(-3, 3), st.integers(-3, 3))),
+       _osc_sums(st.builds(complex, st.integers(-3, 3), st.integers(-3, 3))))
+@settings(max_examples=100, deadline=None)
+def test_oscrational_sum_and_product_commute(a, b):
+    assert (a + b).terms == (b + a).terms
+    assert (a * b).terms == (b * a).terms
+
+
+_floats = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+
+@given(_osc_sums(_floats), _osc_sums(_floats), _osc_sums(_floats))
+@settings(max_examples=100, deadline=None)
+def test_oscrational_ring_laws(a, b, c):
+    ma, mb, mc = _magnitudes(a), _magnitudes(b), _magnitudes(c)
+    assert _close((a + b) + c, a + (b + c), ma + mb + mc)
+    assert _close((a * b) * c, a * (b * c), ma * mb * mc)
+    assert _close(a * (b + c), a * b + a * c, ma * (mb + mc))
+    assert (a - a).terms == {}
+
+
 # ---------------------------------------------------------------------------
 # batched tails over k against the scalar oracle
 # ---------------------------------------------------------------------------
