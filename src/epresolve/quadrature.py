@@ -359,69 +359,6 @@ def ft_inverse_power(q: int, omega: float, z: complex) -> complex:
     )
 
 
-_CF_MIN = 2.0  # |w| below which e^w E_1(w) comes from scipy's exp1
-_CF_MAXIT = 20000
-_CF_SCALAR = 16  # live elements at which the array loop hands over to scalars
-
-
-def _scaled_en1(n: int, w: complex) -> complex:
-    """e^w E_n(w) for an integer order n >= 1 and |w| >= 2.
-
-    Modified Lentz evaluation of the continued fraction
-    e^w E_n(w) = 1/(w+n - 1*n/(w+n+2 - 2*(n+1)/(w+n+4 - ...))).  It
-    converges off the negative real axis (tails from X > Re z keep w off
-    it), in a few steps for |w| >> n and in a few hundred near the axis; on
-    the axis it raises.
-    """
-    b = w + n
-    c = 1e300 + 0j
-    d = 1.0 / b
-    h = d
-    for i in range(1, _CF_MAXIT):
-        an = -i * (n - 1 + i)
-        b += 2.0
-        d = 1.0 / (an * d + b)
-        c = b + an / c
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
-            return h
-    raise ArithmeticError("E_n continued fraction did not converge (w on the negative real axis)")
-
-
-def _scaled_en(n: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """:func:`_scaled_en1` elementwise over integer orders ``n`` and ``w``.
-
-    The same Lentz steps run over arrays, elements leaving as they converge;
-    the last few (the slowly converging ones nearest the axis) finish in
-    scalar arithmetic, which is cheaper per step for a handful of values.
-    """
-    out = np.empty(w.shape, dtype=np.complex128)
-    live = np.arange(w.size)
-    nm1 = n - 1.0
-    b = w + n
-    c = np.full(w.shape, 1e300 + 0j)
-    d = 1.0 / b
-    h = d
-    i = 1
-    while live.size > _CF_SCALAR and i < _CF_MAXIT:
-        an = -i * (nm1 + i)
-        b = b + 2.0
-        d = 1.0 / (an * d + b)
-        c = b + an / c
-        delta = c * d
-        h = h * delta
-        done = np.abs(delta - 1.0) < 1e-15
-        if done.any():
-            out[live[done]] = h[done]
-            keep = ~done
-            live, nm1, b, c, d, h = live[keep], nm1[keep], b[keep], c[keep], d[keep], h[keep]
-        i += 1
-    for j in live:
-        out[j] = _scaled_en1(int(n[j]), complex(w[j]))
-    return out
-
-
 def osc_power_tail(mu: float, z: complex, q: int, X: float, side: int = 1) -> complex:
     """Exact one-sided integral of e^{i mu t} (t-z)^(-q) over t in [X, inf).
 
@@ -451,30 +388,25 @@ def osc_power_tail(mu: float, z: complex, q: int, X: float, side: int = 1) -> co
             -cmath.exp(1j * mu * X) * (X - z) ** j / (1j * mu)
             - (j / (1j * mu)) * osc_power_tail(mu, z, q + 1, X)
         )
-    # q >= 1: (X-z)^(1-q) e^{i mu X} e^w E_q(w), w = -i mu (X - z), from a
-    # pivot level p ~ |w| up to q, where each step damps rounding
-    w = -1j * mu * (X - z)
-    if abs(w) < _CF_MIN:
-        p, f = 1, cmath.exp(w) * complex(_exp1(w))
-    else:
-        p = min(q, int(abs(w)))
-        f = _scaled_en1(p, w)
-    for k in range(p, q):
-        f = (1.0 - w * f) / k
-    return cmath.exp(1j * mu * X) * (X - z) ** (1 - q) * f
+    # q >= 1: downward base is the exponential integral, then recurse up
+    w0 = -1j * mu * (X - z)
+    e1 = complex(_exp1(w0))
+    val = cmath.exp(1j * mu * z) * e1  # q == 1
+    for qq in range(2, q + 1):
+        val = cmath.exp(1j * mu * X) * (X - z) ** (1 - qq) / (qq - 1) + (
+            1j * mu / (qq - 1)
+        ) * val
+    return val
 
 
 def _right_tails(nu: np.ndarray, z: complex, coeffs: dict[int, complex], X: float) -> np.ndarray:
     """sum_q coeffs[q] * osc_power_tail(nu, z, q, X) for every frequency in ``nu``.
 
-    The q >= 1 tails come from e^w E_q(w), w = -i nu (X - z), run from a
-    pivot order near |w| (:func:`_scaled_en`, or scipy's exp1 for small |w|)
-    up and down in q; the plain oscillation seeds the Abel-regularized
-    recurrence in q <= 0.  Zero frequencies take the closed form (q >= 2
-    only, as in the oracle).
+    One exponential-integral call seeds the upward recurrence in q >= 1 and
+    the plain oscillation seeds the Abel-regularized one in q <= 0; each
+    coefficient is collected as its recurrence passes q.  Zero frequencies
+    take the closed form (q >= 2 only, as in the oracle).
     """
-    shape = nu.shape
-    nu = nu.ravel()
     zero = nu == 0.0
     if zero.any() and min(coeffs) <= 1:
         raise ValueError("tail diverges for q <= 1 at zero frequency")
@@ -484,30 +416,12 @@ def _right_tails(nu: np.ndarray, z: complex, coeffs: dict[int, complex], X: floa
     out = np.zeros(nu.shape, dtype=np.complex128)
     qmin, qmax = min(coeffs), max(coeffs)
     if qmax >= 1:
-        # f[q] = e^w E_q(w), w = -i nu (X - z): the q-th tail is
-        # ph (X-z)^(1-q) f[q].  Each element starts at a pivot order p ~ |w|
-        # (1 below |w| = 2, else within the powers present) and recurses up
-        # and down from there, the directions in which the steps (factors
-        # |w|/q up, q/|w| down) damp rounding.
-        w = -iw * d
-        aw = np.abs(w)
-        small = aw < _CF_MIN
-        q1 = min(q for q in coeffs if q >= 1)
-        p = np.where(small, 1, np.clip(np.floor(aw), q1, qmax)).astype(np.int64)
-        f = np.zeros((qmax + 1, nu.size), dtype=np.complex128)
-        if small.any():
-            f[1, small] = np.exp(w[small]) * _exp1(w[small])
-        big = np.flatnonzero(~small)
-        f[p[big], big] = _scaled_en(p[big].astype(np.float64), w[big])
-        lo, hi = int(p.min(initial=qmax)), int(p.max(initial=1))
-        for q in range(lo, qmax):
-            up = (1.0 - w * f[q]) / q
-            f[q + 1] = up if q >= hi else np.where(p <= q, up, f[q + 1])
-        for q in range(hi - 1, q1 - 1, -1):
-            down = (1.0 - q * f[q + 1]) / w
-            f[q] = down if q < lo else np.where(p > q, down, f[q])
-        cq = np.array([coeffs.get(q, 0.0) * d ** (1 - q) for q in range(q1, qmax + 1)])
-        out += ph * (cq @ f[q1:])
+        val = np.exp(iw * z) * _exp1(-iw * d)  # q == 1
+        for q in range(1, qmax + 1):
+            if q >= 2:
+                val = ph * d ** (1 - q) / (q - 1) + (iw / (q - 1)) * val
+            if q in coeffs:
+                out += coeffs[q] * val
     if qmin <= 0:
         val = -ph / iw  # q == 0
         for j in range(0, 1 - qmin):
@@ -517,7 +431,7 @@ def _right_tails(nu: np.ndarray, z: complex, coeffs: dict[int, complex], X: floa
                 out += coeffs[-j] * val
     if zero.any():
         out[zero] = sum(c * d ** (1 - q) / (q - 1) for q, c in coeffs.items())
-    return out.reshape(shape)
+    return out
 
 
 def _add_osc_keys(a: tuple[float, int], b: tuple[float, int]) -> tuple[float, int]:
