@@ -208,13 +208,14 @@ def add_terms(dst: dict, items: Iterable[tuple[Hashable, object]]) -> dict:
     """Add the (key, coeff) pairs into ``dst`` in order; return ``dst``.
 
     An entry is deleted the moment it cancels to exact zero, so ``dst``
-    never holds a zero coefficient and its insertion order is the order in
-    which surviving keys first appeared.  Coefficients need ``+`` and a
-    truth value that is False at zero (:class:`RationalComplex`,
-    :class:`~fractions.Fraction` and ``complex`` all qualify).
+    never holds a zero coefficient; its order is insertion order, and a key
+    that cancels and comes back later is re-inserted at the end.
+    Coefficients need ``+`` and a truth value that is False at zero
+    (:class:`RationalComplex`, :class:`~fractions.Fraction` and ``complex``
+    all qualify).
 
-    >>> add_terms({"a": 1}, [("b", 2), ("a", -1), ("b", 1)])
-    {'b': 3}
+    >>> add_terms({"a": 1}, [("b", 2), ("a", -1), ("b", 1), ("a", 5)])
+    {'b': 3, 'a': 5}
     """
     for key, coeff in items:
         prev = dst.get(key)
