@@ -12,10 +12,15 @@ The module provides three layers:
    :mod:`epresolve.exact` (``add_terms``, ``mul_terms``);
 2. scheme application: ``apply_scheme`` evaluates any of the eleven
    regularized reconstruction schemes on a concrete test function at fixed
-   regulators (puncture radius eps, spectral cutoff A);
+   regulators (puncture radius eps, spectral cutoff A).  Every closed block
+   of a boundary scheme but the sinc kernel -- the coefficient table, the
+   scaled-chain outer product, the index-2 trigonometric terms -- is applied
+   by one evaluator, ``_apply_two_point``, from the same exact two-point
+   dicts that the gap checks certify;
 3. singular-term experiments: the closed-form reproduction coefficients for
-   the index-2 boundary model and the interior bound state, and the
-   non-expandability probe for the interior chain partner.
+   the index-2 boundary model (those trigonometric blocks on the chain head)
+   and the interior bound state, and the non-expandability probe for the
+   interior chain partner.
 
 Scheme and identity labels (``res3``, ``vych1`` ...) are internal registry
 ids used consistently across reports, the CLI, and tests.
@@ -156,13 +161,12 @@ def eps_chain(model: BoundaryModel, eps: Fraction | float) -> EpsChain:
     )
 
 
-def _pair_basis(chain: EpsChain, model: BoundaryModel) -> dict[tuple[int, int, int], Fraction]:
+def _pair_basis(n: int) -> dict[tuple[int, int, int], Fraction]:
     """LHS outer products in the basis eps^e * chain[a](x) * chain[b](x').
 
     Includes the squared prefactor unit^2 * root = (-1)^(n+1) * 2/eps, which
     is exact; keys carry the eps exponent.
     """
-    n = chain.n
     betas = beta_seq(max(n, 1))
     sq = Fraction(2) * (-1) ** (n + 1)  # (i^(n+1))^2 * 2, over one eps power
     return add_terms({}, (
@@ -173,16 +177,15 @@ def _pair_basis(chain: EpsChain, model: BoundaryModel) -> dict[tuple[int, int, i
     ))
 
 
-def outer_product_gap(model: BoundaryModel, eps: Fraction | float = 1) -> dict:
+def outer_product_gap(model: BoundaryModel) -> dict:
     """Exact difference between the two sides of the chain outer-product identity.
 
     Both sides are expanded in the basis eps^e * chain[a](x) * chain[b](x');
-    an empty dict certifies exact equality.  The eps argument is irrelevant
-    to the check (the expansion is graded in eps) and kept only so the chain
-    constructor can be exercised at the caller's radius.
+    an empty dict certifies exact equality.  The expansion is graded in eps,
+    so no radius enters.
     """
     n = model.n
-    lhs = _pair_basis(eps_chain(model, eps), model)
+    lhs = _pair_basis(n)
     # minus the right-hand side, -2(-1)^n / (2n-2l-1) on every (m, l-m) pair
     return add_terms(lhs, (
         ((-(2 * n - 2 * l - 1), m, l - m), Fraction(2 * (-1) ** n, 2 * n - 2 * l - 1))
@@ -334,6 +337,49 @@ def closed_form_gap(n: int, lower_shift: int = 0) -> dict:
     ))
 
 
+def _chain_block(model: BoundaryModel) -> dict:
+    """The scaled-chain outer product sum_l member_l(x) member_{n-1-l}(x'), times 2*pi.
+
+    The pair basis with each chain[a] written out as its zero-energy terms;
+    the two factors (2*pi)^(-1/2) of the members make the shared 1/(2*pi).
+    """
+    return add_terms({}, (
+        ((0, 0, pa, pb, e), ca * cb * c)
+        for (e, a, b), c in _pair_basis(model.n).items()
+        for ((_, pa), ca), ((_, pb), cb) in itertools.product(
+            bm_assoc(model, a).terms.items(), bm_assoc(model, b).terms.items()
+        )
+    ))
+
+
+def _delta_pow(d: int) -> dict:
+    """(x - x')^d expanded around z: sum_i binom(d, i) (x-z)^i (-(x'-z))^(d-i)."""
+    return {
+        (0, 0, i, d - i, 0): RationalComplex(Fraction(math.comb(d, i) * (-1) ** (d - i)))
+        for i in range(d + 1)
+    }
+
+
+def _n2_trig_blocks() -> dict[str, dict]:
+    """The three explicit index-2 trigonometric terms, times 2*pi (D = x - x').
+
+      pair   : 6 sin^2(eps D/2) / (pi eps (x-z)(x'-z))
+      odd    : 12 D sin^2(eps D/4) sin(eps D/2) / (pi eps^2 (x-z)^2 (x'-z)^2)
+      square : 3 [eps D - 2 sin(eps D/2)]^2 / (2 pi eps^3 (x-z)^2 (x'-z)^2)
+    """
+    pair = _tp_product(_tp_sin_delta(1), _tp_sin_delta(1), _tp_mono(a=-1, b=-1, e=-1, c=12))
+    # sin^2(eD/4) sin(eD/2) = sin(eD/2)/2 - sin(eD)/4
+    trig = add_terms(_tp_sin_delta(1, Fraction(1, 2)), _tp_sin_delta(2, Fraction(-1, 4)).items())
+    odd = _tp_product(_delta_pow(1), trig, _tp_mono(a=-2, b=-2, e=-2, c=24))
+    # [eD - 2 sin(eD/2)]^2 = e^2 D^2 - 4 e D sin(eD/2) + 2 - 2 cos(eD), exactly
+    square = add_terms(_tp_product(_delta_pow(2), _tp_mono(e=2)), itertools.chain(
+        _tp_product(_delta_pow(1), _tp_sin_delta(1), _tp_mono(e=1, c=-4)).items(),
+        _tp_mono(c=2).items(),
+        _tp_cos_delta(2, -2).items(),
+    ))
+    return {"pair": pair, "odd": odd, "square": _tp_product(square, _tp_mono(a=-2, b=-2, e=-3, c=3))}
+
+
 def _n2_rearranged_gap() -> dict:
     """Exact gap between the index-2 trigonometric rearrangement and form 1.
 
@@ -342,50 +388,12 @@ def _n2_rearranged_gap() -> dict:
     endpoint-difference form certifies it, again up to the shared spectral
     integral.  All terms times 2*pi.
     """
-    n = 2
-    model = BoundaryModel(n)
-    # chain outer product: unit^2*(2/eps) * sum_l members[l](x) members[1-l](x');
-    # both chain members are single terms, so each product is one term
-    betas = beta_seq(n)
-    sq = Fraction(2) * (-1) ** (n + 1)
-    outer = []
-    for l in range(n):
-        for j in range(l + 1):
-            for jp in range(n - l):
-                [((_, pa), ca)] = bm_assoc(model, l - j).terms.items()
-                [((_, pb), cb)] = bm_assoc(model, n - 1 - l - jp).terms.items()
-                # coefficients exclude the shared (2*pi)^-1, matching the
-                # times-2*pi convention of the other blocks
-                coeff = sq * betas[j] * betas[jp]
-                outer.append(((0, 0, pa, pb, -1 - 2 * j - 2 * jp), ca * cb * coeff))
-
-    # delta polynomial (x-x')^d expanded around z: sum binom (x-z)^i (-(x'-z))^(d-i)
-    def delta_pow(d: int) -> dict:
-        return {
-            (0, 0, i, d - i, 0): RationalComplex(Fraction(math.comb(d, i) * (-1) ** (d - i)))
-            for i in range(d + 1)
-        }
-
-    # full sinc: sin(eps D)/(pi D) * 2pi -> 2 sin(eps D) * [1/D around z]
-    # 1/D has no two-point Laurent expansion, so fold it with (1 - ratio^2)
-    # exactly as in the general check: rearranged - form1 contains
-    # (1 - ratio^2) sinc which IS expandable.
-    term6 = _tp_product(_tp_sin_delta(1), _tp_sin_delta(1), _tp_mono(a=-1, b=-1, e=-1, c=12))
-    # 12 D sin^2(eD/4) sin(eD/2): rewrite sin^2(a)sin(2a) = sin(eD/2)/2 - sin(eD)/4
-    trig12 = add_terms(_tp_sin_delta(1, Fraction(1, 2)), _tp_sin_delta(2, Fraction(-1, 4)).items())
-    term12 = _tp_product(delta_pow(1), trig12, _tp_mono(a=-2, b=-2, e=-2, c=24))
-    # 3 [eps D - 2 sin(eD/2)]^2 / (2 eps^3 ...): expand the square exactly
-    sq_block = add_terms(_tp_product(delta_pow(2), _tp_mono(e=2)), itertools.chain(
-        _tp_product(delta_pow(1), _tp_sin_delta(1), _tp_mono(e=1, c=-4)).items(),
-        _tp_mono(c=2).items(),
-        _tp_cos_delta(2, -2).items(),
-    ))
-    term3sq = _tp_product(sq_block, _tp_mono(a=-2, b=-2, e=-3, c=3))
-    # assemble: rearranged - form1 = chain + term6 + term12 + term3sq
-    #           + (1 - ratio^2) sinc  - bracket
-    return add_terms({}, itertools.chain(
-        outer, term6.items(), term12.items(), term3sq.items(),
-        _negated(_sinc_difference(n)), _negated(_boundary_bracket(n)),
+    # the full sinc sin(eps D)/(pi D) has no two-point Laurent expansion, but
+    # rearranged - form1 carries it as (1 - ratio^2) sinc, which has one:
+    #   chain + pair + odd + square + (1 - ratio^2) sinc - bracket
+    return add_terms(_chain_block(BoundaryModel(2)), itertools.chain(
+        *(block.items() for block in _n2_trig_blocks().values()),
+        _negated(_sinc_difference(2)), _negated(_boundary_bracket(2)),
     ))
 
 
@@ -522,6 +530,16 @@ class SchemeId(enum.Enum):
 
 _INTERIOR_IDS = {SchemeId.RES13, SchemeId.RES11, SchemeId.RES12, SchemeId.INT04}
 _N2_ONLY = {SchemeId.RES9, SchemeId.RES7, SchemeId.RES10, SchemeId.RES6}
+# the boundary schemes built on the scaled-chain outer product, each with the
+# index-2 trigonometric terms it adds; res3 and res5 use the coefficient
+# table instead
+_CHAIN_SCHEMES = {
+    SchemeId.INT5: (),
+    SchemeId.RES6: (),
+    SchemeId.RES10: ("odd", "square"),
+    SchemeId.RES7: ("pair", "odd", "square"),
+    SchemeId.RES9: ("pair", "odd", "square"),
+}
 
 
 @dataclass(frozen=True)
@@ -738,90 +756,24 @@ def _sinc_applied(model, f: TestFunction, eps: float, xp: float, alpha: float | 
     return _adaptive_oscillatory(integrand, -W, W, 1e-11, om).value
 
 
-def _chain_term_boundary(model: BoundaryModel, f: TestFunction, eps: float, xp: float) -> complex:
-    """Outer-product block: sum_l <f, member_l> member_{n-1-l}(x')."""
-    chain = eps_chain(model, Fraction(eps).limit_denominator(10**9))
-    n = model.n
-    scale = complex(chain.unit.to_complex()) * math.sqrt(float(chain.root))
-    total = 0.0 + 0.0j
-    for l in range(n):
-        moment = 0.0 + 0.0j
-        for (_, p), c in chain.members[l].terms.items():
-            moment += c.to_complex() * (2 * math.pi) ** -0.5 * _f_osc_moment(model, f, 0.0, -p)
-        other = chain.members[n - 1 - l].eval(0.0, xp, model.z)
-        total += (scale * moment) * (scale * complex(other))
-    return total
+def _apply_two_point(model: BoundaryModel, terms: dict, f: TestFunction, eps: float, xp: float) -> complex:
+    """A two-point term dict (times 2*pi) applied as a kernel in x to f, at x'.
 
-
-def _blocks_applied(model: BoundaryModel, f: TestFunction, eps: float, xp: float) -> complex:
-    """The cos- and sin-proportional coefficient blocks applied to f."""
-    n, z = model.n, model.z
-    total = 0.0 + 0.0j
-    # cos block: -cos(eps D)/(2 pi eps (x-z)(x'-z)) * sum ...
-    for l in range(n):
-        for m in range(min(2 * l, n - 1) + 1):
-            c = float(coeff_C(2 * l + 1, m, n).re) * (
-                math.factorial(n + 2 * l + 1 - m) / math.factorial(n - 1 - m)
-            )
-            pref = -c * (-0.25) ** l / (2 * math.pi * eps ** (2 * l + 1)) * (xp - z) ** (m - 2 * l - 1)
-            mom_p = _f_osc_moment(model, f, eps, m + 1)
-            mom_m = _f_osc_moment(model, f, -eps, m + 1)
-            total += pref * 0.5 * (cmath.exp(-1j * eps * xp) * mom_p + cmath.exp(1j * eps * xp) * mom_m)
-    # sin block: +sin(eps D)/(pi (x-z)) * sum ...
-    for l in range(1, n):
-        for m in range(min(2 * l - 1, n - 1) + 1):
-            c = float(coeff_C(2 * l, m, n).re) * (
-                math.factorial(n + 2 * l - m) / math.factorial(n - 1 - m)
-            )
-            pref = c * (-0.25) ** l / (math.pi * eps ** (2 * l)) * (xp - z) ** (m - 2 * l)
-            mom_p = _f_osc_moment(model, f, eps, m + 1)
-            mom_m = _f_osc_moment(model, f, -eps, m + 1)
-            total += pref * (cmath.exp(-1j * eps * xp) * mom_p - cmath.exp(1j * eps * xp) * mom_m) / 2j
-    return total
-
-
-def _n2_trig_terms(model: BoundaryModel, f: TestFunction, eps: float, xp: float, which: set) -> complex:
-    """The three explicit index-2 trigonometric terms, applied to f.
-
-    ``which`` selects from {"pair", "odd", "square"}:
-      pair   : 6 sin^2(eps D/2) / (pi eps (x-z)(x'-z))
-      odd    : 12 D sin^2(eps D/4) sin(eps D/2) / (pi eps^2 (x-z)^2 (x'-z)^2)
-      square : 3 [eps D - 2 sin(eps D/2)]^2 / (2 pi eps^3 (x-z)^2 (x'-z)^2)
+    The term c * e^{i(hx/2)eps(x-z)} e^{i(hxp/2)eps(x'-z)} (x-z)^a (x'-z)^b eps^e
+    contributes c eps^e (x'-z)^b e^{i(hxp/2)eps(x'-z)} e^{-i mu z} times the
+    moment of f at frequency mu = (hx/2) eps and power a.  Each distinct
+    moment is computed once.
     """
     z = model.z
+    moments: dict[tuple[int, int], complex] = {}
     total = 0.0 + 0.0j
-
-    def mom(mu: float, q: int, dpow: int) -> complex:
-        # integral of f * e^{i mu x} * (x - xp)^dpow * (x-z)^(-q): expand the
-        # displacement polynomial around z
-        out = 0.0 + 0.0j
-        for i in range(dpow + 1):
-            coeff = math.comb(dpow, i) * (-(xp - z)) ** (dpow - i)
-            out += coeff * _f_osc_moment(model, f, mu, q - i)
-        return out
-
-    if "pair" in which:
-        pref = 6.0 / (math.pi * eps * (xp - z))
-        # sin^2(eps D / 2) = (1 - cos(eps D))/2
-        val = 0.5 * mom(0.0, 1, 0)
-        val -= 0.25 * (cmath.exp(-1j * eps * xp) * mom(eps, 1, 0) + cmath.exp(1j * eps * xp) * mom(-eps, 1, 0))
-        total += pref * val
-    if "odd" in which:
-        pref = 12.0 / (math.pi * eps**2 * (xp - z) ** 2)
-        # D sin^2(eps D/4) sin(eps D/2) = D [sin(eps D/2)/2 - sin(eps D)/4]
-        for mu, c in ((eps / 2, 0.5), (eps, -0.25)):
-            val = (cmath.exp(-1j * mu * xp) * mom(mu, 2, 1) - cmath.exp(1j * mu * xp) * mom(-mu, 2, 1)) / 2j
-            total += pref * c * val
-    if "square" in which:
-        pref = 3.0 / (2 * math.pi * eps**3 * (xp - z) ** 2)
-        # [eps D - 2 sin(eps D/2)]^2 = eps^2 D^2 - 4 eps D sin(eps D/2) + 2 - 2 cos(eps D)
-        val = eps**2 * mom(0.0, 2, 2)
-        s = (lambda mu: (cmath.exp(-1j * mu * xp) * mom(mu, 2, 1) - cmath.exp(1j * mu * xp) * mom(-mu, 2, 1)) / 2j)
-        val -= 4 * eps * s(eps / 2)
-        val += 2 * mom(0.0, 2, 0)
-        val -= cmath.exp(-1j * eps * xp) * mom(eps, 2, 0) + cmath.exp(1j * eps * xp) * mom(-eps, 2, 0)
-        total += pref * val
-    return total
+    for (hx, hxp, a, b, e), c in terms.items():
+        if (hx, a) not in moments:
+            mu = hx / 2 * eps
+            moments[hx, a] = cmath.exp(-1j * mu * z) * _f_osc_moment(model, f, mu, -a)
+        wave = cmath.exp(0.5j * hxp * eps * (xp - z))
+        total += c.to_complex() * eps**e * (xp - z) ** b * wave * moments[hx, a]
+    return total / (2 * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -1048,28 +1000,26 @@ def apply_scheme(
         total = _ik_interior(model, f, eps, A, xp, tol)
         total += _interior_singular_terms(model, f, eps, xp, kind)
         return total
-    # boundary family
+    # boundary family: the spectral integral, the sinc kernel (its 1/(x - x')
+    # has no two-point Laurent form) and every other closed block, applied
+    # from the exact dicts that the gap checks certify
+    if kind in _CHAIN_SCHEMES and f.is_chain and f.ref[1] >= 1:
+        # chain[l](x) * chain[n-1](x) ~ (x-z)^(2l-2) is not integrable for l >= 1
+        raise ValueError(
+            f"scheme {kind.value} pairs the test function with chain member {model.n - 1}, "
+            f"which diverges for chain:{f.ref[1]} (and every boundary chain member l >= 1)"
+        )
     total = _ik_boundary(model, f, eps, A, xp, tol)
-    if kind == SchemeId.RES3:
+    if kind in (SchemeId.RES3, SchemeId.RES9):
         total += _sinc_applied(model, f, eps, xp)
-        total += _blocks_applied(model, f, eps, xp)
-    elif kind == SchemeId.RES5:
-        total += _blocks_applied(model, f, eps, xp)
-    elif kind == SchemeId.INT5:
-        total += _chain_term_boundary(model, f, eps, xp)
-    elif kind in _N2_ONLY:
-        total += _chain_term_boundary(model, f, eps, xp)
-        if kind == SchemeId.RES9:
-            total += _sinc_applied(model, f, eps, xp)
-            total += _n2_trig_terms(model, f, eps, xp, {"pair", "odd", "square"})
-        elif kind == SchemeId.RES7:
-            total += _n2_trig_terms(model, f, eps, xp, {"pair", "odd", "square"})
-        elif kind == SchemeId.RES10:
-            total += _n2_trig_terms(model, f, eps, xp, {"odd", "square"})
-        # RES6: spectral integral + chain outer product only
+    if kind in _CHAIN_SCHEMES:
+        trig = _n2_trig_blocks()
+        parts = (trig[p].items() for p in _CHAIN_SCHEMES[kind])
+        blocks = add_terms(_chain_block(model), itertools.chain.from_iterable(parts))
     else:
-        raise ValueError(f"unhandled scheme {kind}")
-    return total
+        cos_block, sin_block = _boundary_blocks(model.n, 0)
+        blocks = add_terms(cos_block, sin_block.items())
+    return total + _apply_two_point(model, blocks, f, eps, xp)
 
 
 def apply_base_resolution(
@@ -1119,47 +1069,19 @@ def apply_base_resolution(
 def reproduce_psi20_terms(model: BoundaryModel, eps: float) -> tuple[complex, complex]:
     """Closed-form values of the two index-2 singular terms on the bound member.
 
-    Both integrands are finite sums  c * e^{i mu x} (x-z)^(-q), so the
-    whole-line integrals are exact residue transforms; no quadrature error
-    enters and the returned coefficients differ from their limits 3/4 and
-    1/4 only by O(eps) remainders.  Values are normalized by the member at
-    the probe point.
+    The ``odd`` and ``square`` trigonometric blocks applied to the chain head:
+    every moment is an exact residue transform, so no quadrature error enters
+    and the returned coefficients differ from their limits 3/4 and 1/4 only by
+    O(eps) remainders.  Values are normalized by the member at the probe point.
     """
     if model.n != 2:
         raise ValueError("the reproduction experiment is defined for the index-2 model")
-    z = model.z
     xp = 0.3  # fixed interior probe; the limit is xp-independent
-    member = bm_assoc(model, 0)
-    ((_, pm),) = member.terms.keys()
-    cm = next(iter(member.terms.values())).to_complex() * (2 * math.pi) ** -0.5
-    target = cm * (xp - z) ** pm
-
-    def delta_mono(dpow: int, qbase: int, mu: float, c: complex) -> OscRational:
-        # c * e^{i mu (x-xp)} * (x-xp)^dpow * (x-z)^(-qbase) * member(x)
-        terms = []
-        for i in range(dpow + 1):
-            coeff = c * math.comb(dpow, i) * (-(xp - z)) ** (dpow - i)
-            terms.append((mu, qbase - i - pm, coeff * cm))
-        return OscRational(z, terms) * cmath.exp(-1j * mu * xp)
-
-    # first term: 12 D [sin(eps D/2)/2 - sin(eps D)/4] / (pi eps^2 (x-z)^2 (xp-z)^2)
-    pref1 = 12.0 / (math.pi * eps**2 * (xp - z) ** 2)
-    acc1 = OscRational(z, [])
-    for mu, c in ((eps / 2, 0.5), (eps, -0.25)):
-        acc1 = acc1 + delta_mono(1, 2, mu, c / 2j) + delta_mono(1, 2, -mu, -c / 2j)
-    c1 = pref1 * acc1.integral_full_line() / target
-
-    # second term: 3 [eps^2 D^2 - 4 eps D sin(eps D/2) + 2 - 2 cos(eps D)] /
-    #              (2 pi eps^3 (x-z)^2 (xp-z)^2)
-    pref2 = 3.0 / (2 * math.pi * eps**3 * (xp - z) ** 2)
-    acc2 = delta_mono(2, 2, 0.0, eps**2)
-    for s in (1, -1):
-        acc2 = acc2 + delta_mono(1, 2, s * eps / 2, -4 * eps * s / 2j)
-    acc2 = acc2 + delta_mono(0, 2, 0.0, 2.0)
-    for s in (1, -1):
-        acc2 = acc2 + delta_mono(0, 2, s * eps, -1.0)
-    c2 = pref2 * acc2.integral_full_line() / target
-    return complex(c1), complex(c2)
+    head = TestFunction.chain_boundary(0)
+    target = complex(head.make_eval(model)(np.array([xp]))[0])
+    trig = _n2_trig_blocks()
+    odd, square = (_apply_two_point(model, trig[p], head, eps, xp) / target for p in ("odd", "square"))
+    return odd, square
 
 
 def reproduce_psi0_term(model: InteriorModel, eps: float, xp: float = 0.0) -> complex:

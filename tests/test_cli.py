@@ -252,6 +252,26 @@ def test_sweep_testfn_outside_the_model_is_usage_error(args, capsys):
 @pytest.mark.parametrize(
     "args",
     [
+        ["--n", "2", "--scheme", "res9", "--testfn", "chain:1"],
+        ["--n", "4", "--scheme", "int5", "--testfn", "chain:3"],
+    ],
+)
+def test_sweep_divergent_chain_pairing_is_usage_error(args, capsys):
+    # the chain-based boundary schemes pair f with chain member n - 1, which
+    # diverges for every boundary chain member l >= 1
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", *args, "--eps-grid", "0.4"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    scheme, testfn = args[3], args[5]
+    assert f"scheme {scheme} " in captured.err and testfn in captured.err
+    assert "diverges" in captured.err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
         ["verify", "--suite", "algebra"],
         ["indexes"],
         ["susy"],

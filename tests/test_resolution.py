@@ -238,6 +238,37 @@ def test_rational_probe_with_displacement_on_probe_pole():
     assert abs(val - want) < 1e-8
 
 
+@pytest.mark.parametrize("n", [2, 3], ids="n2 n3".split())
+def test_closed_reconstruction_needs_the_certified_table(n, monkeypatch):
+    """Applying the table that fails the exact gap check breaks the numbers.
+
+    The scheme reads its coefficient blocks from ``_boundary_blocks``; the
+    competing transcription (``lower_shift=1``, rejected by
+    ``closed_form_gap``) must miss f(x') by far more than the exact scheme's
+    tolerance, so the symbolic verdict and the numeric one agree.
+    """
+    m, eps = BoundaryModel(n), 0.4
+    scheme = Scheme(SchemeId.RES3, m)
+    assert abs(apply_scheme(scheme, eps, 50.0 / eps, GAUSS, XP) - TARGET) < 5e-6
+    shipped = rs._boundary_blocks
+    monkeypatch.setattr(rs, "_boundary_blocks", lambda n, lower_shift: shipped(n, 1))
+    assert abs(apply_scheme(scheme, eps, 50.0 / eps, GAUSS, XP) - TARGET) > 1.0
+
+
+def test_pair_block_oracle_finite_radius():
+    """The index-2 ``pair`` block on a Gaussian against direct quadrature."""
+    m = BoundaryModel(2)
+    eps, z = 0.25, m.z
+
+    def kernel(x):
+        d = x - XP
+        return 6.0 * np.sin(eps * d / 2) ** 2 / (np.pi * eps * (x - z) * (XP - z))
+
+    oracle = quad_c(lambda x: kernel(x) * np.exp(-(x**2)), -12.0, 12.0, epsabs=1e-13, limit=200)
+    got = rs._apply_two_point(m, rs._n2_trig_blocks()["pair"], GAUSS, eps, XP)
+    assert abs(got - oracle) < 1e-10
+
+
 def test_n2_rearranged_scheme_exact_at_finite_radius():
     m = BoundaryModel(2)
     for eps in (0.4, 0.1):
