@@ -303,26 +303,26 @@ def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     eps_grid = args.eps_grid
     xp = args.xp
     target = complex(np.asarray(f.make_eval(model)(np.array([xp]))).ravel()[0])
-    rows = []
+    cutoffs = [args.coupling_c / eps for eps in eps_grid]
     try:
-        for eps in eps_grid:
-            A = args.coupling_c / eps
-            value = complex(apply_scheme(scheme, eps, A, f, xp, tol=args.tol))
-            rows.append(
-                [
-                    scheme.kind.value,
-                    repr(eps),
-                    repr(A),
-                    repr(xp),
-                    repr(value.real),
-                    repr(value.imag),
-                    repr(target.real),
-                    repr(target.imag),
-                    repr(abs(value - target)),
-                ]
-            )
+        values = apply_scheme(scheme, eps_grid, cutoffs, f, xp, tol=args.tol)
     except ValueError as exc:
         parser.error(str(exc))
+    rows = []
+    for eps, A, value in zip(eps_grid, cutoffs, map(complex, values)):
+        rows.append(
+            [
+                scheme.kind.value,
+                repr(eps),
+                repr(A),
+                repr(xp),
+                repr(value.real),
+                repr(value.imag),
+                repr(target.real),
+                repr(target.imag),
+                repr(abs(value - target)),
+            ]
+        )
     header = [
         "scheme", "epsilon", "A", "x_prime",
         "value_re", "value_im", "target_re", "target_im", "abs_error",

@@ -6,7 +6,9 @@ order, no randomness):
 * :func:`quad_line` / :func:`quad_contour` -- adaptive Gauss-Legendre with
   error estimates from embedded lower-order rules, plus tail corrections
   (algebraic substitution for monotone decay, integration-by-parts for a
-  single dominant oscillation frequency).
+  single dominant oscillation frequency).  :func:`composite_gauss` owns the
+  fixed equal-panel layout; :func:`composite_phase_sums` takes plane-wave
+  moments on it with phases separated per panel.
 * :class:`OscRational` -- finite sums ``sum_t c_t exp(i mu_t x) (x-z)^(-q_t)``
   with one complex pole center.  These admit *exact* full-line values (residue
   evaluation, half-line Abel regularization where classical convergence
@@ -49,6 +51,7 @@ __all__ = [
     "quad_contour",
     "quad_packet",
     "composite_gauss",
+    "composite_phase_sums",
     "OscRational",
     "gauss_moment",
     "osc_power_tail",
@@ -83,17 +86,47 @@ def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
     return got
 
 
+def _panel_layout(lo: float, hi: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
+    # centres and half-widths of the equal panels of [lo, hi]
+    edges = np.linspace(lo, hi, n_panels + 1)
+    return 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+
+
 def composite_gauss(lo: float, hi: float, n_panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of an ``order``-point Gauss-Legendre rule on each of
     ``n_panels`` equal panels of [lo, hi]; exact for polynomials of degree
     2*order - 1 on every panel."""
     xg, wg = _gl(order)
-    edges = np.linspace(lo, hi, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
+    mid, half = _panel_layout(lo, hi, n_panels)
     nodes = (mid[:, None] + half[:, None] * xg).ravel()
     weights = (half[:, None] * wg).ravel()
     return nodes, weights
+
+
+def composite_phase_sums(
+    lo: float, hi: float, n_panels: int, order: int, rows: np.ndarray, k: np.ndarray
+) -> np.ndarray:
+    """sum_j w_j v_j e^{i k x_j} over the :func:`composite_gauss` rule, for
+    every value row v of ``rows`` (last axis: the nodes) and every k.
+
+    The phases separate over the equal panels: x_j = c_p + h t_j gives
+    e^{ikx_j} = e^{ikc_p} e^{ikh t_j}, so a K-point k array costs
+    K*(n_panels + order) exponentials and one (K x order).(order x n_panels)
+    product per row instead of a dense K x N phase matrix.  The result has
+    shape ``rows.shape[:-1] + (K,)``.
+    """
+    xg, wg = _gl(order)
+    mid, half = _panel_layout(lo, hi, n_panels)
+    h = (hi - lo) / (2 * n_panels)
+    karr = np.atleast_1d(np.asarray(k, dtype=np.complex128))
+    v = np.asarray(rows)
+    wv = v.reshape(v.shape[:-1] + (n_panels, order)) * (half[:, None] * wg)
+    wv = np.swapaxes(wv, -1, -2)  # (..., order, n_panels)
+    local = np.exp(1j * karr[:, None] * (h * xg)[None, :])
+    centre = np.exp(1j * karr[:, None] * mid[None, :])
+    sums = local @ wv  # (..., K, n_panels)
+    sums *= centre
+    return sums.sum(axis=-1)
 
 
 def _panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[complex, float, int]:

@@ -11,8 +11,9 @@ The module provides three layers:
    package, are accumulated and multiplied by the shared core in
    :mod:`epresolve.exact` (``add_terms``, ``mul_terms``);
 2. scheme application: ``apply_scheme`` evaluates any of the eleven
-   regularized reconstruction schemes on a concrete test function at fixed
-   regulators (puncture radius eps, spectral cutoff A).  Every closed block
+   regularized reconstruction schemes on a concrete test function at given
+   regulators (puncture radius eps, spectral cutoff A), scalars or one
+   radius sweep of 1-D arrays per call.  Every closed block
    of a boundary scheme but the sinc kernel -- the coefficient table, the
    scaled-chain outer product, the index-2 trigonometric terms -- is applied
    by one evaluator, ``_apply_two_point``, from the same exact two-point
@@ -50,6 +51,7 @@ from .quadrature import (
     _adaptive,
     _adaptive_oscillatory,
     composite_gauss,
+    composite_phase_sums,
     ft_inverse_power,
     quad_contour,
 )
@@ -561,11 +563,12 @@ class Scheme:
 # boundary transforms
 # ---------------------------------------------------------------------------
 
-def _grid_for(f: TestFunction, k_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss grid resolving both f's support and e^{ikx} phases."""
+def _panels_for(f: TestFunction, k_max: float) -> tuple[float, float, int]:
+    """Equal-panel layout (lo, hi, n_panels) of the 16-point composite Gauss
+    grid resolving both f's support and e^{ikx} phases up to k_max."""
     W = f.window()
     h = min(0.5, 9.0 / max(k_max, 1.0))
-    return composite_gauss(-W, W, max(8, int(math.ceil(2 * W / h))), 16)
+    return -W, W, max(8, int(math.ceil(2 * W / h)))
 
 
 def _spectral_reach(f: TestFunction) -> float:
@@ -638,7 +641,7 @@ def _boundary_transform(model: BoundaryModel, f: TestFunction) -> Callable[[np.n
     n, z = model.n, model.z
     F = bm_scatter(model)
     if f.kind in ("gaussian", "hermite_gaussian"):
-        nodes, weights = _grid_for(f, _spectral_reach(f))
+        nodes, weights = composite_gauss(*_panels_for(f, _spectral_reach(f)), 16)
         fw = f.make_eval(model)(nodes) * weights
         ms, ps, cs = F.to_term_arrays()
         scale = (2 * math.pi) ** (-0.5 * F.unit_pow)
@@ -694,9 +697,15 @@ def _psi_unscaled(model: BoundaryModel, k: np.ndarray, x: float) -> np.ndarray:
 
 
 def _ik_boundary(
-    model: BoundaryModel, f: TestFunction, eps: float, A: float, xp: float, tol: float
+    model: BoundaryModel,
+    f: TestFunction,
+    T: Callable[[np.ndarray], np.ndarray],
+    eps: float,
+    A: float,
+    xp: float,
+    tol: float,
 ) -> complex:
-    T = _boundary_transform(model, f)
+    # T is _boundary_transform(model, f), which does not depend on the radius
     K = min(A, _spectral_reach(f))
     if K <= eps:
         return 0.0 + 0.0j
@@ -784,26 +793,25 @@ def _interior_transform(model: InteriorModel, f: TestFunction) -> Callable[[np.n
     """k-array -> integral of f(x) psi(x;k) dx for the interior family.
 
     Localized f: three fixed-grid plane-wave transforms assembled with the
-    explicit pole factors.  Chain members: per-k core quadrature plus exact
-    oscillatory-settling tails from the large-x models (the integrals exist
-    in the Abel sense; the tail machinery evaluates exactly that).
+    explicit pole factors.  Chain members: the same fixed-grid core on
+    [-X, X] plus exact oscillatory-settling tails from the large-x models,
+    each tail taking the whole k array in one batched call (the integrals
+    exist in the Abel sense; the tail machinery evaluates exactly that).
     """
     a, z = model.alpha, model.z
 
-    def plane_wave_core(nodes: np.ndarray, weights: np.ndarray, fv: np.ndarray):
-        # three fixed-grid plane-wave transforms of fv, fv W'/W and fv W''/W,
+    def plane_wave_core(lo: float, hi: float, n_panels: int, values: Callable[[np.ndarray], np.ndarray]):
+        # plane-wave transforms of f, f W'/W and f W''/W on the 16-point
+        # composite grid, one stacked panel-separable phase sum per k array,
         # assembled with the explicit pole factor 1/(k^2 - a^2)
+        nodes, _ = composite_gauss(lo, hi, n_panels, 16)
+        fv = values(nodes)
         W, W1, W2, _, _ = im_w_bundle(model, nodes)
-        w0 = fv * weights
-        w1 = fv * (W1 / W) * weights
-        w2 = fv * (W2 / W) * weights
+        rows = np.stack([fv, fv * (W1 / W), fv * (W2 / W)])
 
         def core(k: np.ndarray) -> np.ndarray:
             karr = np.atleast_1d(np.asarray(k, dtype=np.complex128))
-            ph = np.exp(1j * karr[:, None] * nodes[None, :])
-            g0 = ph @ w0
-            g1 = ph @ w1
-            g2 = ph @ w2
+            g0, g1, g2 = composite_phase_sums(lo, hi, n_panels, 16, rows, karr)
             return (g0 + (1j * karr * g1 - 0.5 * g2) / (karr * karr - a * a)) / math.sqrt(2 * math.pi)
 
         return core
@@ -812,8 +820,8 @@ def _interior_transform(model: InteriorModel, f: TestFunction) -> Callable[[np.n
         # the transform inherits an exp(-|k| Im x0) tail from the complex
         # zeros of the denominator, so the k-range outlives the packet's own
         # bandwidth; _INTERIOR_REACH_PAD pushes that tail below 1e-10
-        nodes, weights = _grid_for(f, _spectral_reach(f) + 2 * a + _INTERIOR_REACH_PAD)
-        return plane_wave_core(nodes, weights, f.make_eval(model)(nodes))
+        layout = _panels_for(f, _spectral_reach(f) + 2 * a + _INTERIOR_REACH_PAD)
+        return plane_wave_core(*layout, f.make_eval(model))
     if f.kind == "chain":
         which = "psi0" if f.ref[0] == "interior0" else "psi1"
         member = im_psi0 if which == "psi0" else im_psi1
@@ -825,8 +833,7 @@ def _interior_transform(model: InteriorModel, f: TestFunction) -> Callable[[np.n
         # resolve phases up to k_max plus the potential's harmonics; the
         # remainder integrals are exact large-x models
         h = min(0.5, 9.0 / (_spectral_reach(f) + 8 * a))
-        nodes, weights = composite_gauss(-X, X, int(math.ceil(2 * X / h)), 16)
-        core = plane_wave_core(nodes, weights, member(model, nodes).value)
+        core = plane_wave_core(-X, X, int(math.ceil(2 * X / h)), lambda x: member(model, x).value)
         # tail products with the wave's plane-phase factored out: each tail
         # integral takes the whole k array in one batched call
         inv_w = im_tail_model(model, "inv_w", 5)
@@ -852,12 +859,18 @@ def _psi_interior_at(model: InteriorModel, k: np.ndarray, x: float) -> np.ndarra
 
 
 def _ik_interior(
-    model: InteriorModel, f: TestFunction, eps: float, A: float, xp: float, tol: float
+    model: InteriorModel,
+    f: TestFunction,
+    theta: Callable[[np.ndarray], np.ndarray],
+    eps: float,
+    A: float,
+    xp: float,
+    tol: float,
 ) -> complex:
+    # theta is _interior_transform(model, f), which does not depend on the radius
     a = model.alpha
     pad = 3 * a if f.is_chain else 3 * a + _INTERIOR_REACH_PAD
     K = min(A, _spectral_reach(f) + pad)
-    theta = _interior_transform(model, f)
 
     def integrand(k: np.ndarray) -> np.ndarray:
         karr = np.asarray(k, dtype=np.complex128)
@@ -883,16 +896,17 @@ def _ik_interior(
 
 
 def _interior_pair_moment(
-    model: InteriorModel, f: TestFunction, member: str, mu: float, xp: float
+    model: InteriorModel, f: TestFunction, member: str, mu: float, xp: float, tail: OscRational | None
 ) -> complex:
-    """integral of f(x) * member(x) * e^{i mu (x - xp)} dx with exact tails."""
+    """integral of f(x) * member(x) * e^{i mu (x - xp)} dx with exact tails.
+
+    ``tail`` is the order-12 large-x model of f(x) * member(x) for a chain f
+    (None for a localized one); it does not depend on mu.
+    """
     ev_m = (im_psi0 if member == "psi0" else im_psi1)
     if f.is_chain:
-        which = "psi0" if f.ref[0] == "interior0" else "psi1"
-        fm = im_tail_model(model, which, 12)
-        mm = im_tail_model(model, member, 12)
         wave = OscRational.wave(model.z, mu, 0, 1.0)
-        tail_model = (fm * mm) * wave
+        tail_model = tail * wave
         X = 60.0
         ev_f = f.make_eval(model)
 
@@ -911,16 +925,38 @@ def _interior_pair_moment(
     return core.value * cmath.exp(-1j * mu * xp)
 
 
+def _pair_moments(model: InteriorModel, f: TestFunction, xp: float) -> Callable[[str, float], complex]:
+    """(member, mu) -> _interior_pair_moment, each computed once per call of
+    :func:`apply_scheme`; a chain f's order-12 tail product with a member is
+    built once, at that member's first moment."""
+    moments: dict[tuple[str, float], complex] = {}
+    tails: dict[str, OscRational] = {}
+
+    def pair(member: str, mu: float) -> complex:
+        if (member, mu) not in moments:
+            if f.is_chain and member not in tails:
+                which = "psi0" if f.ref[0] == "interior0" else "psi1"
+                tails[member] = im_tail_model(model, which, 12) * im_tail_model(model, member, 12)
+            moments[member, mu] = _interior_pair_moment(model, f, member, mu, xp, tails.get(member))
+        return moments[member, mu]
+
+    return pair
+
+
 def _interior_singular_terms(
-    model: InteriorModel, f: TestFunction, eps: float, xp: float, kind: SchemeId
+    model: InteriorModel,
+    f: TestFunction,
+    eps: float,
+    xp: float,
+    kind: SchemeId,
+    pair: Callable[[str, float], complex],
 ) -> complex:
-    """The non-integral blocks of the interior schemes, applied to f."""
+    """The non-integral blocks of the interior schemes, applied to f.
+
+    ``pair`` is the :func:`_pair_moments` of (model, f, xp)."""
     a = model.alpha
     p0_xp = complex(im_psi0(model, xp).value)
     p1_xp = complex(im_psi1(model, xp).value)
-
-    def pair(member: str, mu: float) -> complex:
-        return _interior_pair_moment(model, f, member, mu, xp)
 
     if kind in (SchemeId.RES12, SchemeId.INT04):
         return -(1.0 / (math.pi * eps * a)) * pair("psi0", 0.0) * p0_xp
@@ -976,12 +1012,12 @@ def _interior_singular_terms(
 
 def apply_scheme(
     scheme: Scheme,
-    eps: float,
-    A: float,
+    eps: float | Sequence[float] | np.ndarray,
+    A: float | Sequence[float] | np.ndarray,
     f: TestFunction,
     xp: float,
     tol: float = 1e-9,
-) -> complex:
+) -> complex | np.ndarray:
     """Evaluate the scheme's reconstruction of f at the probe point.
 
     The spectral integral runs over the punctured range with cutoff A; the
@@ -989,37 +1025,61 @@ def apply_scheme(
     schemes reproduce f(xp) at any eps up to quadrature error; reduced
     schemes approach it as eps decreases (or fail to, when f lies outside
     the scheme's admissible class -- that outcome is the experiment).
+
+    ``eps`` and ``A`` are scalars or 1-D arrays that broadcast against each
+    other, one radius sweep per call: scalars give a complex, arrays a
+    complex array of the broadcast shape, each entry bitwise equal to the
+    scalar call at that (eps, A).  Whatever does not depend on the radius
+    is built once per call: the spectral transform of f and the closed
+    blocks, and for the interior family the pair moments with their tail
+    products.
     """
-    if eps <= 0 or A <= 0:
+    radii, cutoffs = np.broadcast_arrays(np.asarray(eps, dtype=float), np.asarray(A, dtype=float))
+    if radii.ndim > 1:
+        raise ValueError("regulators must be scalars or 1-D arrays")
+    if np.any(radii <= 0) or np.any(cutoffs <= 0):
         raise ValueError("regulators must be positive")
     kind, model = scheme.kind, scheme.model
     f.check_model(model)
     if kind in _INTERIOR_IDS:
-        if eps >= model.alpha:
+        if np.any(radii >= model.alpha):
             raise ValueError("puncture radius must stay below the resonance momentum")
-        total = _ik_interior(model, f, eps, A, xp, tol)
-        total += _interior_singular_terms(model, f, eps, xp, kind)
-        return total
-    # boundary family: the spectral integral, the sinc kernel (its 1/(x - x')
-    # has no two-point Laurent form) and every other closed block, applied
-    # from the exact dicts that the gap checks certify
-    if kind in _CHAIN_SCHEMES and f.is_chain and f.ref[1] >= 1:
-        # chain[l](x) * chain[n-1](x) ~ (x-z)^(2l-2) is not integrable for l >= 1
-        raise ValueError(
-            f"scheme {kind.value} pairs the test function with chain member {model.n - 1}, "
-            f"which diverges for chain:{f.ref[1]} (and every boundary chain member l >= 1)"
-        )
-    total = _ik_boundary(model, f, eps, A, xp, tol)
-    if kind in (SchemeId.RES3, SchemeId.RES9):
-        total += _sinc_applied(model, f, eps, xp)
-    if kind in _CHAIN_SCHEMES:
-        trig = _n2_trig_blocks()
-        parts = (trig[p].items() for p in _CHAIN_SCHEMES[kind])
-        blocks = add_terms(_chain_block(model), itertools.chain.from_iterable(parts))
+        theta = _interior_transform(model, f)
+        pair = _pair_moments(model, f, xp)
+
+        def at(e: float, cut: float) -> complex:
+            total = _ik_interior(model, f, theta, e, cut, xp, tol)
+            total += _interior_singular_terms(model, f, e, xp, kind, pair)
+            return total
+
     else:
-        cos_block, sin_block = _boundary_blocks(model.n, 0)
-        blocks = add_terms(cos_block, sin_block.items())
-    return total + _apply_two_point(model, blocks, f, eps, xp)
+        # boundary family: the spectral integral, the sinc kernel (its
+        # 1/(x - x') has no two-point Laurent form) and every other closed
+        # block, applied from the exact dicts that the gap checks certify
+        if kind in _CHAIN_SCHEMES and f.is_chain and f.ref[1] >= 1:
+            # chain[l](x) * chain[n-1](x) ~ (x-z)^(2l-2) is not integrable for l >= 1
+            raise ValueError(
+                f"scheme {kind.value} pairs the test function with chain member {model.n - 1}, "
+                f"which diverges for chain:{f.ref[1]} (and every boundary chain member l >= 1)"
+            )
+        T = _boundary_transform(model, f)
+        if kind in _CHAIN_SCHEMES:
+            trig = _n2_trig_blocks()
+            parts = (trig[p].items() for p in _CHAIN_SCHEMES[kind])
+            blocks = add_terms(_chain_block(model), itertools.chain.from_iterable(parts))
+        else:
+            cos_block, sin_block = _boundary_blocks(model.n, 0)
+            blocks = add_terms(cos_block, sin_block.items())
+
+        def at(e: float, cut: float) -> complex:
+            total = _ik_boundary(model, f, T, e, cut, xp, tol)
+            if kind in (SchemeId.RES3, SchemeId.RES9):
+                total += _sinc_applied(model, f, e, xp)
+            return total + _apply_two_point(model, blocks, f, e, xp)
+
+    out = np.array([at(e, cut) for e, cut in zip(radii.ravel().tolist(), cutoffs.ravel().tolist())],
+                   dtype=np.complex128)
+    return complex(out[0]) if radii.ndim == 0 else out
 
 
 def apply_base_resolution(
@@ -1118,24 +1178,25 @@ def psi1_expandability(
 
     Sweeps the puncture radius geometrically down to ``eps_min`` with the
     cutoff coupled as A = coupling/eps, reconstructing both the partner
-    and a Gaussian control.  The partner's error must hold a floor while
-    the control's error vanishes; the report passes when the floor exceeds
-    ten times the final control error.
+    and a Gaussian control with one radius-array :func:`apply_scheme` call
+    each.  The partner's error must hold a floor while the control's error
+    vanishes; the report passes when the floor exceeds ten times the final
+    control error.
     """
     scheme = Scheme(SchemeId.RES12, model)
     partner = TestFunction.chain_interior(1)
     control = TestFunction.gaussian(0.0, 1.0)
+    radii: list[float] = []
     eps = 0.4
-    sweep: list[tuple[float, float, float]] = []
-    p1 = complex(im_psi1(model, xp).value)
     while eps >= eps_min * 0.999:
-        A = coupling / eps
-        got_p = apply_scheme(scheme, eps, A, partner, xp)
-        err_p = abs(got_p - p1)
-        got_c = apply_scheme(scheme, eps, A, control, xp)
-        err_c = abs(got_c - complex(control.make_eval(model)(np.array([xp]))[0]))
-        sweep.append((eps, err_p, err_c))
+        radii.append(eps)
         eps *= 0.5
+    cutoffs = [coupling / e for e in radii]
+    p1 = complex(im_psi1(model, xp).value)
+    c_xp = complex(control.make_eval(model)(np.array([xp]))[0])
+    got_p = apply_scheme(scheme, radii, cutoffs, partner, xp)
+    got_c = apply_scheme(scheme, radii, cutoffs, control, xp)
+    sweep = [(e, abs(gp - p1), abs(gc - c_xp)) for e, gp, gc in zip(radii, got_p, got_c)]
     floor = min(e for _, e, _ in sweep)
     control_final = sweep[-1][2]
     residual = control_final * 10.0 / floor if floor > 0 else math.inf

@@ -55,6 +55,77 @@ def test_composite_gauss_is_exact_to_degree_2_order_minus_1(order):
     assert abs(top - (hi ** (2 * order + 1) - lo ** (2 * order + 1)) / (2 * order + 1)) > 1e-8
 
 
+def _phase_rows(nodes):
+    # three complex value rows of different shape and scale on the nodes
+    return np.stack([np.exp(-0.01 * nodes**2), np.cos(0.3 * nodes) / (nodes - 1j), (1 + 0.5j) * nodes])
+
+
+def _dense_phase_sums(nodes, weights, rows, k):
+    """Oracle: the dense K x N phase matrix that composite_phase_sums avoids."""
+    return (np.exp(1j * k[:, None] * nodes[None, :]) @ (rows * weights).T).T
+
+
+def _phase_rounding_bound(nodes, weights, rows, k):
+    # each path rounds every phase k*x to within a few ulps of |k x| (node,
+    # product, argument reduction) and sums N terms; 64 eps per unit phase
+    # covers both paths, N eps the two summation orders
+    kx = float(np.max(np.abs(k))) * float(np.max(np.abs(nodes)))
+    mass = np.sum(np.abs(rows * weights), axis=-1)
+    return np.finfo(float).eps * (64.0 * (1.0 + kx) + nodes.size) * mass
+
+
+@given(
+    st.floats(-40.0, 39.0),
+    st.floats(0.5, 80.0),
+    st.integers(1, 40),
+    st.sampled_from([12, 16]),
+    st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=8),
+)
+@settings(max_examples=120, deadline=None)
+def test_composite_phase_sums_match_dense_oracle(lo, width, n_panels, order, ks):
+    hi = min(40.0, lo + width)
+    nodes, weights = composite_gauss(lo, hi, n_panels, order)
+    rows, k = _phase_rows(nodes), np.array(ks)
+    got = quadrature.composite_phase_sums(lo, hi, n_panels, order, rows, k)
+    want = _dense_phase_sums(nodes, weights, rows, k)
+    assert got.shape == want.shape == (3, k.size)
+    bound = _phase_rounding_bound(nodes, weights, rows, k)
+    assert np.all(np.abs(got - want) <= bound[:, None])
+
+
+def test_composite_phase_sums_single_row_and_complex_k():
+    # one value row gives one K-vector; an off-axis k (contour detours) too
+    lo, hi, n_panels = -12.0, 9.5, 15
+    nodes, weights = composite_gauss(lo, hi, n_panels, 16)
+    row = _phase_rows(nodes)[1]
+    k = np.array([0.0, -3.25 + 0.1j, 27.0 - 0.05j])
+    got = quadrature.composite_phase_sums(lo, hi, n_panels, 16, row, k)
+    want = np.exp(1j * k[:, None] * nodes[None, :]) @ (row * weights)
+    assert got.shape == (3,)
+    # off-axis phases grow by at most e^{|Im k| max|x|}
+    bound = _phase_rounding_bound(nodes, weights, row, k) * math.exp(0.1 * 12.0)
+    assert np.all(np.abs(got - want) <= bound)
+
+
+def test_composite_phase_sums_mutation_control(monkeypatch):
+    # panel centres shifted by one panel: every phase turns by e^{2ikh}, which
+    # the rounding bound must catch
+    lo, hi, n_panels, order = -30.0, 25.0, 22, 16
+    nodes, weights = composite_gauss(lo, hi, n_panels, order)
+    rows, k = _phase_rows(nodes), np.array([0.7, -13.0, 41.5])
+    want = _dense_phase_sums(nodes, weights, rows, k)
+    bound = _phase_rounding_bound(nodes, weights, rows, k)
+    layout = quadrature._panel_layout
+
+    def shifted(lo, hi, n_panels):
+        mid, half = layout(lo, hi, n_panels)
+        return mid + 2 * half, half
+
+    monkeypatch.setattr(quadrature, "_panel_layout", shifted)
+    got = quadrature.composite_phase_sums(lo, hi, n_panels, order, rows, k)
+    assert np.all(np.abs(got - want) > bound[:, None])
+
+
 def test_line_double_pole_vanishes():
     # whole-line integral of 1/(x-i)^2 is exactly zero (antiderivative decays)
     r = quad_line(lambda x: 1.0 / (x - 1j) ** 2, tol=1e-9)

@@ -504,6 +504,80 @@ def test_apply_scheme_regulator_validation():
         apply_scheme(si, 1.5, 100.0, GAUSS, XP)  # radius must stay below alpha
 
 
+_PSI1 = TestFunction.chain_interior(1)
+
+
+@pytest.mark.parametrize(
+    "sid model f radii".split(),
+    [
+        (SchemeId.RES11, InteriorModel(1.0, 1j), _PSI1, (0.4, 0.1)),
+        (SchemeId.RES11, InteriorModel(1.0, 1j), GAUSS, (0.4, 0.1)),
+        (SchemeId.RES12, InteriorModel(1.0, 1j), _PSI1, (0.4, 0.2, 0.1)),
+        (SchemeId.RES12, InteriorModel(1.5, 0.5 + 1.2j), GAUSS, (0.4, 0.2, 0.1)),
+        (SchemeId.RES13, InteriorModel(1.0, 1j), _PSI1, (0.4, 0.1)),
+        (SchemeId.RES13, InteriorModel(1.0, 1j), GAUSS, (0.4, 0.1)),
+        (SchemeId.RES3, BoundaryModel(2), GAUSS, (0.4, 0.2, 0.05)),
+        (SchemeId.RES5, BoundaryModel(1), TestFunction.gaussian(0.3, 1.1), (0.4, 0.1)),
+        (SchemeId.INT5, BoundaryModel(1), TestFunction.rational_decay(4), (0.4, 0.1)),
+    ],
+    ids=["res11-psi1", "res11-gauss", "res12-psi1", "res12-gauss", "res13-psi1", "res13-gauss",
+         "res3", "res5", "int5"],
+)
+def test_radius_array_equals_scalar_calls_bitwise(sid, model, f, radii):
+    scheme = Scheme(sid, model)
+    cutoffs = [50.0 / e for e in radii]
+    got = apply_scheme(scheme, np.array(radii), cutoffs, f, XP)
+    want = [apply_scheme(scheme, e, c, f, XP) for e, c in zip(radii, cutoffs)]
+    assert isinstance(want[0], complex) and got.shape == (len(radii),)
+    assert got.tolist() == want
+
+
+def test_radius_array_broadcasts_a_scalar_cutoff():
+    scheme = Scheme(SchemeId.RES12, InteriorModel(1.0, 1j))
+    got = apply_scheme(scheme, [0.4, 0.2], 100.0, GAUSS, XP)
+    assert got.tolist() == [apply_scheme(scheme, e, 100.0, GAUSS, XP) for e in (0.4, 0.2)]
+
+
+def test_radius_array_validation():
+    si = Scheme(SchemeId.RES12, InteriorModel(1.0, 1j))
+    with pytest.raises(ValueError, match="resonance momentum"):
+        apply_scheme(si, [0.4, 0.2, 1.5, 0.1], 100.0, GAUSS, XP)  # one radius at or past alpha
+    with pytest.raises(ValueError, match="resonance momentum"):
+        apply_scheme(si, [0.2, 1.0], 100.0, GAUSS, XP)
+    s = Scheme(SchemeId.RES3, BoundaryModel(1))
+    with pytest.raises(ValueError, match="positive"):
+        apply_scheme(s, [0.4, 0.0], 100.0, GAUSS, XP)
+    with pytest.raises(ValueError, match="positive"):
+        apply_scheme(s, [0.4, 0.2], [100.0, -1.0], GAUSS, XP)
+    with pytest.raises(ValueError, match="1-D"):
+        apply_scheme(s, [[0.4, 0.2]], 100.0, GAUSS, XP)
+    with pytest.raises(ValueError):
+        apply_scheme(s, [0.4, 0.2, 0.1], [100.0, 50.0], GAUSS, XP)  # shapes do not broadcast
+
+
+def test_radius_sweep_builds_order12_tail_models_once(monkeypatch):
+    # res12 pairs f with psi0 at mu = 0 on every radius: one moment, and one
+    # order-12 model of f and of the member, per call rather than per radius
+    built = []
+    real = rs.im_tail_model
+
+    def counting(model, kind, order=8, k=None):
+        if order == 12:
+            built.append(kind)
+        return real(model, kind, order, k)
+
+    monkeypatch.setattr(rs, "im_tail_model", counting)
+    scheme = Scheme(SchemeId.RES12, InteriorModel(1.0, 1j))
+    radii = [0.4, 0.2, 0.1, 0.05]
+    apply_scheme(scheme, radii, [50.0 / e for e in radii], _PSI1, 0.7)
+    assert sorted(built) == ["psi0", "psi1"]
+    # control: scalar calls rebuild them on every radius
+    built.clear()
+    for e in radii[:2]:
+        apply_scheme(scheme, e, 50.0 / e, _PSI1, 0.7)
+    assert sorted(built) == ["psi0", "psi0", "psi1", "psi1"]
+
+
 def test_base_resolution_rejects_unknown_direction():
     with pytest.raises(ValueError):
         apply_base_resolution(BoundaryModel(1), GAUSS, XP, 0.5, 60.0, "sideways")
