@@ -697,13 +697,8 @@ def _psi_unscaled(model: BoundaryModel, k: np.ndarray, x: float) -> np.ndarray:
 
 
 def _ik_boundary(
-    model: BoundaryModel,
-    f: TestFunction,
-    T: Callable[[np.ndarray], np.ndarray],
-    eps: float,
-    A: float,
-    xp: float,
-    tol: float,
+    model: BoundaryModel, f: TestFunction, T: Callable[[np.ndarray], np.ndarray],
+    eps: float, A: float, xp: float, tol: float,
 ) -> complex:
     # T is _boundary_transform(model, f), which does not depend on the radius
     K = min(A, _spectral_reach(f))
@@ -859,13 +854,8 @@ def _psi_interior_at(model: InteriorModel, k: np.ndarray, x: float) -> np.ndarra
 
 
 def _ik_interior(
-    model: InteriorModel,
-    f: TestFunction,
-    theta: Callable[[np.ndarray], np.ndarray],
-    eps: float,
-    A: float,
-    xp: float,
-    tol: float,
+    model: InteriorModel, f: TestFunction, theta: Callable[[np.ndarray], np.ndarray],
+    eps: float, A: float, xp: float, tol: float,
 ) -> complex:
     # theta is _interior_transform(model, f), which does not depend on the radius
     a = model.alpha
@@ -944,11 +934,7 @@ def _pair_moments(model: InteriorModel, f: TestFunction, xp: float) -> Callable[
 
 
 def _interior_singular_terms(
-    model: InteriorModel,
-    f: TestFunction,
-    eps: float,
-    xp: float,
-    kind: SchemeId,
+    model: InteriorModel, f: TestFunction, eps: float, xp: float, kind: SchemeId,
     pair: Callable[[str, float], complex],
 ) -> complex:
     """The non-integral blocks of the interior schemes, applied to f.
