@@ -362,34 +362,32 @@ def quad_contour(
 # exact building blocks: residue transforms and exponential-integral tails
 # ---------------------------------------------------------------------------
 
-def ft_inverse_power(q: int, omega: float, z: complex) -> complex:
+def ft_inverse_power(q: int, omega: float | np.ndarray, z: complex) -> complex | np.ndarray:
     """Exact whole-line integral of e^{i omega x} (x-z)^(-q), Im z != 0.
 
-    For q >= 1 and omega on the pole side (sign(omega) == sign(Im z)) this is
-    the residue value s*2*pi*i*(i*omega)^(q-1) e^{i omega z}/(q-1)!; on the
-    other side it vanishes.  At omega == 0 the value is 0 for q >= 2 and the
-    principal value i*pi*s for q == 1.  For q <= 0 the Abel-regularized value
-    is 0 away from omega == 0 and undefined (distributional) at omega == 0.
+    ``omega`` is a real frequency or a real array of them; an array gives an
+    array of the same shape, a scalar (the same code on a 0-d array) a
+    complex.  For q >= 1 and omega on the pole side (sign(omega) ==
+    sign(Im z)) the value is the residue s*2*pi*i*(i*omega)^(q-1)
+    e^{i omega z}/(q-1)!; on the other side it vanishes.  At omega == 0 the
+    value is 0 for q >= 2 and the principal value i*pi*s, half the residue,
+    for q == 1.  For q <= 0 the Abel-regularized value is 0 away from
+    omega == 0 and undefined (distributional) at omega == 0.
     """
+    w = np.asarray(omega, dtype=np.float64)
     s = 1.0 if z.imag > 0 else -1.0
-    if omega == 0.0:
-        if q >= 2:
-            return 0.0 + 0.0j
-        if q == 1:
-            return 1j * math.pi * s
-        raise ValueError("whole-line value is distributional for q <= 0 at zero frequency")
     if q <= 0:
-        return 0.0 + 0.0j
-    if s * omega < 0:
-        return 0.0 + 0.0j
-    return (
-        s
-        * 2j
-        * math.pi
-        * (1j * omega) ** (q - 1)
-        * cmath.exp(1j * omega * z)
-        / math.factorial(q - 1)
-    )
+        if np.any(w == 0.0):
+            raise ValueError("whole-line value is distributional for q <= 0 at zero frequency")
+        out = np.zeros(w.shape, dtype=np.complex128)
+    else:
+        # weight 1 on the pole side, 1/2 at omega == 0 and 0 on the other
+        # side, where omega is zeroed so that e^{i omega z} cannot overflow
+        weight = 0.5 + 0.5 * np.sign(s * w)
+        w = np.where(weight > 0.0, w, 0.0)
+        residue = s * 2j * math.pi * (1j * w) ** (q - 1) * np.exp(1j * w * z) / math.factorial(q - 1)
+        out = weight * residue
+    return complex(out) if out.ndim == 0 else out
 
 
 def osc_power_tail(mu: float, z: complex, q: int, X: float, side: int = 1) -> complex:

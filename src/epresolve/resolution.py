@@ -17,7 +17,10 @@ The module provides three layers:
    of a boundary scheme but the sinc kernel -- the coefficient table, the
    scaled-chain outer product, the index-2 trigonometric terms -- is applied
    by one evaluator, ``_apply_two_point``, from the same exact two-point
-   dicts that the gap checks certify;
+   dicts that the gap checks certify.  For chain and rational test functions
+   the moments of f(x) e^{i omega x} (x-z)^(-q) that those blocks and the
+   boundary spectral transform need come from one evaluator,
+   ``_f_osc_moment``, in closed form over whole arrays of omega;
 3. singular-term experiments: the closed-form reproduction coefficients for
    the index-2 boundary model (those trigonometric blocks on the chain head)
    and the interior bound state, and the non-expandability probe for the
@@ -583,6 +586,19 @@ def _spectral_reach(f: TestFunction) -> float:
 # set by the denominator's complex zeros rather than the packet bandwidth
 _INTERIOR_REACH_PAD = 26.0
 
+# largest q of a rational:q test function with closed boundary moments.  The
+# moments stay within ~1e-14 of their size up to q = 130 (from q = 171 the
+# (q-1)! of the partial fractions overflows a float), but the spectral
+# integral stops at _spectral_reach = 45, where the transform of (1+x^2)^-q,
+# about e^{-k^2/(4q)}, grows with q: the exact res3 scheme at x' = 0 (n = 1
+# and 2) misses by 2.5e-12 at q = 12, 7.6e-11 at q = 16 and 1.0e-9, the
+# default quadrature tolerance, at q = 20, doubling per unit of q.  q <= 16
+# keeps that truncation a tenth of the tolerance.
+_MAX_RATIONAL_EXPONENT = 16
+
+# (omega, q) -> the moment of f that _f_osc_moment evaluates
+_Moment = Callable[[np.ndarray | float, int], np.ndarray | complex]
+
 
 def _pf_decompose(centers: Sequence[tuple[complex, int]]) -> list[tuple[complex, int, complex]]:
     """Partial fractions of prod (x-c)^(-p) over distinct centers.
@@ -631,112 +647,113 @@ def _merged_centers(pairs: Iterable[tuple[complex, int]]) -> list[tuple[complex,
     return out
 
 
-def _boundary_transform(model: BoundaryModel, f: TestFunction) -> Callable[[np.ndarray], np.ndarray]:
+def _f_osc_moment(model: BoundaryModel, f: TestFunction) -> _Moment:
+    """(omega, q) -> integral of f(x) e^{i omega x} (x-z)^(-q) dx.
+
+    Closed for a boundary chain member, one Laurent monomial, and for a
+    rational f, whose partial fractions times (x-z)^(-q) are built once per
+    q: each term is one :func:`ft_inverse_power` call over a whole omega
+    array.  Other f take adaptive quadrature over their window, one scalar
+    omega at a time.
+    """
+    z = model.z
+    if f.kind == "chain":
+        (((_, p), c),) = bm_assoc(model, f.ref[1]).terms.items()
+        c = c.to_complex() * (2 * math.pi) ** -0.5
+        return lambda omega, q: c * ft_inverse_power(q - p, omega, z)
+    if f.kind == "rational_decay":
+        Q = f.exponent
+        if Q > _MAX_RATIONAL_EXPONENT:
+            raise ValueError(f"rational:{Q} is out of range for the boundary family (q <= {_MAX_RATIONAL_EXPONENT})")
+
+        @functools.cache
+        def fractions(q: int) -> list[tuple[complex, int, complex]]:
+            return _pf_decompose(_merged_centers([(1j, Q), (-1j, Q)] + ([(z, q)] if q > 0 else [])))
+
+        def rational_moment(omega: np.ndarray | float, q: int) -> np.ndarray | complex:
+            return sum(w * ft_inverse_power(j, omega, ct) for ct, j, w in fractions(q))
+
+        return rational_moment
+    ev, W = f.make_eval(model), f.window()
+
+    def quadrature_moment(mu: float, q: int) -> complex:
+        def integrand(x: np.ndarray) -> np.ndarray:
+            return ev(x) * np.exp(1j * mu * x) * (x - z + 0j) ** (-q)
+
+        return _adaptive_oscillatory(integrand, -W, W, 1e-11, abs(mu) + 1.0).value
+
+    return quadrature_moment
+
+
+def _boundary_transform(
+    model: BoundaryModel, f: TestFunction, moment: _Moment,
+) -> Callable[[np.ndarray], np.ndarray]:
     """k-array -> integral of f(x) * (generic solution at k) over x.
 
-    Numeric tensor for localized f; closed residue transforms for chain and
-    rational test functions (their spectral integrals are exact one-sided
-    forms).  The generic solution is the k-scaled expression divided by k^n.
+    Numeric tensor for localized f.  For chain and rational f the solution's
+    terms c k^m (x-z)^p e^{ikx} make the closed sum of c k^m moment(k, -p),
+    with ``moment`` the :func:`_f_osc_moment` of f.  The generic solution is
+    the k-scaled expression divided by k^n.
     """
     n, z = model.n, model.z
     F = bm_scatter(model)
-    if f.kind in ("gaussian", "hermite_gaussian"):
-        nodes, weights = composite_gauss(*_panels_for(f, _spectral_reach(f)), 16)
-        fw = f.make_eval(model)(nodes) * weights
-        ms, ps, cs = F.to_term_arrays()
-        scale = (2 * math.pi) ** (-0.5 * F.unit_pow)
-
-        def T(k: np.ndarray) -> np.ndarray:
-            karr = np.asarray(k, dtype=np.complex128)
-            grid = el_eval_grid(ms, ps, cs, F.phase_x, F.phase_z, scale, np.atleast_1d(karr), nodes, z)
-            return (grid @ fw) / np.atleast_1d(karr) ** n
-
-        return T
-    if f.kind == "chain":
-        prod = bm_assoc(model, f.ref[1]) * F
-        terms = [(mk, -p, c.to_complex()) for (mk, p), c in prod.terms.items()]
-        unit_scale = (2 * math.pi) ** (-0.5 * prod.unit_pow)
-
-        def T(k: np.ndarray) -> np.ndarray:
-            karr = np.atleast_1d(np.asarray(k, dtype=np.complex128))
-            if np.any(np.abs(karr.imag) > 1e-12):
-                raise ValueError("chain transforms are defined on the real spectral axis")
-            out = np.zeros(karr.shape, dtype=np.complex128)
-            for mk, q, c in terms:
-                vals = np.array([ft_inverse_power(q, float(kv.real), z) for kv in karr])
-                out += c * karr**mk * vals
-            return out * unit_scale / karr**n
-
-        return T
-    if f.kind == "rational_decay":
-        q = f.exponent
-        ms, ps, cs = F.to_term_arrays()
-
+    ms, ps, cs = F.to_term_arrays()
+    scale = (2 * math.pi) ** (-0.5 * F.unit_pow)
+    if f.kind in ("chain", "rational_decay"):
         def T(k: np.ndarray) -> np.ndarray:
             karr = np.atleast_1d(np.asarray(k, dtype=np.complex128))
             if np.any(np.abs(karr.imag) > 1e-12):
                 raise ValueError("closed transforms are defined on the real spectral axis")
-            out = np.zeros(karr.shape, dtype=np.complex128)
-            for m, p, c in zip(ms, ps, cs):
-                centers = [(1j, q), (-1j, q)]
-                if p < 0:
-                    centers.append((z, -int(p)))
-                for (ct, j, w) in _pf_decompose(_merged_centers(centers)):
-                    vals = np.array([ft_inverse_power(j, float(kv.real), ct) for kv in karr])
-                    out += c * karr ** int(m) * w * vals
-            return out * (2 * math.pi) ** -0.5 / karr**n
+            out = sum(c * karr ** int(m) * moment(karr.real, -int(p)) for m, p, c in zip(ms, ps, cs))
+            return out * scale / karr**n
 
         return T
-    raise ValueError(f"unsupported test function kind {f.kind!r}")
+    nodes, weights = composite_gauss(*_panels_for(f, _spectral_reach(f)), 16)
+    fw = f.make_eval(model)(nodes) * weights
+
+    def T(k: np.ndarray) -> np.ndarray:
+        karr = np.asarray(k, dtype=np.complex128)
+        grid = el_eval_grid(ms, ps, cs, F.phase_x, F.phase_z, scale, np.atleast_1d(karr), nodes, z)
+        return (grid @ fw) / np.atleast_1d(karr) ** n
+
+    return T
 
 
-def _psi_unscaled(model: BoundaryModel, k: np.ndarray, x: float) -> np.ndarray:
-    F = bm_scatter(model)
-    karr = np.asarray(k, dtype=np.complex128)
-    return np.asarray(F.eval(karr, x, model.z)) / karr**model.n
+def _spectral_integrand(
+    model: BoundaryModel | InteriorModel, transform: Callable[[np.ndarray], np.ndarray], xp: float,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """k -> transform(k) * psi(x'; -k), the spectral integrand of either family.
+
+    ``transform`` is the family's transform of f; the boundary solution's
+    exact expression is built once here, not per quadrature panel.
+    """
+    if isinstance(model, BoundaryModel):
+        F = bm_scatter(model)
+
+        def psi(k: np.ndarray) -> np.ndarray:
+            return np.asarray(F.eval(k, xp, model.z)) / k**model.n
+
+    else:
+        def psi(k: np.ndarray) -> np.ndarray:
+            return interior_psi_grid(np.atleast_1d(k), np.array([xp]), model.alpha, model.z, False)[:, 0]
+
+    def integrand(k: np.ndarray) -> np.ndarray:
+        karr = np.asarray(k, dtype=np.complex128)
+        return np.asarray(transform(karr)) * psi(-karr)
+
+    return integrand
 
 
 def _ik_boundary(
-    model: BoundaryModel, f: TestFunction, T: Callable[[np.ndarray], np.ndarray],
-    eps: float, A: float, xp: float, tol: float,
+    f: TestFunction, integrand: Callable[[np.ndarray], np.ndarray], eps: float, A: float, tol: float,
 ) -> complex:
-    # T is _boundary_transform(model, f), which does not depend on the radius
+    # integrand is the _spectral_integrand, which does not depend on the radius
     K = min(A, _spectral_reach(f))
     if K <= eps:
         return 0.0 + 0.0j
-
-    def integrand(k: np.ndarray) -> np.ndarray:
-        return np.asarray(T(k)) * _psi_unscaled(model, -np.asarray(k, dtype=np.complex128), xp)
-
     left = _adaptive(integrand, -K, -eps, tol)
     right = _adaptive(integrand, eps, K, tol)
     return left.value + right.value
-
-
-def _f_osc_moment(model, f: TestFunction, mu: float, q: int, tol: float = 1e-11) -> complex:
-    """integral of f(x) e^{i mu x} (x-z)^(-q) dx, closed-form where possible."""
-    z = model.z
-    if f.kind == "chain" and isinstance(model, BoundaryModel):
-        g = bm_assoc(model, f.ref[1])
-        ((_, p),) = g.terms.keys()
-        c = next(iter(g.terms.values())).to_complex() * (2 * math.pi) ** -0.5
-        return c * ft_inverse_power(q - p, mu, z)
-    if f.kind == "rational_decay":
-        qq = f.exponent
-        centers = [(1j, qq), (-1j, qq)]
-        if q > 0:
-            centers.append((z, q))
-        total = 0.0 + 0.0j
-        for ct, j, w in _pf_decompose(_merged_centers(centers)):
-            total += w * ft_inverse_power(j, mu, ct)
-        return total
-    ev = f.make_eval(model)
-    W = f.window()
-
-    def integrand(x: np.ndarray) -> np.ndarray:
-        return ev(x) * np.exp(1j * mu * x) * (x - z + 0j) ** (-q)
-
-    return _adaptive_oscillatory(integrand, -W, W, tol, abs(mu) + 1.0).value
 
 
 def _sinc_applied(model, f: TestFunction, eps: float, xp: float, alpha: float | None = None) -> complex:
@@ -760,13 +777,13 @@ def _sinc_applied(model, f: TestFunction, eps: float, xp: float, alpha: float | 
     return _adaptive_oscillatory(integrand, -W, W, 1e-11, om).value
 
 
-def _apply_two_point(model: BoundaryModel, terms: dict, f: TestFunction, eps: float, xp: float) -> complex:
+def _apply_two_point(model: BoundaryModel, terms: dict, moment: _Moment, eps: float, xp: float) -> complex:
     """A two-point term dict (times 2*pi) applied as a kernel in x to f, at x'.
 
     The term c * e^{i(hx/2)eps(x-z)} e^{i(hxp/2)eps(x'-z)} (x-z)^a (x'-z)^b eps^e
-    contributes c eps^e (x'-z)^b e^{i(hxp/2)eps(x'-z)} e^{-i mu z} times the
-    moment of f at frequency mu = (hx/2) eps and power a.  Each distinct
-    moment is computed once.
+    contributes c eps^e (x'-z)^b e^{i(hxp/2)eps(x'-z)} e^{-i mu z} times
+    ``moment(mu, -a)``, the :func:`_f_osc_moment` of f at frequency
+    mu = (hx/2) eps.  Each distinct moment is computed once.
     """
     z = model.z
     moments: dict[tuple[int, int], complex] = {}
@@ -774,7 +791,7 @@ def _apply_two_point(model: BoundaryModel, terms: dict, f: TestFunction, eps: fl
     for (hx, hxp, a, b, e), c in terms.items():
         if (hx, a) not in moments:
             mu = hx / 2 * eps
-            moments[hx, a] = cmath.exp(-1j * mu * z) * _f_osc_moment(model, f, mu, -a)
+            moments[hx, a] = cmath.exp(-1j * mu * z) * moment(mu, -a)
         wave = cmath.exp(0.5j * hxp * eps * (xp - z))
         total += c.to_complex() * eps**e * (xp - z) ** b * wave * moments[hx, a]
     return total / (2 * math.pi)
@@ -848,24 +865,14 @@ def _interior_transform(model: InteriorModel, f: TestFunction) -> Callable[[np.n
     raise ValueError(f"unsupported test function kind {f.kind!r}")
 
 
-def _psi_interior_at(model: InteriorModel, k: np.ndarray, x: float) -> np.ndarray:
-    karr = np.atleast_1d(np.asarray(k, dtype=np.complex128))
-    return interior_psi_grid(karr, np.array([x]), model.alpha, model.z, False)[:, 0]
-
-
 def _ik_interior(
-    model: InteriorModel, f: TestFunction, theta: Callable[[np.ndarray], np.ndarray],
-    eps: float, A: float, xp: float, tol: float,
+    model: InteriorModel, f: TestFunction, integrand: Callable[[np.ndarray], np.ndarray],
+    eps: float, A: float, tol: float,
 ) -> complex:
-    # theta is _interior_transform(model, f), which does not depend on the radius
+    # integrand is the _spectral_integrand, which does not depend on the radius
     a = model.alpha
     pad = 3 * a if f.is_chain else 3 * a + _INTERIOR_REACH_PAD
     K = min(A, _spectral_reach(f) + pad)
-
-    def integrand(k: np.ndarray) -> np.ndarray:
-        karr = np.asarray(k, dtype=np.complex128)
-        return np.asarray(theta(karr)) * _psi_interior_at(model, -karr, xp)
-
     segments = [(-K, -a - eps), (-a + eps, a - eps), (a + eps, K)]
     if f.is_chain:
         # fixed composite grids: the integrand is smooth on the punctured
@@ -894,25 +901,16 @@ def _interior_pair_moment(
     (None for a localized one); it does not depend on mu.
     """
     ev_m = (im_psi0 if member == "psi0" else im_psi1)
-    if f.is_chain:
-        wave = OscRational.wave(model.z, mu, 0, 1.0)
-        tail_model = tail * wave
-        X = 60.0
-        ev_f = f.make_eval(model)
-
-        def integrand(x: np.ndarray) -> np.ndarray:
-            return ev_f(x) * ev_m(model, x).value * np.exp(1j * mu * np.asarray(x))
-
-        core = _adaptive_oscillatory(integrand, -X, X, 1e-12, abs(mu) + 2 * model.alpha)
-        return (core.value + tail_model.integral_tails(X)) * cmath.exp(-1j * mu * xp)
     ev_f = f.make_eval(model)
-    W = f.window()
+    X = f.window() if tail is None else 60.0
 
     def integrand(x: np.ndarray) -> np.ndarray:
         return ev_f(x) * ev_m(model, x).value * np.exp(1j * mu * np.asarray(x))
 
-    core = _adaptive_oscillatory(integrand, -W, W, 1e-12, abs(mu) + 2 * model.alpha)
-    return core.value * cmath.exp(-1j * mu * xp)
+    value = _adaptive_oscillatory(integrand, -X, X, 1e-12, abs(mu) + 2 * model.alpha).value
+    if tail is not None:
+        value += (tail * OscRational.wave(model.z, mu, 0, 1.0)).integral_tails(X)
+    return value * cmath.exp(-1j * mu * xp)
 
 
 def _pair_moments(model: InteriorModel, f: TestFunction, xp: float) -> Callable[[str, float], complex]:
@@ -1030,11 +1028,11 @@ def apply_scheme(
     if kind in _INTERIOR_IDS:
         if np.any(radii >= model.alpha):
             raise ValueError("puncture radius must stay below the resonance momentum")
-        theta = _interior_transform(model, f)
+        integrand = _spectral_integrand(model, _interior_transform(model, f), xp)
         pair = _pair_moments(model, f, xp)
 
         def at(e: float, cut: float) -> complex:
-            total = _ik_interior(model, f, theta, e, cut, xp, tol)
+            total = _ik_interior(model, f, integrand, e, cut, tol)
             total += _interior_singular_terms(model, f, e, xp, kind, pair)
             return total
 
@@ -1048,7 +1046,8 @@ def apply_scheme(
                 f"scheme {kind.value} pairs the test function with chain member {model.n - 1}, "
                 f"which diverges for chain:{f.ref[1]} (and every boundary chain member l >= 1)"
             )
-        T = _boundary_transform(model, f)
+        moment = _f_osc_moment(model, f)
+        integrand = _spectral_integrand(model, _boundary_transform(model, f, moment), xp)
         if kind in _CHAIN_SCHEMES:
             trig = _n2_trig_blocks()
             parts = (trig[p].items() for p in _CHAIN_SCHEMES[kind])
@@ -1058,10 +1057,10 @@ def apply_scheme(
             blocks = add_terms(cos_block, sin_block.items())
 
         def at(e: float, cut: float) -> complex:
-            total = _ik_boundary(model, f, T, e, cut, xp, tol)
+            total = _ik_boundary(f, integrand, e, cut, tol)
             if kind in (SchemeId.RES3, SchemeId.RES9):
                 total += _sinc_applied(model, f, e, xp)
-            return total + _apply_two_point(model, blocks, f, e, xp)
+            return total + _apply_two_point(model, blocks, moment, e, xp)
 
     out = np.array([at(e, cut) for e, cut in zip(radii.ravel().tolist(), cutoffs.ravel().tolist())],
                    dtype=np.complex128)
@@ -1086,26 +1085,14 @@ def apply_base_resolution(
     -- is a property of the construction that tests assert.
     """
     if isinstance(model, BoundaryModel):
-        T = _boundary_transform(model, f)
-        centers = [0.0]
-
-        def g(k: np.ndarray) -> np.ndarray:
-            karr = np.asarray(k, dtype=np.complex128)
-            return np.asarray(T(karr)) * _psi_unscaled(model, -karr, xp)
-
+        transform = _boundary_transform(model, f, _f_osc_moment(model, f))
+        centers, pad = (0.0,), 4.0
     else:
-        theta = _interior_transform(model, f)
-        a = model.alpha
-        centers = [-a, a]
-
-        def g(k: np.ndarray) -> np.ndarray:
-            karr = np.asarray(k, dtype=np.complex128)
-            return np.asarray(theta(karr)) * _psi_interior_at(model, -karr, xp)
-
-    pad = 4.0 if isinstance(model, BoundaryModel) else 4.0 + _INTERIOR_REACH_PAD
+        transform = _interior_transform(model, f)
+        centers, pad = (-model.alpha, model.alpha), 4.0 + _INTERIOR_REACH_PAD
     K = min(cutoff, _spectral_reach(f) + pad)
-    spec = ContourSpec(cutoff=K, epsilon=radius, direction=direction, centers=tuple(centers))
-    return quad_contour(g, spec, tol).value
+    spec = ContourSpec(cutoff=K, epsilon=radius, direction=direction, centers=centers)
+    return quad_contour(_spectral_integrand(model, transform, xp), spec, tol).value
 
 
 # ---------------------------------------------------------------------------
@@ -1125,8 +1112,8 @@ def reproduce_psi20_terms(model: BoundaryModel, eps: float) -> tuple[complex, co
     xp = 0.3  # fixed interior probe; the limit is xp-independent
     head = TestFunction.chain_boundary(0)
     target = complex(head.make_eval(model)(np.array([xp]))[0])
-    trig = _n2_trig_blocks()
-    odd, square = (_apply_two_point(model, trig[p], head, eps, xp) / target for p in ("odd", "square"))
+    trig, moment = _n2_trig_blocks(), _f_osc_moment(model, head)
+    odd, square = (_apply_two_point(model, trig[p], moment, eps, xp) / target for p in ("odd", "square"))
     return odd, square
 
 

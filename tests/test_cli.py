@@ -269,6 +269,19 @@ def test_sweep_divergent_chain_pairing_is_usage_error(args, capsys):
     assert "diverges" in captured.err
 
 
+@pytest.mark.parametrize("exponent", ["100", "171"])
+def test_sweep_rational_exponent_out_of_range_is_usage_error(exponent, capsys):
+    # past q = 16 the boundary spectral integral, cut at |k| = 45, misses the
+    # tolerance of an exact scheme; from q = 171 the partial fractions of the
+    # closed moments overflow a float
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", "--n", "2", "--scheme", "res3", "--testfn", f"rational:{exponent}", "--eps-grid", "0.4"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert f"rational:{exponent}" in captured.err
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -206,6 +206,11 @@ def test_ft_inverse_power_against_quadrature(q, omega):
     want = ft_inverse_power(q, omega, z)
     got = quad_line(f, tol=1e-10, oscillation_k=omega)
     assert abs(got.value - want) < 5e-7
+    # the same case as one array input, entry by entry the scalar calls
+    omegas = (omega, -omega, 0.0)
+    arr = ft_inverse_power(q, np.array(omegas), z)
+    assert arr.shape == (3,)
+    np.testing.assert_allclose(arr, [ft_inverse_power(q, w, z) for w in omegas], rtol=1e-15, atol=0)
 
 
 def test_ft_inverse_power_zero_frequency():
@@ -357,11 +362,16 @@ def _magnitudes(f):
     return OscRational(f.z, [(mu, q, abs(c)) for (mu, q), c in f.terms.items()])
 
 
-def _close(p, q, scale, rtol=1e-12):
-    """p and q agree term by term within rtol of the summed term magnitudes."""
-    keys = set(p.terms) | set(q.terms)
-    return keys <= set(scale.terms) and all(
-        abs(p.terms.get(key, 0) - q.terms.get(key, 0)) <= rtol * scale.terms[key].real for key in keys
+def _close(p, q, scale, rtol=1e-12, atol=4 * math.ulp(0.0)):
+    """p and q agree term by term within rtol of the summed term magnitudes.
+
+    The absolute term, a few subnormal spacings, covers products that round
+    to zero in one operand order and to a subnormal in the other, where the
+    magnitude scale underflows as well.
+    """
+    return all(
+        abs(p.terms.get(key, 0) - q.terms.get(key, 0)) <= rtol * abs(scale.terms.get(key, 0)) + atol
+        for key in set(p.terms) | set(q.terms)
     )
 
 
@@ -379,6 +389,7 @@ _floats = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=
 
 
 @given(_osc_sums(_floats), _osc_sums(_floats), _osc_sums(_floats))
+@example(*(OscRational(0.3 + 1j, [(0.0, 0, c)]) for c in (0.75, 0.625, 5e-324)))
 @settings(max_examples=100, deadline=None)
 def test_oscrational_ring_laws(a, b, c):
     ma, mb, mc = _magnitudes(a), _magnitudes(b), _magnitudes(c)

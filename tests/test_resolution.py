@@ -265,7 +265,7 @@ def test_pair_block_oracle_finite_radius():
         return 6.0 * np.sin(eps * d / 2) ** 2 / (np.pi * eps * (x - z) * (XP - z))
 
     oracle = quad_c(lambda x: kernel(x) * np.exp(-(x**2)), -12.0, 12.0, epsabs=1e-13, limit=200)
-    got = rs._apply_two_point(m, rs._n2_trig_blocks()["pair"], GAUSS, eps, XP)
+    got = rs._apply_two_point(m, rs._n2_trig_blocks()["pair"], rs._f_osc_moment(m, GAUSS), eps, XP)
     assert abs(got - oracle) < 1e-10
 
 
@@ -576,6 +576,31 @@ def test_radius_sweep_builds_order12_tail_models_once(monkeypatch):
     for e in radii[:2]:
         apply_scheme(scheme, e, 50.0 / e, _PSI1, 0.7)
     assert sorted(built) == ["psi0", "psi0", "psi1", "psi1"]
+
+
+def test_rational_sweep_decomposes_each_power_once(monkeypatch):
+    # the spectral transform and the closed blocks share one closed-moment
+    # evaluator per call, which builds the partial fractions of
+    # f (x-z)^(-q) once per power q, not per panel, term or radius
+    calls = []
+    real = rs._pf_decompose
+
+    def counting(centers):
+        calls.append(tuple(centers))
+        return real(centers)
+
+    monkeypatch.setattr(rs, "_pf_decompose", counting)
+    radii = np.array([0.4, 0.2, 0.1, 0.05])
+    apply_scheme(Scheme(SchemeId.INT5, BoundaryModel(1)), radii, 50.0 / radii, TestFunction.rational_decay(4), XP)
+    assert calls and len(calls) == len(set(calls))
+
+
+def test_closed_moments_refuse_large_rational_exponents():
+    # the interior family's numeric transform takes the same function
+    f = TestFunction.rational_decay(rs._MAX_RATIONAL_EXPONENT + 1)
+    with pytest.raises(ValueError, match="rational:"):
+        apply_scheme(Scheme(SchemeId.RES3, BoundaryModel(1)), 0.4, 125.0, f, XP)
+    assert np.isfinite(apply_scheme(Scheme(SchemeId.RES12, InteriorModel(1.0, 1j)), 0.4, 125.0, f, XP))
 
 
 def test_base_resolution_rejects_unknown_direction():
