@@ -131,6 +131,13 @@ def _model_tag(model: BoundaryModel | InteriorModel) -> dict:
 # output writers
 # ---------------------------------------------------------------------------
 
+def _no_result(command: str, exc: ValueError) -> int:
+    # valid input on which a numeric stage reaches no result: exit 1 with the
+    # diagnostic on stderr (usage errors exit 2 through parser.error)
+    sys.stderr.write(f"epresolve {command}: no result: {exc}\n")
+    return 1
+
+
 def _write_json(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out is None:
@@ -276,8 +283,11 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     except ValueError as exc:
         parser.error(str(exc))
     reports: list[VerificationReport] = []
-    for name in names:
-        reports.extend(_SUITES[name](model, args.mutate))
+    try:
+        for name in names:
+            reports.extend(_SUITES[name](model, args.mutate))
+    except ValueError as exc:
+        return _no_result(f"verify --suite {name}", exc)
     payload = {
         "schema": _SCHEMA,
         "model": _model_tag(model),
@@ -336,8 +346,11 @@ def cmd_indexes(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         model = _build_model(args)
     except ValueError as exc:
         parser.error(str(exc))
-    triple = indexes(model)
-    k_order = pole_order(model, 0j, 0.5) if isinstance(model, BoundaryModel) else None
+    try:
+        triple = indexes(model)
+        k_order = pole_order(model, 0j, 0.5) if isinstance(model, BoundaryModel) else None
+    except ValueError as exc:
+        return _no_result("indexes", exc)
     payload = {
         "schema": _SCHEMA,
         "model": _model_tag(model),

@@ -1,8 +1,10 @@
 """Exact rational-complex Laurent algebra for oscillatory scattering states.
 
 Everything in this module is exact: coefficients are Gaussian rationals
-(:class:`RationalComplex`), and the symbolic carrier :class:`ExpLaurent`
-represents finite sums
+(:class:`RationalComplex`, stored canonically as one Gaussian-integer
+numerator over a positive denominator, ``(a + b*i)/d`` with
+``gcd(a, b, d) = 1``, and computed on plain ints), and the symbolic carrier
+:class:`ExpLaurent` represents finite sums
 
     (2*pi)**(-unit_pow/2) * sum_{m,p} c[m,p] * k**m * (x-z)**p
         * exp(i*sigma*k*(x-z)) * exp(i*tau*k*z)
@@ -32,7 +34,6 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Mapping
 
@@ -59,20 +60,40 @@ def _as_fraction(value: numbers.Real | Fraction) -> Fraction:
         return value
     if isinstance(value, numbers.Integral):
         return Fraction(int(value))
-    if isinstance(value, float):
-        # Floats are accepted only when they are exactly representable
-        # rationals the caller produced deliberately (e.g. 0.5); reject the
-        # rest loudly rather than silently poisoning an exact computation.
-        frac = Fraction(value).limit_denominator(10**12)
-        if float(frac) != value:
-            raise TypeError(f"non-exact float {value!r} in exact context")
-        return frac
+    if isinstance(value, float) and value.is_integer():
+        # an integral float (2.0) names its integer exactly; any other float,
+        # nan and inf included, is rejected instead of being rounded to a
+        # nearby rational that would silently poison an exact computation
+        return Fraction(int(value))
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-@dataclass(frozen=True)
+def _triple(value: "RationalComplex | Fraction | int") -> tuple[int, int, int]:
+    # the canonical (a, b, d) of an operand, without building a RationalComplex
+    if isinstance(value, RationalComplex):
+        return value._a, value._b, value._d
+    if type(value) is int:
+        return value, 0, 1
+    frac = _as_fraction(value)
+    return frac.numerator, 0, frac.denominator
+
+
+def _canonical(a: int, b: int, d: int) -> "RationalComplex":
+    # the RationalComplex (a + b*i)/d for d > 0: one gcd brings it to lowest terms
+    g = math.gcd(a, b, d)
+    out = object.__new__(RationalComplex)
+    out._a, out._b, out._d = (a, b, d) if g == 1 else (a // g, b // g, d // g)
+    return out
+
+
 class RationalComplex:
-    """A complex number with exact rational real and imaginary parts.
+    """A Gaussian rational: exact rational real and imaginary parts.
+
+    Stored canonically as ``(a + b*i)/d`` on plain ints, with ``d > 0`` and
+    ``gcd(a, b, d) == 1`` (zero is ``(0 + 0i)/1``), so every value has one
+    representation and equality and hashing compare the triple.  Arithmetic
+    takes one gcd per result; ``int`` and real operands skip the imaginary
+    cross terms.  ``re`` and ``im`` are :class:`~fractions.Fraction` views.
 
     >>> a = RationalComplex(Fraction(1, 2), Fraction(-3))
     >>> b = RationalComplex.unit_i()
@@ -80,88 +101,96 @@ class RationalComplex:
     Fraction(3, 1)
     """
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("_a", "_b", "_d")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "re", _as_fraction(self.re))
-        object.__setattr__(self, "im", _as_fraction(self.im))
+    def __init__(self, re: Fraction | int = 0, im: Fraction | int = 0) -> None:
+        re, im = _as_fraction(re), _as_fraction(im)
+        rd, idn = re.denominator, im.denominator
+        canon = _canonical(re.numerator * idn, im.numerator * rd, rd * idn)
+        self._a, self._b, self._d = canon._a, canon._b, canon._d
 
-    # -- constructors -------------------------------------------------
     @staticmethod
     def from_value(value: "RationalComplex | Fraction | int | float") -> "RationalComplex":
         if isinstance(value, RationalComplex):
             return value
-        return RationalComplex(_as_fraction(value))
+        return _canonical(*_triple(value))
 
     @staticmethod
     def unit_i(power: int = 1) -> "RationalComplex":
         """Return i**power exactly."""
         return _I_POWERS[power % 4]
 
-    # -- predicates ----------------------------------------------------
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
     @property
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not (self._a or self._b)
 
     def __bool__(self) -> bool:
-        return bool(self.re or self.im)
+        return bool(self._a or self._b)
 
-    # -- arithmetic ----------------------------------------------------
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RationalComplex):
+            return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
+
+    def __hash__(self) -> int:
+        return hash((self._a, self._b, self._d))
+
+    def _plus(self, oa: int, ob: int, od: int) -> "RationalComplex":
+        a, b, d = self._a, self._b, self._d
+        return _canonical(a * od + oa * d, b * od + ob * d, d * od)
+
     def __add__(self, other: "RationalComplex | Fraction | int") -> "RationalComplex":
-        o = RationalComplex.from_value(other)
-        return RationalComplex(self.re + o.re, self.im + o.im)
+        return self._plus(*_triple(other))
 
     __radd__ = __add__
 
     def __neg__(self) -> "RationalComplex":
-        return RationalComplex(-self.re, -self.im)
+        return _canonical(-self._a, -self._b, self._d)
 
     def __sub__(self, other: "RationalComplex | Fraction | int") -> "RationalComplex":
-        return self + (-RationalComplex.from_value(other))
+        oa, ob, od = _triple(other)
+        return self._plus(-oa, -ob, od)
 
     def __rsub__(self, other: "RationalComplex | Fraction | int") -> "RationalComplex":
-        return RationalComplex.from_value(other) + (-self)
+        return (-self)._plus(*_triple(other))
 
     def __mul__(self, other: "RationalComplex | Fraction | int") -> "RationalComplex":
-        o = RationalComplex.from_value(other)
-        return RationalComplex(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        oa, ob, od = _triple(other)
+        a, b, d = self._a, self._b, self._d
+        if ob:
+            return _canonical(a * oa - b * ob, a * ob + b * oa, d * od)
+        return _canonical(a * oa, b * oa, d * od)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: "RationalComplex | Fraction | int") -> "RationalComplex":
-        o = RationalComplex.from_value(other)
-        denom = o.re * o.re + o.im * o.im
-        if not denom:
+        oa, ob, od = _triple(other)
+        norm = oa * oa + ob * ob
+        if not norm:
             raise ZeroDivisionError("division by exact zero")
-        return RationalComplex(
-            (self.re * o.re + self.im * o.im) / denom,
-            (self.im * o.re - self.re * o.im) / denom,
-        )
+        a, b, d = self._a, self._b, self._d
+        return _canonical((a * oa + b * ob) * od, (b * oa - a * ob) * od, d * norm)
 
     def conjugate(self) -> "RationalComplex":
-        return RationalComplex(self.re, -self.im)
+        return _canonical(self._a, -self._b, self._d)
 
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        # int true division rounds correctly, exactly as float(Fraction) does
+        return complex(self._a / self._d, self._b / self._d)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RationalComplex({self.re!s}, {self.im!s})"
 
 
-_I_POWERS = (
-    RationalComplex(Fraction(1)),
-    RationalComplex(Fraction(0), Fraction(1)),
-    RationalComplex(Fraction(-1)),
-    RationalComplex(Fraction(0), Fraction(-1)),
-)
-
-RC_ZERO = RationalComplex()
-RC_ONE = RationalComplex(Fraction(1))
-RC_I = RationalComplex(Fraction(0), Fraction(1))
+_I_POWERS = (_canonical(1, 0, 1), _canonical(0, 1, 1), _canonical(-1, 0, 1), _canonical(0, -1, 1))
 
 
 def i_power(n: int) -> RationalComplex:
@@ -190,13 +219,7 @@ def dfact(m: int) -> Fraction:
     Fraction(1, 3)
     """
     if m >= -1:
-        if m <= 1:
-            return Fraction(1)
-        acc = 1
-        while m > 1:
-            acc *= m
-            m -= 2
-        return Fraction(acc)
+        return Fraction(math.prod(range(m, 1, -2)))
     if m % 2 == 0:
         raise ValueError(f"double factorial undefined for negative even {m}")
     j = (-m - 1) // 2  # m = -(2j+1)
@@ -263,13 +286,8 @@ class ExpLaurent:
 
     __slots__ = ("terms", "phase_x", "phase_z", "unit_pow")
 
-    def __init__(
-        self,
-        terms: _TermMap | Iterable[tuple[tuple[int, int], RationalComplex]] = (),
-        phase_x: int = 0,
-        phase_z: int = 0,
-        unit_pow: int = 0,
-    ) -> None:
+    def __init__(self, terms: _TermMap | Iterable[tuple[tuple[int, int], RationalComplex]] = (),
+                 phase_x: int = 0, phase_z: int = 0, unit_pow: int = 0) -> None:
         items = terms.items() if isinstance(terms, Mapping) else terms
         object.__setattr__(self, "terms", add_terms({}, map(_checked_term, items)))
         object.__setattr__(self, "phase_x", int(phase_x))
@@ -295,20 +313,9 @@ class ExpLaurent:
         return _EL_ZERO
 
     @staticmethod
-    def monomial(
-        coeff: RationalComplex | Fraction | int,
-        k_pow: int = 0,
-        xz_pow: int = 0,
-        phase_x: int = 0,
-        phase_z: int = 0,
-        unit_pow: int = 0,
-    ) -> "ExpLaurent":
-        return ExpLaurent(
-            {(k_pow, xz_pow): RationalComplex.from_value(coeff)},
-            phase_x=phase_x,
-            phase_z=phase_z,
-            unit_pow=unit_pow,
-        )
+    def monomial(coeff: RationalComplex | Fraction | int, k_pow: int = 0, xz_pow: int = 0,
+                 phase_x: int = 0, phase_z: int = 0, unit_pow: int = 0) -> "ExpLaurent":
+        return ExpLaurent({(k_pow, xz_pow): coeff}, phase_x, phase_z, unit_pow)
 
     # -- predicates ----------------------------------------------------
     @property
@@ -365,8 +372,8 @@ class ExpLaurent:
                 self.phase_z + other.phase_z,
                 self.unit_pow + other.unit_pow,
             )
-        scalar = RationalComplex.from_value(other)
-        if scalar.is_zero or self.is_zero:
+        scalar = other if type(other) is int else RationalComplex.from_value(other)
+        if not scalar or self.is_zero:
             return _EL_ZERO
         return ExpLaurent._normalized(
             {key: coeff * scalar for key, coeff in self.terms.items()},
@@ -379,26 +386,22 @@ class ExpLaurent:
     # -- index shifts ------------------------------------------------------
     def mul_k(self, m: int) -> "ExpLaurent":
         """Multiply by k**m."""
-        return ExpLaurent(
-            {(mm + m, pp): c for (mm, pp), c in self.terms.items()}, *self._grading()
-        )
+        terms = {(mm + m, pp): c for (mm, pp), c in self.terms.items()}
+        return ExpLaurent._normalized(terms, *self._grading())
 
     def mul_xz(self, p: int) -> "ExpLaurent":
         """Multiply by (x-z)**p."""
-        return ExpLaurent(
-            {(mm, pp + p): c for (mm, pp), c in self.terms.items()}, *self._grading()
-        )
+        terms = {(mm, pp + p): c for (mm, pp), c in self.terms.items()}
+        return ExpLaurent._normalized(terms, *self._grading())
 
     def phase_shift_z(self, delta: int) -> "ExpLaurent":
         """Multiply by exp(i*delta*k*z), adjusting only the displacement phase."""
-        return ExpLaurent(
-            self.terms, self.phase_x, self.phase_z + delta, self.unit_pow
-        )
+        return ExpLaurent._normalized(self.terms, self.phase_x, self.phase_z + delta, self.unit_pow)
 
     # -- calculus ------------------------------------------------------------
     def diff_x(self) -> "ExpLaurent":
         """Exact d/dx.  The phase contributes i*sigma*k per term."""
-        i_sigma = RC_I * self.phase_x
+        i_sigma = _I_POWERS[1] * self.phase_x
         out = add_terms({}, (
             ((m + dm, p - dp), c * factor)
             for (m, p), c in self.terms.items()
@@ -409,12 +412,8 @@ class ExpLaurent:
 
     def subst_neg_k(self) -> "ExpLaurent":
         """Substitute k -> -k: coefficients flip by (-1)**m, phases negate."""
-        return ExpLaurent(
-            {(m, p): (c if m % 2 == 0 else -c) for (m, p), c in self.terms.items()},
-            phase_x=-self.phase_x,
-            phase_z=-self.phase_z,
-            unit_pow=self.unit_pow,
-        )
+        terms = {(m, p): (c if m % 2 == 0 else -c) for (m, p), c in self.terms.items()}
+        return ExpLaurent._normalized(terms, -self.phase_x, -self.phase_z, self.unit_pow)
 
     # -- evaluation ---------------------------------------------------------
     def to_term_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -488,7 +487,7 @@ def el_apply_q(f: ExpLaurent, n: int, sign: int) -> ExpLaurent:
         raise ValueError(f"ladder index must be a positive integer, got {n}")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 (raising) or -1 (lowering), got {sign}")
-    sup = f.mul_xz(-1) * Fraction(n)
+    sup = f.mul_xz(-1) * n
     if sign == 1:
         return -f.diff_x() + sup
     return f.diff_x() + sup
@@ -496,7 +495,7 @@ def el_apply_q(f: ExpLaurent, n: int, sign: int) -> ExpLaurent:
 
 def el_apply_h(f: ExpLaurent, coupling: Fraction | int) -> ExpLaurent:
     """Apply -d^2/dx^2 + coupling/(x-z)^2, the centered singular Hamiltonian."""
-    return -f.diff_x().diff_x() + f.mul_xz(-2) * Fraction(coupling)
+    return -f.diff_x().diff_x() + f.mul_xz(-2) * coupling
 
 
 def el_mutate(f: ExpLaurent, delta: Fraction) -> ExpLaurent:
@@ -508,10 +507,9 @@ def el_mutate(f: ExpLaurent, delta: Fraction) -> ExpLaurent:
     """
     if f.is_zero:
         raise ValueError("cannot mutate the zero expression")
-    key = sorted(f.terms)[0]
-    terms = dict(f.terms)
-    terms[key] = terms[key] * (RC_ONE + RationalComplex.from_value(Fraction(delta)))
-    return ExpLaurent(terms, f.phase_x, f.phase_z, f.unit_pow)
+    key = min(f.terms)
+    terms = add_terms(dict(f.terms), [(key, f.terms[key] * delta)])
+    return ExpLaurent._normalized(terms, f.phase_x, f.phase_z, f.unit_pow)
 
 
 def el_limit_k0_deriv(f: ExpLaurent, order: int) -> ExpLaurent:

@@ -29,6 +29,11 @@ _PROBES = ((0.7, -0.4), (1.3, 0.2))
 
 _MOMENT_SAMPLES = 256
 
+_OVERFLOW = (
+    "the Green function overflows double precision at these inputs "
+    "(coupling index, energy or displacement too large)"
+)
+
 
 @dataclass(frozen=True)
 class IndexTriple:
@@ -59,17 +64,25 @@ def _green_k(
 
     The product of the scattering solutions at the larger coordinate (momentum
     k) and the smaller one (momentum -k), weighted by pi*i/k.  The boundary
-    solution is built once and divided by k**n to undo its scaling.
+    solution is built once and divided by k**n to undo its scaling.  A value
+    past the float range raises ``ValueError`` instead of returning inf or nan.
     """
     hi, lo = (x, xp) if x >= xp else (xp, x)
-    if isinstance(model, BoundaryModel):
-        psi = bm_scatter(model)
-        left = psi.eval(ks, hi, model.z) / ks**model.n
-        right = psi.eval(-ks, lo, model.z) / (-ks) ** model.n
-    else:
-        left = im_scatter(model, ks, hi).value
-        right = im_scatter(model, -ks, lo).value
-    return (math.pi * 1j / ks) * left * right
+    try:
+        with np.errstate(all="ignore"):
+            if isinstance(model, BoundaryModel):
+                psi = bm_scatter(model)
+                left = psi.eval(ks, hi, model.z) / ks**model.n
+                right = psi.eval(-ks, lo, model.z) / (-ks) ** model.n
+            else:
+                left = im_scatter(model, ks, hi).value
+                right = im_scatter(model, -ks, lo).value
+            g = (math.pi * 1j / ks) * left * right
+    except OverflowError:  # an exact coefficient of the solution exceeds the float range
+        raise ValueError(_OVERFLOW) from None
+    if not np.all(np.isfinite(g)):
+        raise ValueError(_OVERFLOW)
+    return g
 
 
 def green(
@@ -165,11 +178,13 @@ def indexes(model: BoundaryModel | InteriorModel) -> IndexTriple:
     from .resolution import eps_chain  # local import; resolution sits above this module
 
     if isinstance(model, BoundaryModel):
+        # the pole order first: past the float range it fails in one solution
+        # build, before the chain scans below grow with n
+        raw = pole_order(model, 0j, 0.5)
         n1 = sum(
             1 for l in range(model.n) if bm_classify(model, l) is ChainClass.NORMALIZABLE
         )
         n2 = len(eps_chain(model, Fraction(1, 2)).members)
-        raw = pole_order(model, 0j, 0.5)
         n3 = (raw - 1) // 2
         return IndexTriple(n1=n1, n2=n2, n3=n3)
     # trigonometric family: one square-summable member at the embedded energy

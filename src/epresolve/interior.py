@@ -51,6 +51,8 @@ class InteriorModel:
     def __post_init__(self) -> None:
         if not (self.alpha > 0):
             raise ValueError("frequency must be positive")
+        if not math.isfinite(self.alpha * self.alpha):
+            raise ValueError(f"frequency {self.alpha!r} is too large: its square overflows a float")
         z = complex(self.z)
         if z.imag == 0.0:
             raise ValueError("displacement must have a nonzero imaginary part")

@@ -1,9 +1,14 @@
 """End-to-end CLI checks: exit codes, JSON/CSV artifacts, determinism."""
 
+import contextlib
 import csv
+import io
 import json
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epresolve.cli import main
 
@@ -177,6 +182,47 @@ def test_verify_greens_large_n_ends_in_a_verdict(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("n", [41, 50, 200])
+def test_indexes_past_the_resolvable_range_is_a_diagnostic(n, capsys):
+    # up to n = 40 the contour moments separate (at Im z from 0.1 to 3); from
+    # 41 they do not, and by n = 200 the solution's exact coefficients
+    # overflow a float: either way exit 1 with the reason, no traceback
+    assert run(["indexes", "--n", str(n)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("epresolve indexes: no result:")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("n", [50, 200])
+def test_verify_greens_past_the_resolvable_range_is_a_diagnostic(n, capsys):
+    assert run(["verify", "--n", str(n), "--suite", "greens"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("epresolve verify --suite greens: no result:")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--n", "200", "--energy", "2"],
+        ["--n", "100", "--energy", "2"],
+        ["--n", "3", "--energy", "1e300"],
+        ["--model", "interior", "--energy", "0"],
+        ["--model", "interior", "--alpha", "1e200", "--energy", "2"],
+    ],
+)
+def test_green_past_the_float_range_is_usage_error(args, capsys):
+    # these used to print Infinity/NaN tokens with exit 0 or end in a traceback
+    with pytest.raises(SystemExit) as exc:
+        run(["green", "--x", "0.7", "--xp", "-0.4", *args])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "overflow" in captured.err
+
+
 def test_indexes_interior(tmp_path):
     out = tmp_path / "idx.json"
     assert run(["indexes", "--model", "interior", "--out", str(out)]) == 0
@@ -195,6 +241,20 @@ def test_susy_subcommand_lowering_caveat(tmp_path):
     assert payload["index_deltas"] == [0, -1, -1]
     assert payload["consistent"] is True
     assert payload["coupling_after"] == "2"
+
+
+@pytest.mark.parametrize("length", [12, 30])
+def test_susy_long_growing_chains_are_fast(length, tmp_path):
+    # the Wronskian eliminates an L x L coefficient matrix, O(L^3); the old
+    # Laplace expansion took 2.6 s at L = 9 and did not finish at L = 30
+    out = tmp_path / "susy.json"
+    start = time.perf_counter()
+    code = run(["susy", "--n", "1", "--chain", "growing", "--length", str(length), "--out", str(out)])
+    elapsed = time.perf_counter() - start
+    payload = read_json(out)
+    assert code == 0 and payload["consistent"] is True
+    assert payload["target_n"] == 1 + length
+    assert elapsed < 1.0
 
 
 def test_susy_subcommand_rejects_overlong_chain():
@@ -351,3 +411,57 @@ def test_model_flag_of_the_other_family_is_usage_error(args, flag, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{flag} applies to the" in captured.err and "Traceback" not in captured.err
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz: every input ends in a result, a verdict or a usage error
+# ---------------------------------------------------------------------------
+
+_number_text = st.one_of(
+    st.floats(), st.floats(-5, 5), st.integers(-10**6, 10**6).map(float)
+).map(repr) | st.sampled_from(["", "x", "1e999", "-0", "0"])
+
+
+@st.composite
+def _exact_command_argv(draw):
+    command = draw(st.sampled_from(["indexes", "susy", "verify", "green"]))
+    argv = [command]
+    if command != "susy" and draw(st.integers(0, 3)) == 0:
+        argv += ["--model", "interior"]
+        if draw(st.booleans()):
+            argv += ["--alpha", draw(_number_text)]
+    elif draw(st.booleans()):
+        # n = 41 is the first index whose pole order does not resolve; larger
+        # indexes are covered by the tests above and cost seconds per draw
+        argv += ["--n", str(draw(st.integers(-2, 60)))]
+    if draw(st.booleans()):
+        argv.append(f"--z={draw(_number_text)},{draw(_number_text)}")
+    if command == "susy":
+        argv += ["--chain", draw(st.sampled_from(["growing", "normalizable"]))]
+        argv += ["--length", str(draw(st.integers(-2, 40)))]
+    elif command == "verify":
+        argv += ["--suite", draw(st.sampled_from(["algebra", "susy", "algebra,susy"]))]
+        if draw(st.booleans()):
+            argv.append("--mutate")
+    elif command == "green":
+        argv += [f"{flag}={draw(_number_text)}" for flag in ("--x", "--xp", "--energy")]
+    return argv
+
+
+@given(_exact_command_argv())
+@settings(max_examples=100, deadline=None)
+def test_cli_fuzz_exact_commands(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+    elif out.getvalue():
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    else:
+        assert code == 1 and "no result" in err.getvalue()

@@ -4,6 +4,8 @@ Expected values in this file were derived by hand from the closed forms and
 are asserted exactly (no tolerances).
 """
 
+import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -93,6 +95,93 @@ def test_rational_complex_conjugation_and_division(a):
     norm = a * a.conjugate()
     assert norm.im == 0
     assert norm.re >= 0
+
+
+# (Fraction, Fraction) pairs: the reference the canonical (a + b*i)/d triple
+# of RationalComplex is checked against
+def _pair(x):
+    return (x.re, x.im) if isinstance(x, RC) else (Fraction(x), Fraction(0))
+
+
+def _pair_op(op, x, y):
+    (a, b), (c, d) = _pair(x), _pair(y)
+    if op == "+":
+        return (a + c, b + d)
+    if op == "-":
+        return (a - c, b - d)
+    if op == "*":
+        return (a * c - b * d, a * d + b * c)
+    norm = c * c + d * d
+    return ((a * c + b * d) / norm, (b * c - a * d) / norm)
+
+
+def _canonical_triple(x):
+    # the invariant of the representation: d > 0 and gcd(a, b, d) == 1
+    a, b, d = x._a, x._b, x._d
+    return d > 0 and math.gcd(a, b, d) == 1
+
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+operands = st.one_of(rationals, small_fracs, st.integers(-6, 6))
+
+
+@given(rationals, operands, st.sampled_from(sorted(_OPS)), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_rational_complex_matches_fraction_pair_oracle(a, other, op, reflected):
+    x, y = (other, a) if reflected and not isinstance(other, RC) else (a, other)
+    if op == "/" and not isinstance(x, RC):
+        x, y = y, x  # int or Fraction / RationalComplex is not defined
+    if op == "/" and _pair(y) == (0, 0):
+        with pytest.raises(ZeroDivisionError):
+            _OPS[op](x, y)
+        return
+    got = _OPS[op](x, y)
+    assert isinstance(got, RC) and _canonical_triple(got)
+    assert (got.re, got.im) == _pair_op(op, x, y)
+    assert type(got.re) is Fraction and type(got.im) is Fraction
+    assert got.conjugate() == RC(got.re, -got.im) and _canonical_triple(got.conjugate())
+    assert got.to_complex() == complex(float(got.re), float(got.im))
+
+
+@given(small_fracs, small_fracs, st.integers(1, 12))
+@settings(max_examples=100, deadline=None)
+def test_rational_complex_is_canonical_however_built(re, im, scale):
+    ref = RC(re, im)
+    unreduced = RC(Fraction(re.numerator * scale, re.denominator * scale), im)
+    via_ops = RC(re) + RC(0, im) * RC(scale) / scale
+    for other in (unreduced, via_ops, RC.from_value(re) + i_power(1) * im):
+        assert other == ref and hash(other) == hash(ref)
+        assert (other._a, other._b, other._d) == (ref._a, ref._b, ref._d)
+    assert RC(Fraction(2, 4), Fraction(1, 2)) == RC(Fraction(1, 2), Fraction(1, 2))
+    assert hash(RC(Fraction(2, 4), Fraction(1, 2))) == hash(RC(Fraction(1, 2), Fraction(1, 2)))
+
+
+def test_unreduced_triple_is_caught():
+    # mutation control: the same value stored as (2 + 2i)/4 instead of the
+    # canonical (1 + i)/2 fails the invariant, and with it equality
+    bad = object.__new__(RC)
+    bad._a, bad._b, bad._d = 2, 2, 4
+    good = RC(Fraction(1, 2), Fraction(1, 2))
+    assert (bad.re, bad.im) == (good.re, good.im)
+    assert _canonical_triple(good) and not _canonical_triple(bad)
+    assert bad != good
+
+
+@pytest.mark.parametrize("value", [math.pi, 0.1, 0.5, -2.5, 1e-300, math.nan, math.inf, -math.inf])
+def test_non_integral_floats_are_rejected(value):
+    with pytest.raises(TypeError):
+        RC(value)
+    with pytest.raises(TypeError):
+        RC(1, value)
+    with pytest.raises(TypeError):
+        RC(1) * value
+    with pytest.raises(TypeError):
+        ExpLaurent.monomial(value)
+
+
+def test_integral_floats_are_their_integers():
+    assert RC(2.0, -3.0) == RC(2, -3)
+    assert RC(1) * 1e20 == RC(10**20)
 
 
 def test_i_power_cycle():

@@ -3,9 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epresolve.boundary import BoundaryModel, bm_assoc, bm_growing
-from epresolve.exact import ExpLaurent
+from epresolve.exact import ExpLaurent, RationalComplex, el_diff_x
 from epresolve.greens import indexes
 from epresolve.susy import (
     ChainKind,
@@ -17,6 +19,7 @@ from epresolve.susy import (
     verify_intertwining,
     wronskian,
 )
+from epresolve.susy import _det, _entry_coeff
 
 
 def test_wronskian_single_growing():
@@ -33,6 +36,75 @@ def test_wronskian_two_growing():
 def test_wronskian_single_normalizable():
     w = wronskian(normalizable_chain(BoundaryModel(2), 1))
     assert w == ExpLaurent.monomial(-3, xz_pow=-2, unit_pow=1)
+
+
+def _laplace_det(matrix):
+    # oracle: Laplace expansion along the first row over the Laurent ring,
+    # O(L!); the package's Wronskian eliminates the coefficient matrix instead
+    if len(matrix) == 1:
+        return matrix[0][0]
+    total = ExpLaurent.zero()
+    for j, entry in enumerate(matrix[0]):
+        if entry.is_zero:
+            continue
+        cofactor = entry * _laplace_det([row[:j] + row[j + 1:] for row in matrix[1:]])
+        total = total + cofactor if j % 2 == 0 else total - cofactor
+    return total
+
+
+def _wronskian_oracle(chain):
+    rows = [list(chain.functions)]
+    for _ in range(len(chain) - 1):
+        rows.append([el_diff_x(f) for f in rows[-1]])
+    return _laplace_det(rows)
+
+
+_ORACLE_CHAINS = [
+    (kind, n, length)
+    for n in range(6)
+    for kind, cap in ((growing_chain, 5), (normalizable_chain, (n - 1) // 2 + 1 if n else 0))
+    for length in range(1, cap + 1)
+]
+
+
+@pytest.mark.parametrize(
+    "build n length".split(), _ORACLE_CHAINS,
+    ids=[f"{b.__name__.split('_')[0]}-n{n}-L{l}" for b, n, l in _ORACLE_CHAINS],
+)
+def test_wronskian_matches_laplace_oracle(build, n, length):
+    chain = build(BoundaryModel(n, 0.5 + 1.5j), length)
+    w = wronskian(chain)
+    assert w == _wronskian_oracle(chain)
+    assert w.unit_pow == sum(f.unit_pow for f in chain.functions)
+
+
+gauss_rationals = st.builds(
+    RationalComplex,
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+@given(st.integers(1, 5).flatmap(
+    lambda size: st.lists(
+        st.lists(st.one_of(st.just(RationalComplex()), gauss_rationals), min_size=size, max_size=size),
+        min_size=size, max_size=size,
+    )
+))
+@settings(max_examples=60, deadline=None)
+def test_elimination_matches_laplace_on_coefficient_matrices(matrix):
+    # zeros are drawn often, so row swaps and singular matrices are exercised
+    as_laurent = [[ExpLaurent.monomial(c) for c in row] for row in matrix]
+    oracle = _laplace_det(as_laurent)
+    got = _det(matrix)
+    assert ExpLaurent.monomial(got) == oracle
+
+
+def test_wronskian_rejects_a_non_monomial_entry():
+    with pytest.raises(ValueError, match="single monomial"):
+        _entry_coeff(ExpLaurent({(0, 2): 1, (0, 1): 1}), 2)
+    with pytest.raises(ValueError, match="single monomial"):
+        _entry_coeff(ExpLaurent.monomial(1, xz_pow=3), 2)
 
 
 @pytest.mark.parametrize(
