@@ -20,7 +20,7 @@ import numpy as np
 
 from .biortho import interior_biortho, overlap_growing, overlap_zero, scatter_norm
 from .boundary import BoundaryModel
-from .greens import green, indexes, pole_order
+from .greens import _boundary_indexes, green, indexes, pole_order
 from .interior import InteriorModel
 from .report import VerificationReport
 from .resolution import Scheme, SchemeId, TestFunction, apply_scheme
@@ -347,8 +347,8 @@ def cmd_indexes(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     except ValueError as exc:
         parser.error(str(exc))
     try:
-        triple = indexes(model)
         k_order = pole_order(model, 0j, 0.5) if isinstance(model, BoundaryModel) else None
+        triple = indexes(model) if k_order is None else _boundary_indexes(model, k_order)
     except ValueError as exc:
         return _no_result("indexes", exc)
     payload = {

@@ -45,7 +45,6 @@ __all__ = [
     "add_terms",
     "mul_terms",
     "dfact",
-    "binom",
     "i_power",
     "el_diff_x",
     "el_eval_terms",
@@ -196,13 +195,6 @@ _I_POWERS = (_canonical(1, 0, 1), _canonical(0, 1, 1), _canonical(-1, 0, 1), _ca
 def i_power(n: int) -> RationalComplex:
     """Exact i**n for any integer n (negative included)."""
     return _I_POWERS[n % 4]
-
-
-def binom(n: int, k: int) -> int:
-    """Binomial coefficient with the convention C(n, k) = 0 outside 0<=k<=n."""
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 def dfact(m: int) -> Fraction:

@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .boundary import BoundaryModel, ChainClass, bm_classify, bm_scatter
+from .exact import dfact
 from .interior import InteriorModel, im_scatter
 
 __all__ = ["IndexTriple", "green", "pole_order", "indexes"]
@@ -68,6 +70,11 @@ def _green_k(
     past the float range raises ``ValueError`` instead of returning inf or nan.
     """
     hi, lo = (x, xp) if x >= xp else (xp, x)
+    # the largest exact coefficient of bm_scatter is its m = n term (2n-1)!!
+    # (the ratio of neighbours is (n+m+1)(n-m)/(2m+2) >= 1); past the float
+    # range to_complex would refuse it only after the whole exact build
+    if isinstance(model, BoundaryModel) and dfact(2 * model.n - 1) > sys.float_info.max:
+        raise ValueError(_OVERFLOW)
     try:
         with np.errstate(all="ignore"):
             if isinstance(model, BoundaryModel):
@@ -96,10 +103,9 @@ def green(
     embedded resonance for the trigonometric one) is refused.
     """
     k = _k_upper(complex(E))
-    if isinstance(model, BoundaryModel):
-        if abs(k) < 1e-8:
-            raise ValueError("Green function is singular at the spectral origin")
-    elif abs(k * k - model.alpha**2) < 1e-6:
+    if abs(k) < 1e-8:  # the pi*i/k weight: both families
+        raise ValueError("Green function is singular at the spectral origin (|k| < 1e-8)")
+    if isinstance(model, InteriorModel) and abs(k * k - model.alpha**2) < 1e-6:
         raise ValueError("Green function is singular at the embedded momentum")
     return complex(_green_k(model, np.array([k]), x, xp)[0])
 
@@ -175,22 +181,20 @@ def indexes(model: BoundaryModel | InteriorModel) -> IndexTriple:
     the energy-plane order is taken as (momentum-plane order - 1) / 2; the
     raw momentum-plane order is available from :func:`pole_order` directly.
     """
-    from .resolution import eps_chain  # local import; resolution sits above this module
-
     if isinstance(model, BoundaryModel):
-        # the pole order first: past the float range it fails in one solution
-        # build, before the chain scans below grow with n
-        raw = pole_order(model, 0j, 0.5)
-        n1 = sum(
-            1 for l in range(model.n) if bm_classify(model, l) is ChainClass.NORMALIZABLE
-        )
-        n2 = len(eps_chain(model, Fraction(1, 2)).members)
-        n3 = (raw - 1) // 2
-        return IndexTriple(n1=n1, n2=n2, n3=n3)
+        # the pole order first: an out-of-range n fails there, before the
+        # chain scans of _boundary_indexes, which grow with n
+        return _boundary_indexes(model, pole_order(model, 0j, 0.5))
     # trigonometric family: one square-summable member at the embedded energy
     # (the chain partner is bounded only), and the singular term of the
     # reduced schemes carries that single member
-    n1 = 1
-    n2 = 1
-    n3 = pole_order(model, complex(model.alpha), 0.25)
-    return IndexTriple(n1=n1, n2=n2, n3=n3)
+    return IndexTriple(n1=1, n2=1, n3=pole_order(model, complex(model.alpha), 0.25))
+
+
+def _boundary_indexes(model: BoundaryModel, raw: int) -> IndexTriple:
+    """Index triple of the inverse-square family from its momentum-plane order."""
+    from .resolution import eps_chain  # local import; resolution sits above this module
+
+    n1 = sum(1 for l in range(model.n) if bm_classify(model, l) is ChainClass.NORMALIZABLE)
+    n2 = len(eps_chain(model, Fraction(1, 2)).members)
+    return IndexTriple(n1=n1, n2=n2, n3=(raw - 1) // 2)

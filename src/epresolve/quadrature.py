@@ -19,7 +19,7 @@ order, no randomness):
   :func:`osc_power_tail` is the one-term oracle it is tested against.
 * :class:`GaussianPacket` / :func:`quad_packet` -- closed-form smearing of an
   exact Laurent expression against a Gaussian-windowed polynomial weight,
-  via Hermite-polynomial Gaussian moments.
+  via one three-term recurrence for the window moments.
 
 Example
 -------
@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from numpy.polynomial import hermite as _herm
 from scipy.special import exp1 as _exp1
 
 from .exact import ExpLaurent, add_terms, mul_terms
@@ -54,6 +53,7 @@ __all__ = [
     "composite_phase_sums",
     "OscRational",
     "gauss_moment",
+    "hermite_values",
     "osc_power_tail",
     "ft_inverse_power",
 ]
@@ -600,30 +600,43 @@ class OscRational:
 # Gaussian packets and closed-form smearing
 # ---------------------------------------------------------------------------
 
-_HERM_UNIT: dict[int, np.ndarray] = {}
+def hermite_values(order: int, t: np.ndarray | complex) -> np.ndarray:
+    """H_0(t) .. H_order(t) stacked on a leading axis of length order + 1.
+
+    Physicists' Hermite polynomials by H_{j+1} = 2t H_j - 2j H_{j-1}
+    (DLMF 18.9.1), over the whole array t at once.
+    """
+    t = np.asarray(t)
+    out = np.empty((order + 1,) + t.shape, dtype=np.result_type(t, 1.0))
+    out[0] = 1.0
+    if order > 0:
+        out[1] = 2.0 * t
+    for j in range(1, order):
+        out[j + 1] = 2.0 * t * out[j] - 2.0 * j * out[j - 1]
+    return out
 
 
-def _herm_val(order: int, arg: np.ndarray | complex) -> np.ndarray | complex:
-    coeffs = _HERM_UNIT.get(order)
-    if coeffs is None:
-        coeffs = np.zeros(order + 1)
-        coeffs[order] = 1.0
-        _HERM_UNIT[order] = coeffs
-    return _herm.hermval(arg, coeffs)
+def _window_moments(center: float, width: float, top: int, y: np.ndarray) -> np.ndarray:
+    """mu_j(y) = ∫ k^j e^{-((k-c)/w)^2 + i k y} dk for j = 0..top, stacked.
+
+    Integration by parts gives mu_{j+1} = s mu_j + (j w^2/2) mu_{j-1} with
+    s = c + i y w^2/2, from mu_0 = w sqrt(pi) e^{i c y - (w y)^2/4}.
+    """
+    w2 = width * width
+    s = center + 0.5j * w2 * y
+    mu = np.empty((top + 1,) + y.shape, dtype=np.complex128)
+    mu[0] = width * math.sqrt(math.pi) * np.exp(1j * center * y - 0.25 * w2 * y * y)
+    if top > 0:
+        mu[1] = s * mu[0]
+    for j in range(1, top):
+        mu[j + 1] = s * mu[j] + (0.5 * j * w2) * mu[j - 1]
+    return mu
 
 
 def gauss_moment(order: int, b: np.ndarray | complex) -> np.ndarray | complex:
-    """Exact ∫ t^order e^{-t^2 + i b t} dt = sqrt(pi) (i/2)^order H_order(b/2) e^{-b^2/4}."""
-    b = np.asarray(b, dtype=np.complex128)
-    out = (
-        math.sqrt(math.pi)
-        * (0.5j) ** order
-        * _herm_val(order, 0.5 * b)
-        * np.exp(-0.25 * b * b)
-    )
-    if out.ndim == 0:
-        return complex(out)
-    return out
+    """Exact ∫ t^order e^{-t^2 + i b t} dt: the c = 0, w = 1 window moment."""
+    out = _window_moments(0.0, 1.0, order, np.asarray(b, dtype=np.complex128))[order]
+    return complex(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -662,10 +675,11 @@ class GaussianPacket:
     def deriv_at(self, k: float, order: int) -> complex:
         """Exact derivative d^order g / dk^order at a point (Leibniz + Hermite)."""
         t = (k - self.center) / self.width
+        herm = hermite_values(order, t)
         total = 0.0 + 0.0j
         for j in range(order + 1):
             # j-th derivative of the Gaussian factor
-            gj = (-1.0 / self.width) ** j * _herm_val(j, t) * math.exp(-t * t)
+            gj = (-1.0 / self.width) ** j * herm[j] * math.exp(-t * t)
             # (order-j)-th derivative of the polynomial factor
             pj = 0.0 + 0.0j
             for a, c in enumerate(self.poly):
@@ -679,29 +693,14 @@ class GaussianPacket:
             total += math.comb(order, j) * pj * gj
         return total
 
-    def plane_moment(self, m: int, y: np.ndarray | complex) -> np.ndarray | complex:
-        """Exact ∫ k^m g(k) e^{i k y} dk for integer m >= 0."""
-        if m < 0:
-            raise ValueError("negative spectral powers have no closed-form moment")
-        k0, w = self.center, self.width
+    def plane_moments(self, top: int, y: np.ndarray | complex) -> np.ndarray:
+        """Exact ∫ k^m g(k) e^{i k y} dk for m = 0..top, stacked on a leading axis."""
         y = np.asarray(y, dtype=np.complex128)
-        total = np.zeros(y.shape, dtype=np.complex128)
-        for a_extra, c in enumerate(self.poly):
-            if c == 0:
-                continue
-            mm = m + a_extra
-            acc = np.zeros(y.shape, dtype=np.complex128)
-            for a in range(mm + 1):
-                acc += (
-                    math.comb(mm, a)
-                    * k0 ** (mm - a)
-                    * w**a
-                    * gauss_moment(a, w * y)
-                )
-            total += c * acc
-        out = w * np.exp(1j * k0 * y) * total
-        if out.ndim == 0:
-            return complex(out)
+        mu = _window_moments(self.center, self.width, top + len(self.poly) - 1, y)
+        out = np.zeros((top + 1,) + y.shape, dtype=np.complex128)
+        for a, c in enumerate(self.poly):
+            if c != 0:
+                out += c * mu[a : a + top + 1]
         return out
 
     def norm_l2(self) -> float:
@@ -722,7 +721,7 @@ def packet_product_moment(g1: GaussianPacket, g2: GaussianPacket, power: int) ->
     const = math.exp(-((g1.center - g2.center) ** 2) / (g1.width**2 + g2.width**2))
     p = np.polynomial.polynomial.polymul(np.array(g1.poly), np.array(g2.poly))
     combined = GaussianPacket(kc, w, tuple(p * const))
-    return complex(combined.plane_moment(power, 0.0))
+    return complex(combined.plane_moments(power, 0.0)[power])
 
 
 def quad_packet(
@@ -742,6 +741,7 @@ def quad_packet(
             "smearing against a packet has no closed form"
         )
     ms, ps, cs = expression.to_term_arrays()
+    top = int(ms.max(initial=0))
     sigma, tau = expression.phase_x, expression.phase_z
     scale = (2.0 * math.pi) ** (-0.5 * expression.unit_pow)
 
@@ -749,9 +749,10 @@ def quad_packet(
         xa = np.asarray(x, dtype=np.complex128)
         xz = xa - z
         y = sigma * xz + tau * z
+        moments = g.plane_moments(top, y)
         out = np.zeros(xa.shape, dtype=np.complex128)
         for m, p, c in zip(ms, ps, cs):
-            out += c * xz ** int(p) * g.plane_moment(int(m), y)
+            out += c * xz ** int(p) * moments[m]
         out = out * scale
         if np.ndim(x) == 0:
             return complex(out)

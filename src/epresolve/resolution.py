@@ -56,6 +56,7 @@ from .quadrature import (
     composite_gauss,
     composite_phase_sums,
     ft_inverse_power,
+    hermite_values,
     quad_contour,
 )
 from .report import VerificationReport
@@ -467,12 +468,10 @@ class TestFunction:
             return lambda x: np.exp(-(((np.asarray(x) - c) / w) ** 2)) + 0j
         if self.kind == "hermite_gaussian":
             c, w, order = self.center, self.width, self.order
-            coeffs = np.zeros(order + 1)
-            coeffs[order] = 1.0
 
             def ev(x):
                 t = (np.asarray(x) - c) / w
-                return np.polynomial.hermite.hermval(t, coeffs) * np.exp(-t * t) + 0j
+                return hermite_values(order, t)[order] * np.exp(-t * t) + 0j
 
             return ev
         if self.kind == "rational_decay":

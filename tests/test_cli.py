@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import epresolve.cli as cli
+import epresolve.greens as greens
 from epresolve.cli import main
 
 
@@ -157,6 +159,23 @@ def test_indexes_boundary(tmp_path):
     assert payload["k_plane_pole_order"] == 7
 
 
+def test_indexes_measures_the_pole_order_once(tmp_path, monkeypatch):
+    calls = []
+    measure = greens.pole_order
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:])
+        return measure(*args, **kwargs)
+
+    monkeypatch.setattr(greens, "pole_order", counting)
+    monkeypatch.setattr(cli, "pole_order", counting)
+    out = tmp_path / "idx.json"
+    assert run(["indexes", "--n", "3", "--out", str(out)]) == 0
+    assert calls == [(0j, 0.5)]
+    payload = read_json(out)
+    assert (payload["n3"], payload["k_plane_pole_order"]) == (3, 7)
+
+
 def test_indexes_boundary_past_order_twelve(tmp_path, capsys):
     # momentum-plane order 2n+1 = 13 exceeds the old fixed moment bound of 12
     out = tmp_path / "idx6.json"
@@ -209,7 +228,6 @@ def test_verify_greens_past_the_resolvable_range_is_a_diagnostic(n, capsys):
         ["--n", "200", "--energy", "2"],
         ["--n", "100", "--energy", "2"],
         ["--n", "3", "--energy", "1e300"],
-        ["--model", "interior", "--energy", "0"],
         ["--model", "interior", "--alpha", "1e200", "--energy", "2"],
     ],
 )
@@ -221,6 +239,35 @@ def test_green_past_the_float_range_is_usage_error(args, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert "overflow" in captured.err
+
+
+def test_huge_boundary_index_ends_before_the_exact_build(monkeypatch, capsys):
+    # (2n-1)!!, the largest coefficient of the solution, passes the float
+    # range from n = 151: the check comes before bm_scatter builds anything
+    def refuse(model):
+        raise AssertionError(f"bm_scatter built at n = {model.n}")
+
+    monkeypatch.setattr(greens, "bm_scatter", refuse)
+    assert run(["indexes", "--n", "3000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("epresolve indexes: no result:")
+    assert "overflow" in captured.err and "Traceback" not in captured.err
+    with pytest.raises(SystemExit) as exc:
+        run(["green", "--n", "1000", "--x", "0.7", "--xp", "-0.4", "--energy", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "overflow" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("model", ["interior", "boundary"])
+def test_green_at_the_spectral_origin_names_the_threshold(model, capsys):
+    # the interior family used to divide by k = 0 and report an overflow
+    with pytest.raises(SystemExit) as exc:
+        run(["green", "--model", model, "--x", "0.7", "--xp", "-0.4", "--energy", "0"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "spectral origin (|k| < 1e-8)" in captured.err
 
 
 def test_indexes_interior(tmp_path):

@@ -584,14 +584,105 @@ def test_packet_plane_moment_oracles():
     # ∫ e^{-k^2} e^{ikx} dk = sqrt(pi) e^{-x^2/4}
     g = GaussianPacket()
     x = 1.7
-    assert abs(g.plane_moment(0, x) - math.sqrt(math.pi) * math.exp(-(x**2) / 4)) < 1e-14
+    assert abs(g.plane_moments(0, x)[0] - math.sqrt(math.pi) * math.exp(-(x**2) / 4)) < 1e-14
     # ∫ k e^{-k^2} e^{ikx} dk = sqrt(pi) (ix/2) e^{-x^2/4}
     want = math.sqrt(math.pi) * (1j * x / 2) * math.exp(-(x**2) / 4)
-    assert abs(g.plane_moment(1, x) - want) < 1e-14
+    assert abs(g.plane_moments(1, x)[1] - want) < 1e-14
     # center shift multiplies by e^{ix}
     g1 = GaussianPacket(center=1.0)
     want_shift = math.sqrt(math.pi) * np.exp(1j * x) * math.exp(-(x**2) / 4)
-    assert abs(g1.plane_moment(0, x) - want_shift) < 1e-14
+    assert abs(g1.plane_moments(0, x)[0] - want_shift) < 1e-14
+
+
+@pytest.mark.parametrize("t", [0.37, -2.6, 4.1, 0.8 - 0.45j, -1.9 + 1.2j])
+def test_hermite_values_against_hermval(t):
+    herm = quadrature.hermite_values(20, np.array([t, 0.5 * t]))
+    for order in range(21):
+        unit = np.zeros(order + 1)
+        unit[order] = 1.0
+        want = np.polynomial.hermite.hermval(np.array([t, 0.5 * t]), unit)
+        assert np.all(np.abs(herm[order] - want) <= 1e-13 * np.maximum(np.abs(want), 1.0))
+        # the scalar path returns the same orders
+        assert quadrature.hermite_values(order, t)[order] == pytest.approx(want[0], rel=1e-13)
+
+
+# Oracle: the binomial-Hermite route the packet moments used before the
+# window-moment recurrence.  Shift k = c + w t, expand (c + w t)^m by the
+# binomial theorem, and take each Gaussian moment in closed form,
+#   ∫ t^a e^{-t^2 + i b t} dt = sqrt(pi) (i/2)^a H_a(b/2) e^{-b^2/4}.
+def _gauss_moment_oracle(a, b):
+    unit = np.zeros(a + 1)
+    unit[a] = 1.0
+    herm = np.polynomial.hermite.hermval(0.5 * b, unit)
+    return math.sqrt(math.pi) * (0.5j) ** a * herm * np.exp(-0.25 * b * b)
+
+
+def _plane_moment_oracle(g, m, y):
+    c, w = g.center, g.width
+    total = 0j
+    for extra, coeff in enumerate(g.poly):
+        mm = m + extra
+        acc = sum(
+            math.comb(mm, a) * c ** (mm - a) * w**a * _gauss_moment_oracle(a, w * y)
+            for a in range(mm + 1)
+        )
+        total += coeff * acc
+    return w * np.exp(1j * c * y) * total
+
+
+def _plane_moment_quad(g, m, y):
+    # direct quadrature; the window e^{-k Im y} only shifts the Gaussian peak
+    def part(fn):
+        return integrate.quad(
+            lambda k: fn(k**m * g.eval(k) * np.exp(1j * k * y)),
+            g.center - 16 * g.width, g.center + 16 * g.width, limit=200, epsabs=0, epsrel=1e-12,
+        )[0]
+
+    return complex(part(np.real), part(np.imag))
+
+
+_DEGREE2 = GaussianPacket(center=0.6, width=0.9, poly=(0.5, -1.0 + 0.3j, 0.8))
+_YS = (1.3 + 0.4j, -2.2 - 0.25j, 0.7j)
+
+
+def _plane_moments_agree(g, ys, oracle, rel):
+    for y in ys:
+        got = g.plane_moments(6, y)
+        for m in range(7):
+            want = oracle(g, m, y)
+            if not abs(got[m] - want) <= rel * max(abs(want), 1e-300):
+                return False
+    return True
+
+
+def test_plane_moments_against_the_binomial_hermite_oracle():
+    assert _plane_moments_agree(_DEGREE2, _YS, _plane_moment_oracle, 1e-12)
+    # array y: each column matches the scalar table
+    table = _DEGREE2.plane_moments(6, np.array(_YS))
+    assert table.shape == (7, 3)
+    for i, y in enumerate(_YS):
+        assert np.allclose(table[:, i], _DEGREE2.plane_moments(6, y), rtol=1e-14, atol=0)
+
+
+def test_plane_moments_against_scipy_quad():
+    assert _plane_moments_agree(_DEGREE2, _YS, _plane_moment_quad, 1e-10)
+
+
+def test_window_moment_recurrence_mutation_is_caught(monkeypatch):
+    # (j+1) in place of j in the recurrence: the oracle bound must catch it
+    def mutated(center, width, top, y):
+        w2 = width * width
+        s = center + 0.5j * w2 * y
+        mu = np.empty((top + 1,) + y.shape, dtype=np.complex128)
+        mu[0] = width * math.sqrt(math.pi) * np.exp(1j * center * y - 0.25 * w2 * y * y)
+        if top > 0:
+            mu[1] = s * mu[0]
+        for j in range(1, top):
+            mu[j + 1] = s * mu[j] + (0.5 * (j + 1) * w2) * mu[j - 1]
+        return mu
+
+    monkeypatch.setattr(quadrature, "_window_moments", mutated)
+    assert not _plane_moments_agree(_DEGREE2, _YS, _plane_moment_oracle, 1e-12)
 
 
 def test_packet_product_moment_against_quadrature():
@@ -622,6 +713,34 @@ def test_quad_packet_against_tensor_quadrature():
     for x in (-1.3, 0.0, 2.1):
         brute = np.trapezoid(g.eval(ks) * F.eval(ks, x, m.z), ks)
         assert abs(smeared(x) - brute) < 1e-9 * max(1.0, abs(brute))
+
+
+def test_quad_packet_builds_one_moment_table_per_call(monkeypatch):
+    m = BoundaryModel(3, z=1j)
+    F = bm_scatter(m).phase_shift_z(-1)
+    assert len(F.terms) == 4
+    g = GaussianPacket(center=0.3, width=1.1, poly=(1.0, 0.5))
+    smeared = quad_packet(g, F, m.z)
+    builds = []
+    table = quadrature._window_moments
+
+    def counting(*args):
+        builds.append(args[2])
+        return table(*args)
+
+    monkeypatch.setattr(quadrature, "_window_moments", counting)
+    xs = np.linspace(-2.0, 2.0, 9)
+    smeared(xs)
+    assert builds == [3 + 1]  # top spectral power 3, packet degree 1
+    smeared(0.4)
+    assert len(builds) == 2
+
+
+def test_quad_packet_of_zero_expression_is_zero():
+    smeared = quad_packet(GaussianPacket(), ExpLaurent({}, phase_x=1, phase_z=1), 1j)
+    assert smeared(0.3) == 0
+    out = smeared(np.array([-1.0, 0.0, 2.0]))
+    assert out.shape == (3,) and not np.any(out)
 
 
 def test_quad_packet_gaussian_decay_in_x():
