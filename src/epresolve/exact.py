@@ -420,7 +420,8 @@ class ExpLaurent:
         """Numerically evaluate at spectral value(s) k and coordinate(s) x.
 
         Broadcasts k against x.  The term loop is :func:`el_eval_terms`,
-        shared with the grid kernel :func:`epresolve.kernels.el_eval_grid`.
+        which the tensor kernel :func:`epresolve.kernels.el_eval_grid` (the
+        tests' oracle of the boundary transform) runs too.
         """
         karr = np.asarray(k, dtype=np.complex128)
         xz = np.asarray(x, dtype=np.complex128) - z

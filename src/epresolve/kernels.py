@@ -1,11 +1,18 @@
 """Grid-evaluation kernels on (spectral x coordinate) tensor grids.
 
-The tensor contractions behind the smeared pairings evaluate exact Laurent
-expressions and the interior-model scattering solution on grids of spectral
-values ``k`` (rows) and coordinates ``x`` (columns).  Both kernels are thin
-numpy wrappers over the package's single evaluator of each quantity: the
-term loop of :meth:`epresolve.exact.ExpLaurent.eval` and the W bundle of
+The kernels evaluate exact Laurent expressions and the interior-model
+scattering solution on grids of spectral values ``k`` (rows) and coordinates
+``x`` (columns).  Both are thin numpy wrappers over the package's single
+evaluator of each quantity: the term loop of
+:meth:`epresolve.exact.ExpLaurent.eval` and the W bundle of
 :func:`epresolve.interior.im_w_bundle`.
+
+:func:`interior_psi_grid` gives the interior spectral integrand its solution
+values.  :func:`el_eval_grid` has no caller in the package: the boundary
+transform takes its moments from one composite-grid evaluator
+(``resolution._f_osc_moment``) instead of the dense K x N tensor.  It stays
+as the tests' tensor oracle for that transform, and the benchmark's tracer
+(``perfbench/spans.py``) wraps it by name.
 
 Parameters follow a packed convention: an exact expression contributes
 integer power arrays ``ms`` (spectral), ``ps`` (coordinate) and complex

@@ -17,10 +17,11 @@ The module provides three layers:
    of a boundary scheme but the sinc kernel -- the coefficient table, the
    scaled-chain outer product, the index-2 trigonometric terms -- is applied
    by one evaluator, ``_apply_two_point``, from the same exact two-point
-   dicts that the gap checks certify.  For chain and rational test functions
-   the moments of f(x) e^{i omega x} (x-z)^(-q) that those blocks and the
+   dicts that the gap checks certify.  The moments of
+   f(x) e^{i omega x} (x-z)^(-q) that those blocks, the sinc band and the
    boundary spectral transform need come from one evaluator,
-   ``_f_osc_moment``, in closed form over whole arrays of omega;
+   ``_f_osc_moment``, over whole arrays of omega: in closed form for chain
+   and rational test functions, from one composite grid for localized ones;
 3. singular-term experiments: the closed-form reproduction coefficients for
    the index-2 boundary model (those trigonometric blocks on the chain head)
    and the interior bound state, and the non-expandability probe for the
@@ -47,7 +48,7 @@ from scipy.special import sici
 from .boundary import BoundaryModel, bm_assoc, bm_scatter
 from .exact import ExpLaurent, RationalComplex, add_terms, i_power, mul_terms
 from .interior import InteriorModel, im_psi0, im_psi1, im_tail_model, im_w_bundle
-from .kernels import el_eval_grid, interior_psi_grid
+from .kernels import interior_psi_grid
 from .quadrature import (
     ContourSpec,
     OscRational,
@@ -407,6 +408,14 @@ def _n2_rearranged_gap() -> dict:
 # test functions
 # ---------------------------------------------------------------------------
 
+# largest order of a hermite:N test function.  The spectral integrals take an
+# absolute tolerance while f grows like H_N, about 1e7 at N = 13: the res3
+# sweep at n = 2 and eps 0.4 converges at N = 13 (1433 and 3261 panels) and
+# at N = 14 hits the 4000-panel cap on both halves in the boundary family
+# and in the interior one (res12, res13), returning values 5-30% off.
+_MAX_HERMITE_ORDER = 13
+
+
 def _check_packet(center: float, width: float) -> None:
     if not math.isfinite(center):
         raise ValueError(f"test-function center must be finite, got {center!r}")
@@ -442,6 +451,8 @@ class TestFunction:
     def hermite_gaussian(order: int, center: float = 0.0, width: float = 1.0) -> "TestFunction":
         if order < 0:
             raise ValueError("Hermite order must be >= 0")
+        if order > _MAX_HERMITE_ORDER:
+            raise ValueError(f"hermite:{order} is out of range (order <= {_MAX_HERMITE_ORDER})")
         _check_packet(center, width)
         return TestFunction(kind="hermite_gaussian", center=center, width=width, order=order)
 
@@ -595,8 +606,9 @@ _INTERIOR_REACH_PAD = 26.0
 # keeps that truncation a tenth of the tolerance.
 _MAX_RATIONAL_EXPONENT = 16
 
-# (omega, q) -> the moment of f that _f_osc_moment evaluates
-_Moment = Callable[[np.ndarray | float, int], np.ndarray | complex]
+# (omega, qs) -> the moments of f that _f_osc_moment evaluates, one row per
+# q of qs: shape (len(qs),) + shape of omega
+_Moment = Callable[[np.ndarray | complex, Sequence[int]], np.ndarray]
 
 
 def _pf_decompose(centers: Sequence[tuple[complex, int]]) -> list[tuple[complex, int, complex]]:
@@ -646,20 +658,45 @@ def _merged_centers(pairs: Iterable[tuple[complex, int]]) -> list[tuple[complex,
     return out
 
 
-def _f_osc_moment(model: BoundaryModel, f: TestFunction) -> _Moment:
-    """(omega, q) -> integral of f(x) e^{i omega x} (x-z)^(-q) dx.
+def _moment_row(values: np.ndarray, xz: np.ndarray, q: int) -> np.ndarray:
+    # f(x) (x-z)^(-q) on the nodes of a grid moment, built once per distinct q
+    return values * xz ** (-q)
 
-    Closed for a boundary chain member, one Laurent monomial, and for a
-    rational f, whose partial fractions times (x-z)^(-q) are built once per
-    q: each term is one :func:`ft_inverse_power` call over a whole omega
-    array.  Other f take adaptive quadrature over their window, one scalar
-    omega at a time.
+
+def _real_frequencies(omega: np.ndarray | complex) -> np.ndarray:
+    # the closed moments are residue forms of a real frequency
+    w = np.asarray(omega)
+    if np.iscomplexobj(w):
+        if np.any(np.abs(w.imag) > 1e-12):
+            raise ValueError("closed moments are defined on the real spectral axis")
+        w = w.real
+    return w
+
+
+def _f_osc_moment(model: BoundaryModel, f: TestFunction, reach: float = 0.0) -> _Moment:
+    """(omega, qs) -> integral of f(x) e^{i omega x} (x-z)^(-q) dx for each q of qs.
+
+    The moments of every q come stacked on a leading axis.  Closed for a
+    boundary chain member, one Laurent monomial, and for a rational f, whose
+    partial fractions times (x-z)^(-q) are built once per q: each term is one
+    :func:`ft_inverse_power` call over a whole real omega array.  A localized
+    f takes one stacked panel-separable phase sum (:func:`composite_phase_sums`)
+    on the 16-point composite grid of :func:`_panels_for`, which resolves
+    phases up to the larger of f's spectral reach and ``reach``; the value
+    row f(x) (x-z)^(-q) is built once per distinct q, at its first call, and
+    omega may be complex there (the deformed contours of
+    :func:`apply_base_resolution`).
     """
     z = model.z
     if f.kind == "chain":
         (((_, p), c),) = bm_assoc(model, f.ref[1]).terms.items()
         c = c.to_complex() * (2 * math.pi) ** -0.5
-        return lambda omega, q: c * ft_inverse_power(q - p, omega, z)
+
+        def chain_moment(omega: np.ndarray | complex, qs: Sequence[int]) -> np.ndarray:
+            w = _real_frequencies(omega)
+            return np.array([c * ft_inverse_power(q - p, w, z) for q in qs])
+
+        return chain_moment
     if f.kind == "rational_decay":
         Q = f.exponent
         if Q > _MAX_RATIONAL_EXPONENT:
@@ -669,19 +706,25 @@ def _f_osc_moment(model: BoundaryModel, f: TestFunction) -> _Moment:
         def fractions(q: int) -> list[tuple[complex, int, complex]]:
             return _pf_decompose(_merged_centers([(1j, Q), (-1j, Q)] + ([(z, q)] if q > 0 else [])))
 
-        def rational_moment(omega: np.ndarray | float, q: int) -> np.ndarray | complex:
-            return sum(w * ft_inverse_power(j, omega, ct) for ct, j, w in fractions(q))
+        def rational_moment(omega: np.ndarray | complex, qs: Sequence[int]) -> np.ndarray:
+            w = _real_frequencies(omega)
+            return np.array([sum(c * ft_inverse_power(j, w, ct) for ct, j, c in fractions(q)) for q in qs])
 
         return rational_moment
-    ev, W = f.make_eval(model), f.window()
+    layout = _panels_for(f, max(_spectral_reach(f), reach))
+    nodes, _ = composite_gauss(*layout, 16)
+    values, xz = f.make_eval(model)(nodes), nodes - z
+    row = functools.cache(lambda q: _moment_row(values, xz, q))
 
-    def quadrature_moment(mu: float, q: int) -> complex:
-        def integrand(x: np.ndarray) -> np.ndarray:
-            return ev(x) * np.exp(1j * mu * x) * (x - z + 0j) ** (-q)
+    @functools.cache
+    def rows(qs: tuple[int, ...]) -> np.ndarray:
+        return np.stack([row(q) for q in qs])
 
-        return _adaptive_oscillatory(integrand, -W, W, 1e-11, abs(mu) + 1.0).value
+    def grid_moment(omega: np.ndarray | complex, qs: Sequence[int]) -> np.ndarray:
+        sums = composite_phase_sums(*layout, 16, rows(tuple(qs)), omega)
+        return sums.reshape(sums.shape[:1] + np.shape(omega))
 
-    return quadrature_moment
+    return grid_moment
 
 
 def _boundary_transform(
@@ -689,31 +732,23 @@ def _boundary_transform(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """k-array -> integral of f(x) * (generic solution at k) over x.
 
-    Numeric tensor for localized f.  For chain and rational f the solution's
-    terms c k^m (x-z)^p e^{ikx} make the closed sum of c k^m moment(k, -p),
-    with ``moment`` the :func:`_f_osc_moment` of f.  The generic solution is
-    the k-scaled expression divided by k^n.
+    The solution's terms c k^m (x-z)^p e^{i sigma k (x-z)} e^{i tau k z}
+    make the closed sum e^{ik(tau-sigma)z} sum c k^m moment(sigma k, -p),
+    with ``moment`` the :func:`_f_osc_moment` of f, for every kind of f.
+    The generic solution is the k-scaled expression divided by k^n.
     """
     n, z = model.n, model.z
     F = bm_scatter(model)
     ms, ps, cs = F.to_term_arrays()
     scale = (2 * math.pi) ** (-0.5 * F.unit_pow)
-    if f.kind in ("chain", "rational_decay"):
-        def T(k: np.ndarray) -> np.ndarray:
-            karr = np.atleast_1d(np.asarray(k, dtype=np.complex128))
-            if np.any(np.abs(karr.imag) > 1e-12):
-                raise ValueError("closed transforms are defined on the real spectral axis")
-            out = sum(c * karr ** int(m) * moment(karr.real, -int(p)) for m, p, c in zip(ms, ps, cs))
-            return out * scale / karr**n
-
-        return T
-    nodes, weights = composite_gauss(*_panels_for(f, _spectral_reach(f)), 16)
-    fw = f.make_eval(model)(nodes) * weights
+    sigma, shift = F.phase_x, F.phase_z - F.phase_x
+    qs = tuple(-int(p) for p in ps)
 
     def T(k: np.ndarray) -> np.ndarray:
-        karr = np.asarray(k, dtype=np.complex128)
-        grid = el_eval_grid(ms, ps, cs, F.phase_x, F.phase_z, scale, np.atleast_1d(karr), nodes, z)
-        return (grid @ fw) / np.atleast_1d(karr) ** n
+        karr = np.atleast_1d(np.asarray(k, dtype=np.complex128))
+        table = moment(sigma * karr, qs)
+        out = sum(c * karr ** int(m) * row for m, c, row in zip(ms, cs, table))
+        return out * scale * np.exp(1j * shift * z * karr) / karr**n
 
     return T
 
@@ -755,25 +790,42 @@ def _ik_boundary(
     return left.value + right.value
 
 
-def _sinc_applied(model, f: TestFunction, eps: float, xp: float, alpha: float | None = None) -> complex:
-    """integral of f(x) * cos(alpha*(x-xp)) * sin(eps*(x-xp))/(pi*(x-xp)) dx.
+def _sinc_band(model: BoundaryModel, f: TestFunction, moment: _Moment, eps: float, xp: float) -> complex:
+    """The sinc kernel sin(eps(x-x'))/(pi(x-x')) applied to f, at x'.
 
-    ``alpha`` None means the plain reconstruction kernel; the interior
-    variant carries the extra cosine and a coefficient 2 instead of 1.
+    sin(eps u)/(pi u) = (1/2pi) integral of e^{i kappa u} over |kappa| < eps,
+    so the block is (1/2pi) integral of e^{-i kappa x'} moment(kappa, 0) over
+    the band, with ``moment`` the :func:`_f_osc_moment` of f.  The closed
+    chain and rational moments kink at kappa = 0 and are analytic on each
+    half, so the band takes 16-node Gauss-Legendre on [-eps, 0] and on
+    [0, eps] separately, on equal panels that keep the phase of
+    e^{i kappa (x - x')} below 8 per panel, with x over f's window or, for
+    the closed moments, the poles (one panel per half at the radii of the
+    default sweeps).  A chain member (x-z)^p with p >= 0 has a moment
+    supported at kappa = 0, inside every band, and the kernel reproduces
+    it: the block is f(x').
     """
+    if f.is_chain and 2 * f.ref[1] >= model.n:
+        return complex(f.make_eval(model)(np.array([xp]))[0])
+    extent = f.window() if f.kind in ("gaussian", "hermite_gaussian") else abs(model.z) + 1.0
+    per_half = max(1, math.ceil(eps * (extent + abs(xp)) / 8.0))
+    kappa, weights = composite_gauss(-eps, eps, 2 * per_half, 16)
+    (m0,) = moment(kappa, (0,))
+    return complex(np.sum(weights * np.exp(-1j * kappa * xp) * m0)) / (2 * math.pi)
+
+
+def _sinc_applied(model: InteriorModel, f: TestFunction, eps: float, xp: float, alpha: float) -> complex:
+    """integral of 2 f(x) cos(alpha (x-xp)) sin(eps (x-xp))/(pi (x-xp)) dx,
+    the band kernel of the interior scheme res13."""
     ev = f.make_eval(model)
     W = f.window() if not f.is_chain else max(300.0, 12.0 / eps)
-    coeff = 2.0 if alpha is not None else 1.0
 
     def integrand(x: np.ndarray) -> np.ndarray:
         u = np.asarray(x) - xp
-        base = (eps / math.pi) * np.sinc(eps * u / math.pi)
-        if alpha is not None:
-            base = base * np.cos(alpha * u)
-        return coeff * ev(x) * base
+        base = (eps / math.pi) * np.sinc(eps * u / math.pi) * np.cos(alpha * u)
+        return 2.0 * ev(x) * base
 
-    om = eps + (alpha or 0.0) + 1.0
-    return _adaptive_oscillatory(integrand, -W, W, 1e-11, om).value
+    return _adaptive_oscillatory(integrand, -W, W, 1e-11, eps + alpha + 1.0).value
 
 
 def _apply_two_point(model: BoundaryModel, terms: dict, moment: _Moment, eps: float, xp: float) -> complex:
@@ -781,8 +833,8 @@ def _apply_two_point(model: BoundaryModel, terms: dict, moment: _Moment, eps: fl
 
     The term c * e^{i(hx/2)eps(x-z)} e^{i(hxp/2)eps(x'-z)} (x-z)^a (x'-z)^b eps^e
     contributes c eps^e (x'-z)^b e^{i(hxp/2)eps(x'-z)} e^{-i mu z} times
-    ``moment(mu, -a)``, the :func:`_f_osc_moment` of f at frequency
-    mu = (hx/2) eps.  Each distinct moment is computed once.
+    ``moment``, the :func:`_f_osc_moment` of f, at frequency mu = (hx/2) eps
+    and q = -a.  Each distinct moment is computed once.
     """
     z = model.z
     moments: dict[tuple[int, int], complex] = {}
@@ -790,7 +842,7 @@ def _apply_two_point(model: BoundaryModel, terms: dict, moment: _Moment, eps: fl
     for (hx, hxp, a, b, e), c in terms.items():
         if (hx, a) not in moments:
             mu = hx / 2 * eps
-            moments[hx, a] = cmath.exp(-1j * mu * z) * moment(mu, -a)
+            moments[hx, a] = cmath.exp(-1j * mu * z) * complex(moment(mu, (-a,))[0])
         wave = cmath.exp(0.5j * hxp * eps * (xp - z))
         total += c.to_complex() * eps**e * (xp - z) ** b * wave * moments[hx, a]
     return total / (2 * math.pi)
@@ -948,7 +1000,7 @@ def _interior_singular_terms(
         val = 0.5 * (pair("psi0", eps) + pair("psi0", -eps))
         return -(1.0 / (math.pi * eps * a)) * val * p0_xp
     if kind == SchemeId.RES13:
-        total = _sinc_applied(model, f, eps, xp, alpha=a) / 1.0
+        total = _sinc_applied(model, f, eps, xp, a)
         # bracket: (1/eps)cos(eps D) - (eps/(4a^2-eps^2)) cos(2a D)cos(eps D)
         #          - (2a/(4a^2-eps^2)) sin(2a D) sin(eps D)
         denom = 4 * a * a - eps * eps
@@ -1045,7 +1097,7 @@ def apply_scheme(
                 f"scheme {kind.value} pairs the test function with chain member {model.n - 1}, "
                 f"which diverges for chain:{f.ref[1]} (and every boundary chain member l >= 1)"
             )
-        moment = _f_osc_moment(model, f)
+        moment, reach = _f_osc_moment(model, f), _spectral_reach(f)
         integrand = _spectral_integrand(model, _boundary_transform(model, f, moment), xp)
         if kind in _CHAIN_SCHEMES:
             trig = _n2_trig_blocks()
@@ -1057,9 +1109,11 @@ def apply_scheme(
 
         def at(e: float, cut: float) -> complex:
             total = _ik_boundary(f, integrand, e, cut, tol)
+            # a radius past f's spectral reach needs a grid that resolves it
+            local = moment if e <= reach else _f_osc_moment(model, f, e)
             if kind in (SchemeId.RES3, SchemeId.RES9):
-                total += _sinc_applied(model, f, e, xp)
-            return total + _apply_two_point(model, blocks, moment, e, xp)
+                total += _sinc_band(model, f, local, e, xp)
+            return total + _apply_two_point(model, blocks, local, e, xp)
 
     out = np.array([at(e, cut) for e, cut in zip(radii.ravel().tolist(), cutoffs.ravel().tolist())],
                    dtype=np.complex128)

@@ -335,6 +335,30 @@ def test_sweep_negative_hermite_order_is_usage_error(capsys):
     assert "Hermite order must be >= 0" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("order", [14, 40])
+def test_sweep_hermite_order_past_the_bound_is_usage_error(order, capsys):
+    # from order 14 the spectral integrals hit the panel cap and return
+    # values several percent off with exit 0
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", "--n", "2", "--scheme", "res3", "--testfn", f"hermite:{order}", "--eps-grid", "0.4"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"hermite:{order} is out of range (order <= 13)" in err and "Traceback" not in err
+
+
+def test_sweep_hermite_order_at_the_bound_converges(tmp_path):
+    # f reaches about 1e7 at order 13, so the absolute quadrature tolerance
+    # is read relative to f's scale
+    out = tmp_path / "h13.csv"
+    code = run(["sweep", "--n", "2", "--scheme", "res3", "--testfn", "hermite:13", "--eps-grid", "0.4",
+                "--out", str(out)])
+    assert code == 0
+    header, values = read_csv(out)
+    row = dict(zip(header, values))
+    target = abs(complex(float(row["target_re"]), float(row["target_im"])))
+    assert float(row["abs_error"]) < 1e-9 * target
+
+
 @pytest.mark.parametrize(
     "args",
     [

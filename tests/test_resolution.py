@@ -1,6 +1,7 @@
 """Resolution layer: exact coefficient tables, the scaled chain, closed-form
 gap certificates, and the numeric reconstruction schemes."""
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -9,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from epresolve.boundary import BoundaryModel, bm_apply_h, bm_assoc
+from epresolve.boundary import BoundaryModel, bm_apply_h, bm_assoc, bm_scatter
 from epresolve.exact import i_power
 from epresolve.interior import InteriorModel, im_psi0
+from epresolve import kernels, quadrature
 from epresolve import resolution as rs
 from epresolve.resolution import (
     Scheme,
@@ -593,6 +595,152 @@ def test_rational_sweep_decomposes_each_power_once(monkeypatch):
     radii = np.array([0.4, 0.2, 0.1, 0.05])
     apply_scheme(Scheme(SchemeId.INT5, BoundaryModel(1)), radii, 50.0 / radii, TestFunction.rational_decay(4), XP)
     assert calls and len(calls) == len(set(calls))
+
+
+# ---------------------------------------------------------------------------
+# the one moment evaluator of the boundary schemes
+# ---------------------------------------------------------------------------
+
+
+def quadrature_moment(model, f, mu, q):
+    """Adaptive 1e-11 quadrature of f(x) e^{i mu x} (x-z)^(-q) over f's window,
+    one scalar frequency at a time: the labelled oracle of the grid moment,
+    which replaced it in the package."""
+    ev, W = f.make_eval(model), f.window()
+
+    def integrand(x):
+        return ev(x) * np.exp(1j * mu * x) * (x - model.z + 0j) ** (-q)
+
+    return quadrature._adaptive_oscillatory(integrand, -W, W, 1e-11, abs(mu) + 1.0).value
+
+
+_LOCALIZED = [TestFunction.gaussian(0.2, 0.9), TestFunction.hermite_gaussian(2, 0.4, 1.1)]
+
+
+@pytest.mark.parametrize("f", _LOCALIZED, ids=["gaussian", "hermite2"])
+@pytest.mark.parametrize("n", [1, 3], ids=["n1", "n3"])
+def test_grid_moment_against_the_adaptive_oracle(f, n):
+    # relative to the size of the integrand, integral of |f| |x-z|^(-q): the
+    # moment itself vanishes for hermite:2 at mu = q = 0
+    m = BoundaryModel(n, 0.3 + 0.8j)
+    moment = rs._f_osc_moment(m, f)
+    ev, W = f.make_eval(m), f.window()
+    qs = tuple(range(n + 2))
+    sizes = [
+        quadrature._adaptive(lambda x, q=q: np.abs(ev(x) * (x - m.z) ** (-q)), -W, W, 1e-11).value.real
+        for q in qs
+    ]
+    for mu in (-2.0, -0.4, -0.05, 0.0, 0.05, 0.4, 2.0):
+        for q, got, size in zip(qs, moment(mu, qs), sizes):
+            assert abs(got - quadrature_moment(m, f, mu, q)) < 1e-12 * size, (mu, q)
+
+
+@pytest.mark.parametrize("f", [GAUSS, TestFunction.hermite_gaussian(2)], ids=["gaussian", "hermite2"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5], ids=[f"n{k}" for k in range(1, 6)])
+def test_boundary_transform_against_the_laurent_tensor(f, n):
+    """T(k) from the grid moments against the dense (k, x) Laurent tensor it
+    replaced, on the same composite grid; relative to integral |f psi_k|."""
+    m = BoundaryModel(n)
+    F = bm_scatter(m)
+    ms, ps, cs = F.to_term_arrays()
+    scale = (2 * np.pi) ** (-0.5 * F.unit_pow)
+    nodes, weights = quadrature.composite_gauss(*rs._panels_for(f, rs._spectral_reach(f)), 16)
+    fw = f.make_eval(m)(nodes) * weights
+    k = np.concatenate([-np.geomspace(0.05, 20.0, 25), np.geomspace(0.05, 20.0, 25)]).astype(complex)
+    grid = kernels.el_eval_grid(ms, ps, cs, F.phase_x, F.phase_z, scale, k, nodes, m.z)
+    want = grid @ fw / k**n
+    size = np.abs(grid) @ np.abs(fw) / np.abs(k) ** n
+    got = rs._boundary_transform(m, f, rs._f_osc_moment(m, f))(k)
+    assert np.max(np.abs(got - want) / size) < 1e-13
+
+
+@pytest.mark.parametrize("sid", [SchemeId.RES3, SchemeId.RES9], ids=["res3", "res9"])
+def test_localized_boundary_scheme_takes_every_term_from_one_grid(sid, monkeypatch):
+    # neither the dense Laurent tensor nor per-frequency adaptive quadrature
+    # is reached, and the value rows f (x-z)^(-q) are built once per q
+    def boom(*args, **kwargs):
+        raise AssertionError("reached a replaced evaluator")
+
+    for module, name in ((kernels, "el_eval_grid"), (rs, "_adaptive_oscillatory"), (quadrature, "_adaptive_oscillatory")):
+        monkeypatch.setattr(module, name, boom)
+    built = []
+    real = rs._moment_row
+
+    def counting(values, xz, q):
+        built.append(q)
+        return real(values, xz, q)
+
+    monkeypatch.setattr(rs, "_moment_row", counting)
+    radii = np.array([0.4, 0.2, 0.1])
+    got = apply_scheme(Scheme(sid, BoundaryModel(2)), radii, 50.0 / radii, GAUSS, XP)
+    assert np.all(np.abs(got - TARGET) < 1e-9)
+    assert sorted(built) == [0, 1, 2]
+
+
+@functools.cache
+def _sinc_oracle(model, f, eps, xp):
+    """30-digit mpmath quadosc of f(x) sin(eps (x-x'))/(pi (x-x')) over the line."""
+    import mpmath as mp
+
+    with mp.workdps(30):
+        z = mp.mpc(model.z.real, model.z.imag)
+        if f.is_chain:
+            F = bm_assoc(model, f.ref[1])
+            (((_, p), c),) = F.terms.items()
+            coeff = mp.mpc(mp.mpf(c.re.numerator) / c.re.denominator, mp.mpf(c.im.numerator) / c.im.denominator)
+            norm = (2 * mp.pi) ** (-mp.mpf(F.unit_pow) / 2)
+
+            def fx(x):
+                return norm * coeff * (x - z) ** p
+
+        else:
+            def fx(x):
+                return (1 + x * x) ** (-f.exponent)
+
+        e, x0 = mp.mpf(eps), mp.mpf(xp)
+
+        def g(x):
+            return fx(x) * mp.sin(e * (x - x0)) / (mp.pi * (x - x0))
+
+        return complex(mp.quadosc(g, [x0, mp.inf], omega=e) + mp.quadosc(g, [-mp.inf, x0], omega=e))
+
+
+_SINC_CASES = [
+    (2, TestFunction.chain_boundary(0)),
+    (3, TestFunction.chain_boundary(1)),
+    (2, TestFunction.rational_decay(3)),
+    (2, TestFunction.rational_decay(4)),
+    # members (x-z)^0 and (x-z)^1, whose moments sit at kappa = 0 (Abel sense)
+    (2, TestFunction.chain_boundary(1)),
+    (3, TestFunction.chain_boundary(2)),
+]
+
+
+def _sinc_misses(eps=0.05, xp=XP):
+    out = []
+    for n, f in _SINC_CASES:
+        m = BoundaryModel(n)
+        got = rs._sinc_band(m, f, rs._f_osc_moment(m, f), eps, xp)
+        out.append(abs(got - _sinc_oracle(m, f, eps, xp)))
+    return out
+
+
+def test_sinc_band_against_mpmath():
+    # the windowed quadrature this replaced missed by 3.4e-7 (chain:0),
+    # 8.9e-7 (chain:1) and up to 3.4e-11 (rational:3, rational:4)
+    assert max(_sinc_misses()) < 1e-12
+
+
+def test_sinc_band_without_its_negative_half_is_caught(monkeypatch):
+    # mutation control: zero the weights of the kappa < 0 half of the band
+    real = rs.composite_gauss
+
+    def upper_half_only(lo, hi, n_panels, order):
+        nodes, weights = real(lo, hi, n_panels, order)
+        return nodes, np.where(nodes < 0, 0.0, weights)
+
+    monkeypatch.setattr(rs, "composite_gauss", upper_half_only)
+    assert max(_sinc_misses()) > 1e-6
 
 
 def test_closed_moments_refuse_large_rational_exponents():
