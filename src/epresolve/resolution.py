@@ -720,8 +720,15 @@ def _f_osc_moment(model: BoundaryModel, f: TestFunction, reach: float = 0.0) -> 
     def rows(qs: tuple[int, ...]) -> np.ndarray:
         return np.stack([row(q) for q in qs])
 
+    # frequencies per phase sum, so that its (frequency x panel) arrays stay
+    # near 2^20 entries when a large radius asks for thousands of them
+    step = max(1, 2**20 // layout[2])
+
     def grid_moment(omega: np.ndarray | complex, qs: Sequence[int]) -> np.ndarray:
-        sums = composite_phase_sums(*layout, 16, rows(tuple(qs)), omega)
+        w = np.ravel(omega)
+        sums = np.concatenate([
+            composite_phase_sums(*layout, 16, rows(tuple(qs)), w[i:i + step]) for i in range(0, w.size, step)
+        ], axis=-1)
         return sums.reshape(sums.shape[:1] + np.shape(omega))
 
     return grid_moment
@@ -732,23 +739,21 @@ def _boundary_transform(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """k-array -> integral of f(x) * (generic solution at k) over x.
 
-    The solution's terms c k^m (x-z)^p e^{i sigma k (x-z)} e^{i tau k z}
-    make the closed sum e^{ik(tau-sigma)z} sum c k^m moment(sigma k, -p),
-    with ``moment`` the :func:`_f_osc_moment` of f, for every kind of f.
-    The generic solution is the k-scaled expression divided by k^n.
+    The solution carries the phase e^{ikx}, so its terms c k^m (x-z)^p make
+    the closed sum of c k^m moment(k, -p), with ``moment`` the
+    :func:`_f_osc_moment` of f, for every kind of f.  The generic solution
+    is the k-scaled expression divided by k^n.
     """
-    n, z = model.n, model.z
+    n = model.n
     F = bm_scatter(model)
     ms, ps, cs = F.to_term_arrays()
     scale = (2 * math.pi) ** (-0.5 * F.unit_pow)
-    sigma, shift = F.phase_x, F.phase_z - F.phase_x
     qs = tuple(-int(p) for p in ps)
 
     def T(k: np.ndarray) -> np.ndarray:
         karr = np.atleast_1d(np.asarray(k, dtype=np.complex128))
-        table = moment(sigma * karr, qs)
-        out = sum(c * karr ** int(m) * row for m, c, row in zip(ms, cs, table))
-        return out * scale * np.exp(1j * shift * z * karr) / karr**n
+        out = sum(c * karr ** int(m) * row for m, c, row in zip(ms, cs, moment(karr, qs)))
+        return out * scale / karr**n
 
     return T
 

@@ -677,6 +677,14 @@ def test_localized_boundary_scheme_takes_every_term_from_one_grid(sid, monkeypat
     assert sorted(built) == [0, 1, 2]
 
 
+def test_radius_past_the_spectral_reach_stays_exact():
+    # the spectral integral is empty there, and the blocks and the sinc band
+    # read moments at frequencies the transform's grid does not resolve
+    radii = np.array([30.0, 100.0])
+    got = apply_scheme(Scheme(SchemeId.RES3, BoundaryModel(2)), radii, 2.0 * radii, GAUSS, XP)
+    assert np.all(np.abs(got - TARGET) < 1e-9)
+
+
 @functools.cache
 def _sinc_oracle(model, f, eps, xp):
     """30-digit mpmath quadosc of f(x) sin(eps (x-x'))/(pi (x-x')) over the line."""
