@@ -635,6 +635,24 @@ def test_grid_moment_against_the_adaptive_oracle(f, n):
             assert abs(got - quadrature_moment(m, f, mu, q)) < 1e-12 * size, (mu, q)
 
 
+def test_grid_moment_batches_long_frequency_arrays():
+    # a grid for radius 2000 has 4000 panels: one (frequency x panel) phase
+    # array over 3000 frequencies would take 190 MB
+    import tracemalloc
+
+    moment = rs._f_osc_moment(BoundaryModel(2), GAUSS, 2000.0)
+    omega = np.linspace(-3.0, 3.0, 3000)
+    tracemalloc.start()
+    try:
+        whole = moment(omega, (0,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80e6
+    parts = np.concatenate([moment(omega[i:i + 100], (0,)) for i in range(0, omega.size, 100)], axis=-1)
+    assert np.max(np.abs(whole - parts)) < 1e-15 * np.max(np.abs(whole))
+
+
 @pytest.mark.parametrize("f", [GAUSS, TestFunction.hermite_gaussian(2)], ids=["gaussian", "hermite2"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5], ids=[f"n{k}" for k in range(1, 6)])
 def test_boundary_transform_against_the_laurent_tensor(f, n):
