@@ -2,6 +2,7 @@
 gap certificates, and the numeric reconstruction schemes."""
 
 import functools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -638,8 +639,6 @@ def test_grid_moment_against_the_adaptive_oracle(f, n):
 def test_grid_moment_batches_long_frequency_arrays():
     # a grid for radius 2000 has 4000 panels: one (frequency x panel) phase
     # array over 3000 frequencies would take 190 MB
-    import tracemalloc
-
     moment = rs._f_osc_moment(BoundaryModel(2), GAUSS, 2000.0)
     omega = np.linspace(-3.0, 3.0, 3000)
     tracemalloc.start()
@@ -752,8 +751,8 @@ def _sinc_misses(eps=0.05, xp=XP):
 
 
 def test_sinc_band_against_mpmath():
-    # the windowed quadrature this replaced missed by 3.4e-7 (chain:0),
-    # 8.9e-7 (chain:1) and up to 3.4e-11 (rational:3, rational:4)
+    # a window cut at max(300, 12/eps) misses by 3.4e-7 (chain:0), 8.9e-7
+    # (chain:1), 3.4e-11 (rational:3) and 6e-3 (the polynomial members)
     assert max(_sinc_misses()) < 1e-12
 
 
