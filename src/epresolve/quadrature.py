@@ -3,31 +3,27 @@
 Three layers, all deterministic (fixed panel subdivision and summation
 order, no randomness):
 
-* :func:`quad_line` / :func:`quad_contour` -- adaptive Gauss-Legendre with
-  error estimates from embedded lower-order rules, plus tail corrections
-  (algebraic substitution for monotone decay, integration-by-parts for a
-  single dominant oscillation frequency).  :func:`composite_gauss` owns the
-  fixed equal-panel layout; :func:`composite_phase_sums` takes plane-wave
-  moments on it with phases separated per panel.
+* Adaptive Gauss-Legendre with error estimates from embedded lower-order
+  rules, on intervals (``_adaptive``) and on deformed contours
+  (:func:`quad_contour`).  :func:`composite_gauss` owns the fixed
+  equal-panel layout; :func:`composite_phase_sums` takes plane-wave moments
+  on it with phases separated per panel.
 * :class:`OscRational` -- finite sums ``sum_t c_t exp(i mu_t x) (x-z)^(-q_t)``
   with one complex pole center.  These admit *exact* full-line values (residue
   evaluation, half-line Abel regularization where classical convergence
   fails) and exact one-sided tail integrals built on the exponential
   integral, so slowly decaying oscillatory integrands never need giant grids.
-  :meth:`OscRational.integral_tails` evaluates the tails of ``self * e^{ikx}``
-  for a whole array of wave numbers k in one grouped pass; the scalar
-  :func:`osc_power_tail` is the one-term oracle it is tested against.
+  :func:`stacked_tails` evaluates the tails of ``e * e^{ikx}`` for several
+  expressions e with one pole center and a whole array of wave numbers k in
+  one stacked pass: the union of their terms is grouped by frequency mu, and
+  per side one exponential-integral call over the (group x k) frequencies
+  mu + k seeds the power recurrences that every expression's coefficients
+  read.  :meth:`OscRational.integral_tails` is its one-expression case; the
+  scalar :func:`osc_power_tail` is the one-term oracle both are tested
+  against.
 * :class:`GaussianPacket` / :func:`quad_packet` -- closed-form smearing of an
   exact Laurent expression against a Gaussian-windowed polynomial weight,
   via one three-term recurrence for the window moments.
-
-Example
--------
->>> import numpy as np
->>> from epresolve.quadrature import quad_line
->>> r = quad_line(lambda x: np.exp(-x * x), tol=1e-10)
->>> abs(r.value - np.sqrt(np.pi)) < 1e-10
-True
 """
 
 from __future__ import annotations
@@ -46,7 +42,6 @@ __all__ = [
     "QuadResult",
     "ContourSpec",
     "GaussianPacket",
-    "quad_line",
     "quad_contour",
     "quad_packet",
     "composite_gauss",
@@ -55,6 +50,7 @@ __all__ = [
     "gauss_moment",
     "hermite_values",
     "osc_power_tail",
+    "stacked_tails",
     "ft_inverse_power",
 ]
 
@@ -95,7 +91,16 @@ def _panel_layout(lo: float, hi: float, n_panels: int) -> tuple[np.ndarray, np.n
 def composite_gauss(lo: float, hi: float, n_panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of an ``order``-point Gauss-Legendre rule on each of
     ``n_panels`` equal panels of [lo, hi]; exact for polynomials of degree
-    2*order - 1 on every panel."""
+    2*order - 1 on every panel.
+
+    Example
+    -------
+    >>> import numpy as np
+    >>> from epresolve.quadrature import composite_gauss
+    >>> x, w = composite_gauss(-8.0, 8.0, 16, 16)
+    >>> bool(abs(np.sum(w * np.exp(-x * x)) - np.sqrt(np.pi)) < 1e-14)
+    True
+    """
     xg, wg = _gl(order)
     mid, half = _panel_layout(lo, hi, n_panels)
     nodes = (mid[:, None] + half[:, None] * xg).ravel()
@@ -198,86 +203,6 @@ def _adaptive_oscillatory(
         err += r.error
         evals += r.evaluations
     return QuadResult(total, err, evals)
-
-
-# ---------------------------------------------------------------------------
-# whole-line quadrature with tail corrections
-# ---------------------------------------------------------------------------
-
-def _algebraic_tail(
-    f: Callable[[np.ndarray], np.ndarray], X: float, side: int, tol: float
-) -> QuadResult:
-    """Exact reparametrization of ∫_X^inf f via x = X/u, u in (0, 1]."""
-
-    def g(u: np.ndarray) -> np.ndarray:
-        x = X / u
-        return np.asarray(f(side * x), dtype=np.complex128) * X / (u * u)
-
-    # Gauss nodes are interior, so u = 0 is never touched.
-    return _adaptive(g, 0.0, 1.0, tol)
-
-
-def _euler_tail(
-    f: Callable[[np.ndarray], np.ndarray],
-    X: float,
-    side: int,
-    omega: float,
-    n_panels: int = 24,
-) -> QuadResult:
-    """Oscillatory tail by half-period panels plus Euler averaging.
-
-    Successive half-period integrals of a single-frequency integrand form a
-    (nearly) alternating sequence whose Euler transform converges extremely
-    fast when the amplitude varies smoothly -- including amplitudes that
-    merely settle to a constant, for which the averaged value coincides with
-    the Abel-regularized tail.
-    """
-    # Substituting x -> -t maps the left tail onto ∫_X^inf f(-t) dt, so both
-    # sides reduce to one outgoing sweep.
-    h = math.pi / abs(omega)
-    x15, w15 = _gl(15)
-    starts = X + h * np.arange(n_panels)
-    mid = starts + 0.5 * h
-    nodes = mid[:, None] + 0.5 * h * x15[None, :]
-    vals = np.asarray(f(side * nodes.ravel()), dtype=np.complex128).reshape(nodes.shape)
-    panels = 0.5 * h * (vals @ w15)
-    partial = np.cumsum(panels)
-    prev = partial[-1]
-    err_step = 0.0
-    while partial.size > 1:
-        partial = 0.5 * (partial[:-1] + partial[1:])
-        err_step = abs(partial[-1] - prev)
-        prev = partial[-1]
-    return QuadResult(complex(prev), float(err_step), nodes.size)
-
-
-def quad_line(
-    f: Callable[[np.ndarray], np.ndarray],
-    tol: float = 1e-8,
-    oscillation_k: float = 0.0,
-    core_radius: float | None = None,
-) -> QuadResult:
-    """Integrate a vectorized callable over the whole real line.
-
-    ``oscillation_k`` declares the dominant phase frequency e^{i k x}; zero
-    means monotone (or Gaussian-fast) decay, handled by an algebraic
-    substitution of the tails.  ``core_radius`` overrides the default core
-    window [-48, 48].
-    """
-    X = float(core_radius) if core_radius is not None else 48.0
-    core = _adaptive_oscillatory(f, -X, X, tol, oscillation_k)
-    value, err, evals = core.value, core.error, core.evaluations
-    probe = np.abs(np.asarray(f(np.array([X, -X])), dtype=np.complex128))
-    if max(probe) > 1e-305:
-        for side in (1, -1):
-            if oscillation_k == 0.0:
-                t = _algebraic_tail(f, X, side, tol)
-            else:
-                t = _euler_tail(f, X, side, oscillation_k)
-            value += t.value
-            err += t.error
-            evals += t.evaluations
-    return QuadResult(value, err, evals)
 
 
 # ---------------------------------------------------------------------------
@@ -430,39 +355,94 @@ def osc_power_tail(mu: float, z: complex, q: int, X: float, side: int = 1) -> co
     return val
 
 
-def _right_tails(nu: np.ndarray, z: complex, coeffs: dict[int, complex], X: float) -> np.ndarray:
-    """sum_q coeffs[q] * osc_power_tail(nu, z, q, X) for every frequency in ``nu``.
+def _right_tails(
+    nu: np.ndarray, z: complex, terms: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    n_rows: int, X: float,
+) -> np.ndarray:
+    """Right tails of stacked terms over a (group x k) frequency array.
 
-    One exponential-integral call seeds the upward recurrence in q >= 1 and
-    the plain oscillation seeds the Abel-regularized one in q <= 0; each
-    coefficient is collected as its recurrence passes q.  Zero frequencies
-    take the closed form (q >= 2 only, as in the oracle).
+    ``nu`` holds one row of frequencies per group, and ``terms`` the flat
+    arrays (power q, row, group, coefficient) of every term, each row's in its
+    expression's order.  Returns the (n_rows, group, k) partial sums
+    sum_q c * osc_power_tail(nu, z, q, X) of every row and group: one
+    exponential-integral call over the whole ``nu`` seeds the upward
+    recurrence in q >= 1, the plain oscillation seeds the Abel-regularized one
+    in q <= 0, and each row collects its coefficients as the recurrence passes
+    q.  Zero frequencies take the closed form (q >= 2 only, as in the oracle).
     """
+    qs, rows, groups, cs = terms
     zero = nu == 0.0
-    if zero.any() and min(coeffs) <= 1:
+    zero_groups = zero.any(axis=1)
+    if zero_groups[groups[qs <= 1]].any():
         raise ValueError("tail diverges for q <= 1 at zero frequency")
     d = X - z
     iw = 1j * np.where(zero, 1.0, nu)  # placeholder at zeros, overwritten below
     ph = np.exp(iw * X)
-    out = np.zeros(nu.shape, dtype=np.complex128)
-    qmin, qmax = min(coeffs), max(coeffs)
+    out = np.zeros((n_rows,) + nu.shape, dtype=np.complex128)
+
+    def collect(q: int, val: np.ndarray) -> None:
+        at = qs == q
+        out[rows[at], groups[at]] += cs[at, None] * val[groups[at]]
+
+    qmin, qmax = int(qs.min()), int(qs.max())
     if qmax >= 1:
         val = np.exp(iw * z) * _exp1(-iw * d)  # q == 1
         for q in range(1, qmax + 1):
             if q >= 2:
                 val = ph * d ** (1 - q) / (q - 1) + (iw / (q - 1)) * val
-            if q in coeffs:
-                out += coeffs[q] * val
+            collect(q, val)
     if qmin <= 0:
         val = -ph / iw  # q == 0
         for j in range(0, 1 - qmin):
             if j >= 1:
                 val = -ph * d**j / iw - (j / iw) * val
-            if -j in coeffs:
-                out += coeffs[-j] * val
-    if zero.any():
-        out[zero] = sum(c * d ** (1 - q) / (q - 1) for q, c in coeffs.items())
+            collect(-j, val)
+    if zero_groups.any():
+        closed = np.zeros((n_rows, len(nu)), dtype=np.complex128)
+        for q, r, g, c in zip(qs.tolist(), rows.tolist(), groups.tolist(), cs.tolist()):
+            if zero_groups[g]:
+                closed[r, g] += c * d ** (1 - q) / (q - 1)
+        out[:, zero] = closed[:, np.nonzero(zero)[0]]
     return out
+
+
+def stacked_tails(exprs: Sequence["OscRational"], X: float) -> Callable[[np.ndarray], np.ndarray]:
+    """k -> the two tails |x| >= X of ``e * e^{ikx}`` for every e of ``exprs``.
+
+    The expressions share one pole center.  The union of their terms is
+    grouped by frequency mu once, here; each call then makes one
+    :func:`_right_tails` pass per side over the (group x k) array of
+    frequencies mu + k, so a frequency that several expressions carry is
+    seeded once.  A real array k gives shape ``(len(exprs),) + k.shape``.
+    Each row sums its groups in ascending mu, the right tail before the left,
+    whatever the other rows hold.  Raises ``ValueError`` where mu + k vanishes
+    in a group that carries a power q <= 1 in some row: that tail diverges.
+    """
+    z = exprs[0].z
+    for e in exprs[1:]:
+        exprs[0]._require_same_center(e)
+    mus = sorted({mu for e in exprs for mu, _ in e.terms})
+    group = {mu: g for g, mu in enumerate(mus)}
+    flat = [(q, r, group[mu], c) for r, e in enumerate(exprs) for (mu, q), c in e.terms.items()]
+    qs, rows, groups = (np.array([t[i] for t in flat], dtype=int) for i in range(3))
+    right = (qs, rows, groups, np.array([t[3] for t in flat], dtype=np.complex128))
+    # t -> -t maps the left tail onto a right tail with reflected data
+    left = (qs, rows, groups, np.array([(-1.0) ** t[0] * t[3] for t in flat], dtype=np.complex128))
+    mu_col = np.array(mus)[:, None]
+
+    def tails(k: np.ndarray) -> np.ndarray:
+        kv = np.asarray(k, dtype=np.float64)
+        total = np.zeros((len(exprs), kv.size), dtype=np.complex128)
+        if flat:
+            # rounded like OscRational keys: the tails of the per-k products
+            nu = np.round(mu_col + kv.ravel(), 12)
+            sides = (_right_tails(nu, z, right, len(exprs), X), _right_tails(-nu, -z, left, len(exprs), X))
+            for g in range(len(mus)):
+                for side in sides:
+                    total += side[:, g]
+        return total.reshape((len(exprs),) + kv.shape)
+
+    return tails
 
 
 def _add_osc_keys(a: tuple[float, int], b: tuple[float, int]) -> tuple[float, int]:
@@ -569,23 +549,11 @@ class OscRational:
 
         ``k=None`` integrates ``self`` alone (k = 0) and returns a complex.  A
         real array ``k`` returns an array of the same shape, one tail per wave
-        number, from one pass over the terms: grouped by frequency mu, each
-        (mu, side) pair runs the :func:`osc_power_tail` recurrences vectorised
-        over mu + k.  Raises ``ValueError`` where mu + k vanishes under a
-        power q <= 1, whose tail diverges.
+        number: the one-row case of :func:`stacked_tails`.  Raises
+        ``ValueError`` where mu + k vanishes under a power q <= 1, whose tail
+        diverges.
         """
-        kv = np.zeros(1) if k is None else np.asarray(k, dtype=np.float64)
-        groups: dict[float, dict[int, complex]] = {}
-        for (mu, q), c in self.terms.items():
-            groups.setdefault(mu, {})[q] = c
-        total = np.zeros(kv.shape, dtype=np.complex128)
-        for mu, coeffs in sorted(groups.items()):
-            # rounded like OscRational keys: the tail of the per-k product
-            nu = np.round(mu + kv, 12)
-            total += _right_tails(nu, self.z, coeffs, X)
-            # t -> -t maps the left tail onto a right tail with reflected data
-            reflected = {q: (-1.0) ** q * c for q, c in coeffs.items()}
-            total += _right_tails(-nu, -self.z, reflected, X)
+        (total,) = stacked_tails([self], X)(np.zeros(1) if k is None else k)
         return complex(total[0]) if k is None else total
 
     def integral_line(self, X: float = 60.0, tol: float = 1e-10) -> QuadResult:

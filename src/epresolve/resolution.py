@@ -59,6 +59,7 @@ from .quadrature import (
     ft_inverse_power,
     hermite_values,
     quad_contour,
+    stacked_tails,
 )
 from .report import VerificationReport
 
@@ -606,6 +607,13 @@ _INTERIOR_REACH_PAD = 26.0
 # keeps that truncation a tenth of the tolerance.
 _MAX_RATIONAL_EXPONENT = 16
 
+# largest eps * |Im z| of a boundary scheme with oscillating closed blocks:
+# a term with frequency h eps/2 applies e^{-i (h/2) eps z} and its partner
+# e^{-i (h/2) eps (x'-z)}, each of size up to e^{eps |Im z|} for |h| <= 2.
+# Their product has modulus 1, but either factor alone leaves the float range
+# at about 709.8, and at 700 both (and their reciprocals) are still normal.
+_MAX_BLOCK_GROWTH = 700.0
+
 # (omega, qs) -> the moments of f that _f_osc_moment evaluates, one row per
 # q of qs: shape (len(qs),) + shape of omega
 _Moment = Callable[[np.ndarray | complex, Sequence[int]], np.ndarray]
@@ -863,7 +871,7 @@ def _interior_transform(model: InteriorModel, f: TestFunction) -> Callable[[np.n
     Localized f: three fixed-grid plane-wave transforms assembled with the
     explicit pole factors.  Chain members: the same fixed-grid core on
     [-X, X] plus exact oscillatory-settling tails from the large-x models,
-    each tail taking the whole k array in one batched call (the integrals
+    all three taking the whole k array in one stacked call (the integrals
     exist in the Abel sense; the tail machinery evaluates exactly that).
     """
     a, z = model.alpha, model.z
@@ -902,19 +910,19 @@ def _interior_transform(model: InteriorModel, f: TestFunction) -> Callable[[np.n
         # remainder integrals are exact large-x models
         h = min(0.5, 9.0 / (_spectral_reach(f) + 8 * a))
         core = plane_wave_core(-X, X, int(math.ceil(2 * X / h)), lambda x: member(model, x).value)
-        # tail products with the wave's plane-phase factored out: each tail
-        # integral takes the whole k array in one batched call
+        # tail products with the wave's plane-phase factored out: the three
+        # share their frequencies, so one stacked pass takes all of them over
+        # the whole k array
         inv_w = im_tail_model(model, "inv_w", 5)
         p1 = member_tail * ((OscRational.cosine(z, 2 * a, 2 * a) + OscRational.constant(z, 2 * a)) * inv_w)
         p2 = member_tail * (OscRational.sine(z, 2 * a, 2 * a * a) * inv_w)
+        tails = stacked_tails([member_tail, p1, p2], X)
         rt2pi = math.sqrt(2 * math.pi)
 
         def theta(k: np.ndarray) -> np.ndarray:
             karr = np.atleast_1d(np.asarray(k, dtype=np.complex128))
             kr = karr.real
-            t0 = member_tail.integral_tails(X, kr)
-            t1 = p1.integral_tails(X, kr)
-            t2 = p2.integral_tails(X, kr)
+            t0, t1, t2 = tails(kr)
             return core(karr) + (t0 + (1j * kr * t1 + t2) / (kr * kr - a * a)) / rt2pi
 
         return theta
@@ -1112,6 +1120,12 @@ def apply_scheme(
         else:
             cos_block, sin_block = _boundary_blocks(model.n, 0)
             blocks = add_terms(cos_block, sin_block.items())
+        rate = max((max(abs(hx), abs(hxp)) / 2 for hx, hxp, *_ in blocks), default=0)
+        if np.any(rate * radii * abs(model.z.imag) > _MAX_BLOCK_GROWTH):
+            raise ValueError(
+                f"scheme {kind.value} needs eps * |Im z| <= {_MAX_BLOCK_GROWTH / rate:g}: its closed blocks "
+                f"grow like e^(eps |Im z|) and leave the float range past that (Im z = {model.z.imag:g})"
+            )
 
         def at(e: float, cut: float) -> complex:
             total = _ik_boundary(f, integrand, e, cut, tol)

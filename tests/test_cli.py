@@ -400,6 +400,27 @@ def test_sweep_divergent_chain_pairing_is_usage_error(args, capsys):
     assert "diverges" in captured.err
 
 
+@pytest.mark.parametrize("testfn", ["gaussian", "chain:0"])
+def test_sweep_radius_past_the_block_growth_is_usage_error(testfn, capsys):
+    # res3's closed blocks apply e^{-i eps z}, which leaves the float range
+    # past eps |Im z| ~ 709.8
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", "--n", "2", "--scheme", "res3", "--testfn", testfn, "--eps-grid", "1000"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "scheme res3 needs eps * |Im z| <= 700" in captured.err
+
+
+def test_sweep_large_radius_within_the_block_growth_is_exact(tmp_path):
+    # eps |Im z| = 300 and 700, the bound: res3 stays exact
+    out = tmp_path / "wide.csv"
+    code = run(["sweep", "--n", "2", "--scheme", "res3", "--testfn", "gaussian", "--z", "0,0.5",
+                "--eps-grid", "600,1400", "--out", str(out)])
+    assert code == 0
+    assert all(float(row[-1]) < 1e-13 for row in read_csv(out)[1:])
+
+
 @pytest.mark.parametrize("exponent", ["100", "171"])
 def test_sweep_rational_exponent_out_of_range_is_usage_error(exponent, capsys):
     # past q = 16 the boundary spectral integral, cut at |k| = 45, misses the

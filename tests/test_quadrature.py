@@ -1,4 +1,4 @@
-"""Quadrature layer: line/contour integrals, exact tails, packet smearing."""
+"""Quadrature layer: composite and contour integrals, exact tails, packet smearing."""
 
 import math
 
@@ -22,21 +22,14 @@ from epresolve.quadrature import (
     osc_power_tail,
     packet_product_moment,
     quad_contour,
-    quad_line,
     quad_packet,
+    stacked_tails,
 )
 
 
 # ---------------------------------------------------------------------------
-# quad_line
+# composite rules
 # ---------------------------------------------------------------------------
-
-def test_line_gaussian():
-    r = quad_line(lambda x: np.exp(-(x**2)), tol=1e-10)
-    assert abs(r.value - math.sqrt(math.pi)) < 1e-10
-    assert r.error < 1e-8
-    assert r.evaluations > 0
-
 
 @pytest.mark.parametrize("order", [3, 12, 16])
 def test_composite_gauss_is_exact_to_degree_2_order_minus_1(order):
@@ -126,25 +119,6 @@ def test_composite_phase_sums_mutation_control(monkeypatch):
     assert np.all(np.abs(got - want) > bound[:, None])
 
 
-def test_line_double_pole_vanishes():
-    # whole-line integral of 1/(x-i)^2 is exactly zero (antiderivative decays)
-    r = quad_line(lambda x: 1.0 / (x - 1j) ** 2, tol=1e-9)
-    assert abs(r.value) < 1e-8
-
-
-def test_line_oscillatory_double_pole():
-    # residue at x = i: ∫ e^{ix}/(x-i)^2 dx = 2 pi i * d/dx e^{ix}|_{x=i} = -2 pi / e
-    r = quad_line(lambda x: np.exp(1j * x) / (x - 1j) ** 2, tol=1e-9, oscillation_k=1.0)
-    assert abs(r.value - (-2 * math.pi / math.e)) < 1e-7
-
-
-def test_line_determinism():
-    f = lambda x: np.exp(1j * 2.0 * x) / (x - 0.3 - 1j) ** 2
-    a = quad_line(f, tol=1e-9, oscillation_k=2.0)
-    b = quad_line(f, tol=1e-9, oscillation_k=2.0)
-    assert a.value == b.value and a.evaluations == b.evaluations
-
-
 # ---------------------------------------------------------------------------
 # quad_contour
 # ---------------------------------------------------------------------------
@@ -200,12 +174,20 @@ def test_contour_multiple_centers():
 def test_ft_inverse_power_against_quadrature(q, omega):
     z = 0.4 + 1.2j
 
-    def f(x):
-        return np.exp(1j * omega * x) / (x - z) ** q
+    def g(x):
+        return (x - z) ** -q
+
+    def half_line(h, weight):
+        # QUADPACK's Fourier rule (QAWF) on [0, inf), real and imaginary parts
+        parts = (integrate.quad(lambda x: part(h(x)), 0, np.inf, weight=weight, wvar=abs(omega), epsabs=1e-10)[0]
+                 for part in (np.real, np.imag))
+        return complex(*parts)
 
     want = ft_inverse_power(q, omega, z)
-    got = quad_line(f, tol=1e-10, oscillation_k=omega)
-    assert abs(got.value - want) < 5e-7
+    # e^{i omega x} splits into the even part of g against cos and the odd one against sin
+    got = half_line(lambda x: g(x) + g(-x), "cos") + 1j * math.copysign(1.0, omega) * half_line(
+        lambda x: g(x) - g(-x), "sin")
+    assert abs(got - want) < 5e-7
     # the same case as one array input, entry by entry the scalar calls
     omegas = (omega, -omega, 0.0)
     arr = ft_inverse_power(q, np.array(omegas), z)
@@ -421,10 +403,13 @@ def _oracle_tails(f, X, ks):
     return np.array(values), np.array(scales)
 
 
-def _tails_agree(f, X, ks, rtol=1e-10):
+def _tails_agree(f, X, ks, rtol=1e-10, atol=4 * math.ulp(0.0)):
+    """The batched tails of f match the oracle within rtol of the summed term
+    magnitudes, plus a few subnormal spacings: where the tails round to zero
+    in one coding and to a subnormal in the other, that scale underflows."""
     got = f.integral_tails(X, np.asarray(ks))
     want, scale = _oracle_tails(f, X, ks)
-    return got.shape == want.shape and bool(np.all(np.abs(got - want) <= rtol * scale))
+    return got.shape == want.shape and bool(np.all(np.abs(got - want) <= rtol * scale + atol))
 
 
 # The upward recurrence loses about log10((|nu| |X - z|)^(q-1) / (q-1)!)
@@ -451,6 +436,7 @@ _osc_terms = st.lists(
     X=st.floats(3.0, 6.0),
     ks=st.lists(st.integers(-6, 6).map(lambda j: j / 4), min_size=1, max_size=6),
 )
+@example(terms=[(-0.5, 1, 5e-324)], z_re=0.0, z_im=1.0, z_sign=1.0, X=3.0, ks=[0.0])
 @settings(max_examples=150, deadline=None)
 def test_batched_tails_match_scalar_oracle(terms, z_re, z_im, z_sign, X, ks):
     f = OscRational(complex(z_re, z_sign * z_im), terms)
@@ -526,6 +512,59 @@ def test_batched_tails_on_chain_member_models(which):
         assert np.allclose(got, want, rtol=1e-10, atol=0.0)
 
 
+def _stacked_agree(exprs, X, ks):
+    """Each row of one stacked pass equals its expression's own tails bitwise
+    and matches the scalar oracle; where some row's tail diverges, the
+    stacked pass refuses too."""
+    try:
+        for e in exprs:
+            _oracle_tails(e, X, ks)
+    except ValueError:
+        with pytest.raises(ValueError):
+            stacked_tails(exprs, X)(np.asarray(ks))
+        return True
+    rows = stacked_tails(exprs, X)(np.asarray(ks))
+    return rows.shape == (len(exprs), len(ks)) and all(
+        row.tobytes() == e.integral_tails(X, np.asarray(ks)).tobytes() and _tails_agree(e, X, ks)
+        for row, e in zip(rows, exprs)
+    )
+
+
+@given(
+    expr_terms=st.lists(_osc_terms, min_size=1, max_size=3),
+    z_re=st.floats(-1.0, 1.0),
+    z_im=st.floats(0.3, 2.0),
+    z_sign=st.sampled_from([1.0, -1.0]),
+    X=st.floats(3.0, 6.0),
+    ks=st.lists(st.integers(-6, 6).map(lambda j: j / 4), min_size=1, max_size=6),
+)
+# disjoint frequencies, and a frequency the rows share with different powers
+@example(expr_terms=[[(0.5, 2, 1.0)], [(-1.5, -1, 0.5j), (1.25, 3, -2.0)]],
+         z_re=0.1, z_im=0.8, z_sign=1.0, X=4.0, ks=[-0.25, 0.75])
+@example(expr_terms=[[(0.5, 2, 1.0), (0.5, -3, 0.25)], [(0.5, 1, 2j)], [(0.5, 4, -1.0), (-0.5, 0, 1.0)]],
+         z_re=-0.4, z_im=1.1, z_sign=-1.0, X=5.0, ks=[0.25, 1.5])
+@settings(max_examples=100, deadline=None)
+def test_stacked_tails_rows_match_their_own_tails(expr_terms, z_re, z_im, z_sign, X, ks):
+    z = complex(z_re, z_sign * z_im)
+    assert _stacked_agree([OscRational(z, terms) for terms in expr_terms], X, ks)
+
+
+def test_stacked_tails_zero_frequency_per_group():
+    z, X = 0.2 - 0.7j, 12.0
+    ks = [-0.5, 0.25]
+    # mu + k == 0 at k = -0.5 in the 0.5 group, which carries q >= 2 only;
+    # the second row's q <= 1 terms sit in the -1 group, which never vanishes
+    closed = OscRational(z, [(0.5, 3, 1.5 - 0.5j), (0.5, 2, 0.3j)])
+    elsewhere = OscRational(z, [(0.5, 2, 0.7), (-1.0, 1, 2.0), (-1.0, 0, 0.25)])
+    assert _stacked_agree([closed, elsewhere], X, ks)
+    # one row with q <= 1 in the vanishing group makes the whole pass refuse ...
+    diverging = OscRational(z, [(0.5, 1, 1.0)])
+    with pytest.raises(ValueError):
+        stacked_tails([closed, diverging, elsewhere], X)(np.asarray(ks))
+    # ... and only where that group vanishes
+    assert _stacked_agree([closed, diverging, elsewhere], X, ks[1:])
+
+
 def test_batched_tails_mutation_control(monkeypatch):
     # dropping the reflection sign (-1)^q of the left tail must be caught
     z, X = 0.4 + 0.9j, 5.0
@@ -534,10 +573,11 @@ def test_batched_tails_mutation_control(monkeypatch):
     assert _tails_agree(f, X, ks)
     right = quadrature._right_tails
 
-    def unsigned(nu, zc, coeffs, X):
+    def unsigned(nu, zc, terms, *rest):
         if zc == -z:  # the reflected (left) side: undo its (-1)^q
-            coeffs = {q: (-1.0) ** q * c for q, c in coeffs.items()}
-        return right(nu, zc, coeffs, X)
+            qs, rows, groups, cs = terms
+            terms = (qs, rows, groups, (-1.0) ** qs * cs)
+        return right(nu, zc, terms, *rest)
 
     monkeypatch.setattr(quadrature, "_right_tails", unsigned)
     assert not _tails_agree(f, X, ks)
