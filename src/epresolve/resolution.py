@@ -43,7 +43,6 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import sici
 
 from .boundary import BoundaryModel, bm_assoc, bm_scatter
 from .exact import ExpLaurent, RationalComplex, add_terms, i_power, mul_terms
@@ -1030,7 +1029,12 @@ def _interior_singular_terms(
         for mu, c in waves.items():
             bracket += c * pair("psi0", mu)
         total += -(1.0 / (math.pi * a)) * bracket * p0_xp
-        # partner cross term with the band integral J(D)
+        # partner cross term with the band integral J(D).  Its Ci comes from
+        # scipy, imported here, the package's only scipy call, so that the
+        # other commands load without it; ROADMAP item 4 retires this
+        # window and the import with it
+        from scipy.special import sici
+
         ev_f = f.make_eval(model)
         W = f.window() if not f.is_chain else 400.0
 

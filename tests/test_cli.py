@@ -4,6 +4,10 @@ import contextlib
 import csv
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -30,6 +34,17 @@ def _reject_constant(token):
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # a fresh interpreter: scipy.special was over half of the import time, and
+    # only res13's partner cross term (imported there) and the tests need scipy
+    package_root = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(package_root), os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, epresolve.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_verify_all_boundary_passes(tmp_path):

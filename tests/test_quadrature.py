@@ -450,16 +450,96 @@ def test_batched_tails_match_scalar_oracle(terms, z_re, z_im, z_sign, X, ks):
     assert _tails_agree(f, X, ks)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the q = 5 upward recurrence from E_1 cancels terms of about 1e-4 down to "
-    "a 3.4e-8 tail and misses the oracle by 3.9e-10 relative, past rtol 1e-10 "
-    "(ROADMAP item 3: stable exponential-integral tails)",
-)
+def _mp_tail(mu, z, q, X, side=1):
+    """30-digit mpmath one-sided tail of e^{i mu t} (t-z)^(-q), q >= 1:
+    e^{i mu z} (X-z)^(1-q) E_q(-i mu (X-z)), mirrored for the left side."""
+    import mpmath as mp
+
+    if side == -1:
+        return (-1.0) ** q * _mp_tail(-mu, -z, q, X)
+    with mp.workdps(30):
+        d = X - mp.mpc(z)
+        return complex(mp.exp(1j * mu * mp.mpc(z)) * d ** (1 - q) * mp.expint(q, -1j * mu * d))
+
+
+# (mu, q, X, z): a falsifying draw of test_batched_tails_match_scalar_oracle
+# for the climb from E_1 (mu 1.25 + k 1), the q 6, mu 5.6, X 28 loss of the
+# first batched tails, and two terms at the chain partner's own scale, where
+# the climb gains about |w|^(q-1)/(q-1)! ~ 1e13 and 1e22
+_HIGH_Q_TAILS = [
+    (2.25, 5, 6.0, 1.20703125j),
+    (5.6, 6, 28.0, 1j),
+    (10.0, 8, 60.0, 1j),
+    (23.0, 12, 60.0, 1j),
+]
+
+
+def _high_q_tail_errors():
+    """Per case, the largest relative error of the scalar one-sided tails and
+    of the batched two-sided tail; the two sides can cancel (by 1500x in the
+    first case), so the batched error is taken relative to their magnitudes."""
+    errors = []
+    for mu, q, X, z in _HIGH_Q_TAILS:
+        sides = [(_mp_tail(mu, z, q, X, side), osc_power_tail(mu, z, q, X, side)) for side in (1, -1)]
+        batched = OscRational(z, [(mu, q, 1.0)]).integral_tails(X)
+        scale = sum(abs(want) for want, _ in sides)
+        errors.append(max(
+            max(abs(got - want) / abs(want) for want, got in sides),
+            abs(batched - sum(want for want, _ in sides)) / scale,
+        ))
+    return errors
+
+
 def test_batched_tails_known_recurrence_loss():
-    # a falsifying example drawn by test_batched_tails_match_scalar_oracle,
-    # pinned so that the loss shows on every run instead of on unlucky draws
-    assert _tails_agree(OscRational(1.20703125j, [(1.25, 5, 1)]), 6.0, [1.0])
+    # high-q tails that the climb from E_1 got wrong, from 4e-5 relative up
+    # to 2e11: the pivot table keeps them to a few ulps
+    assert max(_high_q_tail_errors()) < 1e-13
+
+
+def test_high_q_tails_mutation_control(monkeypatch):
+    # a table that climbs from E_1 everywhere must fail the partner-scale cases
+    table = quadrature._scaled_expn
+
+    def climbing(w, qmax):
+        rows = [table(w, 1)[0]]
+        for n in range(1, qmax):
+            rows.append((1.0 - w * rows[-1]) / n)
+        return np.stack(rows)
+
+    monkeypatch.setattr(quadrature, "_scaled_expn", climbing)
+    errors = _high_q_tail_errors()
+    assert errors[2] > 1e-2 and errors[3] > 1e3
+
+
+def _mp_scaled_expn(w, qmax):
+    """e^w E_q(w), q = 1..qmax, by mpmath: E_1, then the climb in q at 80
+    digits, which the climb's loss of at most 40 leaves past 30 correct."""
+    import mpmath as mp
+
+    with mp.workdps(80):
+        wm = mp.mpc(w.real, w.imag)
+        g = [mp.exp(wm) * mp.e1(wm)]
+        for n in range(1, qmax):
+            g.append((1 - wm * g[-1]) / n)
+        return [complex(v) for v in g]
+
+
+def test_scaled_expn_against_mpmath():
+    # orders 1..16 over |w| in [1e-3, 3e3] up to the branch cut, in one call:
+    # series seeds, fraction seeds of every depth rule, pivots 1..16
+    radii = np.geomspace(1e-3, 3e3, 43)
+    angles = np.concatenate([np.linspace(-2.8, 2.8, 15), [-3.14, -3.0, 3.0, 3.14]])
+    w = radii[:, None] * np.exp(1j * angles)
+    got = quadrature._scaled_expn(w, 16)
+    assert got.shape == (16,) + w.shape
+    want = np.array([_mp_scaled_expn(v, 16) for v in w.ravel()]).T.reshape(got.shape)
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-14
+    # each element's values are its own, whatever it is batched with and
+    # however many orders up to 16 are asked for: a 0-d argument (as
+    # osc_power_tail reads it), a sub-grid and a shorter table agree bitwise
+    assert np.array_equal(quadrature._scaled_expn(w[5, 3], 16), got[:, 5, 3])
+    assert np.array_equal(quadrature._scaled_expn(w[::3, 1::2], 16), got[:, ::3, 1::2])
+    assert np.array_equal(quadrature._scaled_expn(w, 5), got[:5])
 
 
 def test_batched_tails_zero_frequency_elements():
@@ -543,6 +623,8 @@ def _stacked_agree(exprs, X, ks):
          z_re=0.1, z_im=0.8, z_sign=1.0, X=4.0, ks=[-0.25, 0.75])
 @example(expr_terms=[[(0.5, 2, 1.0), (0.5, -3, 0.25)], [(0.5, 1, 2j)], [(0.5, 4, -1.0), (-0.5, 0, 1.0)]],
          z_re=-0.4, z_im=1.1, z_sign=-1.0, X=5.0, ks=[0.25, 1.5])
+# series seeds of two frequencies in one table: each element stops on its own
+@example(expr_terms=[[(0.0, 0, 1.0)], [(0.5, 1, 1.0)]], z_re=0.0, z_im=1.0, z_sign=-1.0, X=3.0, ks=[0.25])
 @settings(max_examples=100, deadline=None)
 def test_stacked_tails_rows_match_their_own_tails(expr_terms, z_re, z_im, z_sign, X, ks):
     z = complex(z_re, z_sign * z_im)

@@ -584,16 +584,17 @@ def test_radius_sweep_builds_order12_tail_models_once(monkeypatch):
 def test_partner_transform_seeds_each_frequency_once_per_side(monkeypatch):
     # the psi1 transform's three tail products (the member, p1 and p2) carry
     # 12, 24 and 24 frequency groups over 24 distinct frequencies: one
-    # stacked pass per k array makes one E_1 call per side over those 24
+    # stacked pass per k array builds one e^w E_q(w) table per side over
+    # those 24
     seeds = []
-    real = quadrature._exp1
+    real = quadrature._scaled_expn
 
-    def counting(w):
+    def counting(w, qmax):
         seeds.append(np.shape(w))
-        return real(w)
+        return real(w, qmax)
 
     transform = rs._interior_transform(InteriorModel(1.0, 1j), _PSI1)
-    monkeypatch.setattr(quadrature, "_exp1", counting)
+    monkeypatch.setattr(quadrature, "_scaled_expn", counting)
     transform(np.linspace(0.3, 7.0, 33))
     assert seeds == [(24, 33), (24, 33)]
 
