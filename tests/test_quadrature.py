@@ -465,7 +465,7 @@ def _mp_tail(mu, z, q, X, side=1):
 # (mu, q, X, z): a falsifying draw of test_batched_tails_match_scalar_oracle
 # for the climb from E_1 (mu 1.25 + k 1), the q 6, mu 5.6, X 28 loss of the
 # first batched tails, and two terms at the chain partner's own scale, where
-# the climb gains about |w|^(q-1)/(q-1)! ~ 1e13 and 1e22
+# the climb gains about |w|^(q-1)/(q-1)! ~ 6e15 and 9e26
 _HIGH_Q_TAILS = [
     (2.25, 5, 6.0, 1.20703125j),
     (5.6, 6, 28.0, 1j),
@@ -491,8 +491,8 @@ def _high_q_tail_errors():
 
 
 def test_batched_tails_known_recurrence_loss():
-    # high-q tails that the climb from E_1 got wrong, from 4e-5 relative up
-    # to 2e11: the pivot table keeps them to a few ulps
+    # high-q tails that the climb from E_1 got wrong by 3e-13 up to 2e11
+    # relative: the pivot table keeps them to a few ulps of their conditioning
     assert max(_high_q_tail_errors()) < 1e-13
 
 
