@@ -257,7 +257,7 @@ def interior_biortho(
             return first(model, x).value * second(model, x).value
 
         core = _adaptive_oscillatory(integrand, -X, X, 1e-12, 2 * model.alpha)
-        tail_model = im_tail_model(model, "psi0", 10) * im_tail_model(model, kind2, 10)
+        tail_model = im_tail_model(model, "psi0", X) * im_tail_model(model, kind2, X)
         value = core.value + tail_model.integral_tails(X)
         residual = abs(value)
         tol = 1e-6

@@ -16,7 +16,10 @@ Evaluations return :class:`PointEval` bundles (value plus two analytic
 derivatives) so the eigen-equation and chain residuals can be checked without
 finite differencing.  Large-|x| asymptotics come as exact
 :class:`~epresolve.quadrature.OscRational` tail models from a geometric
-expansion of 1/W, which keeps slowly decaying pairings cheap.
+expansion of 1/W, which keeps slowly decaying pairings cheap.  Beyond the
+window X that its caller integrates past, every such model keeps the fewest
+orders N with (2 a min|+-X - z|)^-(N+1) <= _TAIL_BUDGET; a window that needs
+more than _TAIL_ORDER_CAP orders is refused as out of range.
 """
 
 from __future__ import annotations
@@ -223,6 +226,22 @@ def im_psi1(model: InteriorModel, x: np.ndarray | float) -> PointEval:
 # exact asymptotic tail models
 # ---------------------------------------------------------------------------
 
+# budget and order cap of the truncation rule in the module docstring
+_TAIL_BUDGET = 1e-11
+_TAIL_ORDER_CAP = 16
+
+
+def _tail_order(model: InteriorModel, X: float) -> int:
+    """Fewest orders of the 1/W expansion that meet the budget for |x| >= X."""
+    reach = 2 * model.alpha * min(abs(X - model.z), abs(-X - model.z))
+    for order in range(_TAIL_ORDER_CAP + 1):
+        if reach ** (order + 1) * _TAIL_BUDGET >= 1:
+            return order
+    least = _TAIL_BUDGET ** (-1 / (_TAIL_ORDER_CAP + 1)) * model.alpha / reach
+    raise ValueError(f"interior tail models beyond |x| = {X:g} need more than {_TAIL_ORDER_CAP} orders of the 1/W "
+                     f"expansion at alpha = {model.alpha:g}; alpha must be at least {least:.3g}")
+
+
 def _inv_w_model(model: InteriorModel, order: int) -> OscRational:
     """Truncated geometric expansion of 1/W in inverse powers of (x-z).
 
@@ -239,18 +258,16 @@ def _inv_w_model(model: InteriorModel, order: int) -> OscRational:
     return (1.0 / (2 * a)) * total.shift_power(1)
 
 
-def im_tail_model(
-    model: InteriorModel, kind: str, order: int = 8, k: float | None = None
-) -> OscRational:
+def im_tail_model(model: InteriorModel, kind: str, X: float, k: float | None = None) -> OscRational:
     """Exact large-|x| model of an interior-model function, as an OscRational.
 
     ``kind`` is one of ``"inv_w"``, ``"psi0"``, ``"psi1"``, ``"scatter"``,
     ``"scatter_reg"``; the scatter kinds require the spectral value ``k``.
-    The model is accurate once |2 a (x-z)| >> 1, with relative truncation
-    error of order |2 a (x-z)|^(-order-1).
+    ``X`` is the window the caller integrates beyond; the order of the 1/W
+    expansion follows from it by the rule of the module docstring.
     """
     a, z = model.alpha, model.z
-    inv_w = _inv_w_model(model, order)
+    inv_w = _inv_w_model(model, _tail_order(model, X))
     if kind == "inv_w":
         return inv_w
     if kind == "psi0":

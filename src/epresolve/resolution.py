@@ -596,6 +596,9 @@ def _spectral_reach(f: TestFunction) -> float:
 # set by the denominator's complex zeros rather than the packet bandwidth
 _INTERIOR_REACH_PAD = 26.0
 
+# core window of a chain f's interior pair moments; exact tails beyond it
+_PAIR_WINDOW = 60.0
+
 # largest q of a rational:q test function with closed boundary moments.  The
 # moments stay within ~1e-14 of their size up to q = 130 (from q = 171 the
 # (q-1)! of the partial fractions overflows a float), but the spectral
@@ -900,10 +903,8 @@ def _interior_transform(model: InteriorModel, f: TestFunction) -> Callable[[np.n
     if f.kind == "chain":
         which = "psi0" if f.ref[0] == "interior0" else "psi1"
         member = im_psi0 if which == "psi0" else im_psi1
-        # truncation (2 a |X-z|)^(-order-1) ~ 4e-12 at X=40: past the noise
-        # floor of the core grid, and term count grows quadratically in order
-        member_tail = im_tail_model(model, which, 5)
         X = 40.0
+        member_tail = im_tail_model(model, which, X)
         # members settle to O(1) oscillation, so the core grid only has to
         # resolve phases up to k_max plus the potential's harmonics; the
         # remainder integrals are exact large-x models
@@ -912,7 +913,7 @@ def _interior_transform(model: InteriorModel, f: TestFunction) -> Callable[[np.n
         # tail products with the wave's plane-phase factored out: the three
         # share their frequencies, so one stacked pass takes all of them over
         # the whole k array
-        inv_w = im_tail_model(model, "inv_w", 5)
+        inv_w = im_tail_model(model, "inv_w", X)
         p1 = member_tail * ((OscRational.cosine(z, 2 * a, 2 * a) + OscRational.constant(z, 2 * a)) * inv_w)
         p2 = member_tail * (OscRational.sine(z, 2 * a, 2 * a * a) * inv_w)
         tails = stacked_tails([member_tail, p1, p2], X)
@@ -955,40 +956,33 @@ def _ik_interior(
     return total
 
 
-def _interior_pair_moment(
-    model: InteriorModel, f: TestFunction, member: str, mu: float, xp: float, tail: OscRational | None
-) -> complex:
-    """integral of f(x) * member(x) * e^{i mu (x - xp)} dx with exact tails.
-
-    ``tail`` is the order-12 large-x model of f(x) * member(x) for a chain f
-    (None for a localized one); it does not depend on mu.
-    """
-    ev_m = (im_psi0 if member == "psi0" else im_psi1)
-    ev_f = f.make_eval(model)
-    X = f.window() if tail is None else 60.0
-
-    def integrand(x: np.ndarray) -> np.ndarray:
-        return ev_f(x) * ev_m(model, x).value * np.exp(1j * mu * np.asarray(x))
-
-    value = _adaptive_oscillatory(integrand, -X, X, 1e-12, abs(mu) + 2 * model.alpha).value
-    if tail is not None:
-        value += (tail * OscRational.wave(model.z, mu, 0, 1.0)).integral_tails(X)
-    return value * cmath.exp(-1j * mu * xp)
-
-
 def _pair_moments(model: InteriorModel, f: TestFunction, xp: float) -> Callable[[str, float], complex]:
-    """(member, mu) -> _interior_pair_moment, each computed once per call of
-    :func:`apply_scheme`; a chain f's order-12 tail product with a member is
-    built once, at that member's first moment."""
+    """(member, mu) -> integral of f(x) * member(x) * e^{i mu (x - xp)} dx,
+    each computed once per call of :func:`apply_scheme`.
+
+    A chain f's integral is a core over [-_PAIR_WINDOW, _PAIR_WINDOW] plus
+    the exact tails of its large-x product with the member, which does not
+    depend on mu and is built once, at that member's first moment.
+    """
     moments: dict[tuple[str, float], complex] = {}
     tails: dict[str, OscRational] = {}
+    ev_f = f.make_eval(model)
+    X = _PAIR_WINDOW if f.is_chain else f.window()
 
     def pair(member: str, mu: float) -> complex:
         if (member, mu) not in moments:
-            if f.is_chain and member not in tails:
-                which = "psi0" if f.ref[0] == "interior0" else "psi1"
-                tails[member] = im_tail_model(model, which, 12) * im_tail_model(model, member, 12)
-            moments[member, mu] = _interior_pair_moment(model, f, member, mu, xp, tails.get(member))
+            ev_m = im_psi0 if member == "psi0" else im_psi1
+
+            def integrand(x: np.ndarray) -> np.ndarray:
+                return ev_f(x) * ev_m(model, x).value * np.exp(1j * mu * np.asarray(x))
+
+            value = _adaptive_oscillatory(integrand, -X, X, 1e-12, abs(mu) + 2 * model.alpha).value
+            if f.is_chain:
+                if member not in tails:
+                    which = "psi0" if f.ref[0] == "interior0" else "psi1"
+                    tails[member] = im_tail_model(model, which, X) * im_tail_model(model, member, X)
+                value += (tails[member] * OscRational.wave(model.z, mu, 0, 1.0)).integral_tails(X)
+            moments[member, mu] = value * cmath.exp(-1j * mu * xp)
         return moments[member, mu]
 
     return pair
@@ -1199,26 +1193,15 @@ def reproduce_psi0_term(model: InteriorModel, eps: float, xp: float = 0.0) -> co
     """The bound-state reproducing term of the interior schemes, normalized.
 
     Evaluates (2/(pi eps a)) * integral of sin^2(eps(x-xp)/2) * member(x)^2 dx,
-    whose small-eps limit is 1.  Core quadrature plus exact oscillatory
-    tails; at small eps the mass sits far out and the tails carry it.
+    whose small-eps limit is 1, from the member's pair moments with itself at
+    mu = 0 and +-eps, since sin^2(eps D/2) = 1/2 - cos(eps D)/2.  At small eps
+    the mass sits far out and the moments' exact tails carry it.
     """
     a = model.alpha
     if not (0 < eps < a):
         raise ValueError("puncture radius must lie in (0, resonance momentum)")
-
-    def integrand(x: np.ndarray) -> np.ndarray:
-        v = im_psi0(model, x).value
-        return np.sin(0.5 * eps * (np.asarray(x) - xp)) ** 2 * v * v
-
-    X = 60.0
-    core = _adaptive_oscillatory(integrand, -X, X, 1e-12, 2 * a + eps)
-    sq = im_tail_model(model, "psi0", 12) * im_tail_model(model, "psi0", 12)
-    # sin^2(eps D / 2) = 1/2 - cos(eps D)/2
-    tail_model = sq * OscRational.constant(model.z, 0.5)
-    for s in (1, -1):
-        wave = OscRational.wave(model.z, s * eps, 0, -0.25 * cmath.exp(-1j * s * eps * xp))
-        tail_model = tail_model + sq * wave
-    total = core.value + tail_model.integral_tails(X)
+    pair = _pair_moments(model, TestFunction.chain_interior(0), xp)
+    total = 0.5 * pair("psi0", 0.0) - 0.25 * (pair("psi0", eps) + pair("psi0", -eps))
     return (2.0 / (math.pi * eps * a)) * total
 
 

@@ -237,6 +237,23 @@ def test_verify_greens_past_the_resolvable_range_is_a_diagnostic(n, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_interior_alpha_past_the_tail_order_cap_is_reported(capsys):
+    # at alpha 0.03 the 1/W expansion of the exact tails would need more than
+    # its order cap, beyond the transform's X = 40 and the pairings' X = 60
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", "--model", "interior", "--alpha", "0.03", "--scheme", "res12",
+             "--testfn", "psi1", "--eps-grid", "0.02,0.01"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "|x| = 40" in captured.err and "alpha = 0.03" in captured.err
+    assert run(["verify", "--model", "interior", "--alpha", "0.03"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("epresolve verify --suite biortho: no result:")
+    assert "|x| = 60" in captured.err and "alpha = 0.03" in captured.err
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -1,10 +1,12 @@
 """Interior-singularity model: eigen/Jordan identities, poles, asymptotics."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from epresolve import interior
 from epresolve.interior import (
     InteriorModel,
     im_W,
@@ -206,21 +208,48 @@ def test_chain_partner_from_spectral_derivative(model):
 # asymptotic tail models
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("kind", ["psi0", "psi1"])
-def test_tail_models_match_exact_functions(model, kind):
-    fn = {"psi0": im_psi0, "psi1": im_psi1}[kind]
-    tm = im_tail_model(model, kind, order=8)
-    for X in (40.0, -40.0, 75.0):
-        want = fn(model, X).value
-        assert abs(tm.eval(X) - want) < 1e-13 * (1 + abs(want))
+_EXACT = {
+    "psi0": lambda model, x: im_psi0(model, x).value,
+    "psi1": lambda model, x: im_psi1(model, x).value,
+    "inv_w": lambda model, x: 1.0 / im_W(model, x),
+    "scatter": lambda model, x: im_scatter(model, 1.7, x).value,
+    "scatter_reg": lambda model, x: im_scatter(model, 1.7, x, regularized=True).value,
+}
+
+
+def _tail_misses(kind):
+    """(alpha, Im z, X, x) where the model built for window X misses the exact
+    function by more than the budget times (1 + |value|), for |x| = X, 1.5 X."""
+    misses = []
+    for alpha, im_z, X in itertools.product((0.2, 0.5, 1.0, 1.5), (0.5, 1.0, 2.0), (40.0, 60.0)):
+        model = InteriorModel(alpha, 1j * im_z)
+        tm = im_tail_model(model, kind, X, k=1.7 if kind.startswith("scatter") else None)
+        for x in (X, -X, 1.5 * X, -1.5 * X):
+            want = _EXACT[kind](model, x)
+            if abs(tm.eval(x) - want) > interior._TAIL_BUDGET * (1 + abs(want)):
+                misses.append((alpha, im_z, X, x))
+    return misses
+
+
+@pytest.mark.parametrize("kind", ["psi0", "psi1", "inv_w"])
+def test_tail_models_match_exact_functions(kind):
+    assert _tail_misses(kind) == []
 
 
 def test_tail_model_scatter(model):
-    tm = im_tail_model(model, "scatter", order=8, k=1.7)
-    for X in (45.0, -60.0):
-        want = im_scatter(model, 1.7, X).value
-        assert abs(tm.eval(X) - want) < 1e-13
+    for kind in ("scatter", "scatter_reg"):
+        assert _tail_misses(kind) == []
     with pytest.raises(ValueError):
-        im_tail_model(model, "scatter", k=None)
+        im_tail_model(model, "scatter", 40.0, k=None)
     with pytest.raises(ValueError):
-        im_tail_model(model, "nope")
+        im_tail_model(model, "nope", 40.0)
+    # a window where the expansion would need more orders than the cap
+    with pytest.raises(ValueError, match=r"\|x\| = 60 .* alpha = 0\.03"):
+        im_tail_model(InteriorModel(0.03, 1j), "psi0", 60.0)
+
+
+def test_tail_order_one_lower_misses_the_budget(monkeypatch):
+    # mutation control: the derived order is the fewest that meet the budget
+    real = interior._tail_order
+    monkeypatch.setattr(interior, "_tail_order", lambda model, X: real(model, X) - 1)
+    assert any(_tail_misses(kind) for kind in _EXACT)

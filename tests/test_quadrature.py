@@ -321,8 +321,8 @@ def test_oscrational_poly_shift():
 def test_oscrational_product_matches_constructor_accumulation():
     # __mul__ convolves keys in place; the constructor path is its reference
     model = InteriorModel(1.0, 0.2 + 1j)
-    f = im_tail_model(model, "psi1", 8)
-    g = im_tail_model(model, "inv_w", 8) + OscRational.cosine(model.z, 2.0, 0.5)
+    f = im_tail_model(model, "psi1", 40.0)
+    g = im_tail_model(model, "inv_w", 40.0) + OscRational.cosine(model.z, 2.0, 0.5)
     items = [
         (mu1 + mu2, q1 + q2, c1 * c2)
         for (mu1, q1), c1 in f.terms.items()
@@ -582,8 +582,8 @@ def test_batched_tails_on_chain_member_models(which):
     # the products the interior chain transform integrates, at its X = 40
     model = InteriorModel(1.0, 0.2 + 1j)
     a, z = model.alpha, model.z
-    member = im_tail_model(model, which, 5)
-    inv_w = im_tail_model(model, "inv_w", 5)
+    member = im_tail_model(model, which, 40.0)
+    inv_w = im_tail_model(model, "inv_w", 40.0)
     p1 = member * ((OscRational.cosine(z, 2 * a, 2 * a) + OscRational.constant(z, 2 * a)) * inv_w)
     ks = np.linspace(-7.0, 7.0, 15) + 0.01
     for f in (member, p1):

@@ -14,7 +14,7 @@ from scipy.integrate import quad
 from epresolve.boundary import BoundaryModel, bm_apply_h, bm_assoc, bm_scatter
 from epresolve.exact import i_power
 from epresolve.interior import InteriorModel, im_psi0
-from epresolve import kernels, quadrature
+from epresolve import interior, kernels, quadrature
 from epresolve import resolution as rs
 from epresolve.resolution import (
     Scheme,
@@ -558,16 +558,17 @@ def test_radius_array_validation():
         apply_scheme(s, [0.4, 0.2, 0.1], [100.0, 50.0], GAUSS, XP)  # shapes do not broadcast
 
 
-def test_radius_sweep_builds_order12_tail_models_once(monkeypatch):
+def test_radius_sweep_builds_pair_tail_models_once(monkeypatch):
     # res12 pairs f with psi0 at mu = 0 on every radius: one moment, and one
-    # order-12 model of f and of the member, per call rather than per radius
+    # model of f and of the member beyond the pair window, per call rather
+    # than per radius
     built = []
     real = rs.im_tail_model
 
-    def counting(model, kind, order=8, k=None):
-        if order == 12:
+    def counting(model, kind, X, k=None):
+        if X == rs._PAIR_WINDOW:
             built.append(kind)
-        return real(model, kind, order, k)
+        return real(model, kind, X, k)
 
     monkeypatch.setattr(rs, "im_tail_model", counting)
     scheme = Scheme(SchemeId.RES12, InteriorModel(1.0, 1j))
@@ -579,6 +580,19 @@ def test_radius_sweep_builds_order12_tail_models_once(monkeypatch):
     for e in radii[:2]:
         apply_scheme(scheme, e, 50.0 / e, _PSI1, 0.7)
     assert sorted(built) == ["psi0", "psi0", "psi1", "psi1"]
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.2])
+def test_partner_sweep_matches_tails_at_the_order_cap(monkeypatch, alpha):
+    # the tail orders follow from the window and alpha: at small alpha the
+    # former fixed orders left these sweeps 5e-6 (0.1) and 2e-8 (0.2) off
+    scheme = Scheme(SchemeId.RES12, InteriorModel(alpha, 1j))
+    radii = [0.05, 0.025]
+    base = apply_scheme(scheme, radii, [50.0 / e for e in radii], _PSI1, 0.7)
+    # reference: every tail model at the order cap, whatever the budget
+    monkeypatch.setattr(interior, "_tail_order", lambda model, X: interior._TAIL_ORDER_CAP)
+    deep = apply_scheme(scheme, radii, [50.0 / e for e in radii], _PSI1, 0.7)
+    assert np.max(np.abs(deep - base)) < 1e-10
 
 
 def test_partner_transform_seeds_each_frequency_once_per_side(monkeypatch):
