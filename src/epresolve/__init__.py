@@ -23,7 +23,6 @@ from .boundary import (
 )
 from .interior import (
     InteriorModel,
-    PointEval,
     im_potential,
     im_scatter,
     im_psi0,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .boundary import BoundaryModel, bm_assoc, bm_scatter
 from .exact import el_mutate, i_power
-from .interior import InteriorModel, im_psi0, im_psi1, im_tail_model
+from .interior import PAIR_WINDOW, InteriorModel, im_member, im_tail_model
 from .kernels import interior_psi_grid
 from .quadrature import (
     GaussianPacket,
@@ -38,15 +38,6 @@ __all__ = [
     "interior_biortho",
     "smear_interior_scatter",
 ]
-
-
-def _chain_callable(model: BoundaryModel, l: int) -> Callable[[np.ndarray], np.ndarray]:
-    f = bm_assoc(model, l)
-
-    def ev(x: np.ndarray) -> np.ndarray:
-        return np.asarray(f.eval(0.0, x, model.z))
-
-    return ev
 
 
 def overlap_zero(
@@ -90,11 +81,11 @@ def overlap_chain_scatter(
     if g is None:
         g = GaussianPacket(center=0.8, width=0.9)
     smeared = quad_packet(g, bm_scatter(model), model.z)
-    chain = _chain_callable(model, l)
+    chain = bm_assoc(model, l)
     R = max(25.0, 10.0 / g.width) * cutoff_scale
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        return chain(x) * np.asarray(smeared(x))
+        return np.asarray(chain.eval(0.0, x, model.z)) * np.asarray(smeared(x))
 
     r = _adaptive_oscillatory(integrand, -R, R, 1e-11, abs(g.center) + 1.0)
     scale = g.norm_l2()
@@ -125,11 +116,11 @@ def overlap_growing(
         g = GaussianPacket(center=0.0, width=1.0)
     order = 2 * (l - n)
     smeared = quad_packet(g, bm_scatter(model).phase_shift_z(-1), model.z)
-    chain = _chain_callable(model, l)
+    chain = bm_assoc(model, l)
     R = max(30.0, 11.0 / g.width) * cutoff_scale
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        return chain(x) * np.asarray(smeared(x))
+        return np.asarray(chain.eval(0.0, x, model.z)) * np.asarray(smeared(x))
 
     r = _adaptive_oscillatory(integrand, -R, R, 1e-11, abs(g.center) + 1.0)
     target = g.deriv_at(0.0, order) / math.factorial(order)
@@ -248,27 +239,25 @@ def interior_biortho(
     if g is None:
         g = GaussianPacket(center=model.alpha + 0.55, width=0.25)
     if which in ("zero_zero", "zero_one"):
-        X = 60.0 * cutoff_scale
-        first = im_psi0
-        second = im_psi0 if which == "zero_zero" else im_psi1
-        kind2 = "psi0" if which == "zero_zero" else "psi1"
+        X = PAIR_WINDOW * cutoff_scale
+        second = "psi0" if which == "zero_zero" else "psi1"
 
         def integrand(x: np.ndarray) -> np.ndarray:
-            return first(model, x).value * second(model, x).value
+            return im_member(model, "psi0", x) * im_member(model, second, x)
 
         core = _adaptive_oscillatory(integrand, -X, X, 1e-12, 2 * model.alpha)
-        tail_model = im_tail_model(model, "psi0", X) * im_tail_model(model, kind2, X)
+        tail_model = im_tail_model(model, "psi0", X) * im_tail_model(model, second, X)
         value = core.value + tail_model.integral_tails(X)
         residual = abs(value)
         tol = 1e-6
         trace = (f"core window {X}", f"tail terms {len(tail_model.terms)}")
     elif which in ("zero_scatter", "one_scatter"):
         smeared = smear_interior_scatter(model, g)
-        member = im_psi0 if which == "zero_scatter" else im_psi1
+        member = "psi0" if which == "zero_scatter" else "psi1"
         R = max(40.0, 10.0 / g.width) * cutoff_scale
 
         def integrand(x: np.ndarray) -> np.ndarray:
-            return member(model, x).value * np.asarray(smeared(x))
+            return im_member(model, member, x) * np.asarray(smeared(x))
 
         r = _adaptive_oscillatory(integrand, -R, R, 1e-11, abs(g.center) + model.alpha)
         residual = abs(r.value) / g.norm_l2()

@@ -82,8 +82,8 @@ def _green_k(
                 left = psi.eval(ks, hi, model.z) / ks**model.n
                 right = psi.eval(-ks, lo, model.z) / (-ks) ** model.n
             else:
-                left = im_scatter(model, ks, hi).value
-                right = im_scatter(model, -ks, lo).value
+                left = im_scatter(model, ks, hi)
+                right = im_scatter(model, -ks, lo)
             g = (math.pi * 1j / ks) * left * right
     except OverflowError:  # an exact coefficient of the solution exceeds the float range
         raise ValueError(_OVERFLOW) from None

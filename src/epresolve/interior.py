@@ -12,14 +12,18 @@ a bounded state together with one non-expandable partner; for generic k the
 scattering solution has simple poles in k at +-a, removable after scaling by
 (k^2 - a^2).
 
-Evaluations return :class:`PointEval` bundles (value plus two analytic
-derivatives) so the eigen-equation and chain residuals can be checked without
-finite differencing.  Large-|x| asymptotics come as exact
-:class:`~epresolve.quadrature.OscRational` tail models from a geometric
-expansion of 1/W, which keeps slowly decaying pairings cheap.  Beyond the
-window X that its caller integrates past, every such model keeps the fewest
-orders N with (2 a min|+-X - z|)^-(N+1) <= _TAIL_BUDGET; a window that needs
-more than _TAIL_ORDER_CAP orders is refused as out of range.
+Each function has one value evaluator: :func:`im_psi0`, :func:`im_psi1` and
+:func:`im_scatter` return values only, a complex for scalar input and an
+ndarray otherwise.  The tests' oracle :func:`im_jet` adds two analytic
+x-derivatives in a separate coding, so that the eigen-equation and Jordan
+residuals are checked without finite differencing.
+
+Large-|x| asymptotics come as exact :class:`~epresolve.quadrature.OscRational`
+tail models from a geometric expansion of 1/W, which keeps slowly decaying
+pairings cheap.  Beyond the window X that its caller integrates past
+(TRANSFORM_WINDOW or PAIR_WINDOW), every such model keeps the fewest orders
+N with (2 a min|+-X - z|)^-(N+1) <= _TAIL_BUDGET; a window that needs more
+than _TAIL_ORDER_CAP orders is refused as out of range.
 """
 
 from __future__ import annotations
@@ -33,13 +37,14 @@ from .quadrature import OscRational
 
 __all__ = [
     "InteriorModel",
-    "PointEval",
     "im_W",
     "im_w_bundle",
     "im_potential",
     "im_scatter",
     "im_psi0",
     "im_psi1",
+    "im_member",
+    "im_jet",
     "im_tail_model",
 ]
 
@@ -68,56 +73,13 @@ class InteriorModel:
         return self.alpha**2
 
 
-@dataclass(frozen=True)
-class PointEval:
-    """Value and first two spatial derivatives at the evaluation points."""
-
-    value: np.ndarray | complex
-    d1: np.ndarray | complex
-    d2: np.ndarray | complex
-
-
-class _D3:
-    """Tiny value-plus-two-derivatives arithmetic (internal)."""
-
-    __slots__ = ("v", "a", "b")
-    # keeps ``ndarray * _D3`` from building an object array: numpy defers to
-    # __rmul__, which scales the three components elementwise
-    __array_ufunc__ = None
-
-    def __init__(self, v, a, b):
-        self.v, self.a, self.b = v, a, b
-
-    def __add__(self, o):
-        return _D3(self.v + o.v, self.a + o.a, self.b + o.b)
-
-    def __sub__(self, o):
-        return _D3(self.v - o.v, self.a - o.a, self.b - o.b)
-
-    def __mul__(self, o):
-        if isinstance(o, _D3):
-            return _D3(
-                self.v * o.v,
-                self.a * o.v + self.v * o.a,
-                self.b * o.v + 2 * self.a * o.a + self.v * o.b,
-            )
-        return _D3(self.v * o, self.a * o, self.b * o)
-
-    __rmul__ = __mul__
-
-    def inv(self):
-        iv = 1.0 / self.v
-        return _D3(iv, -self.a * iv * iv, (2 * self.a * self.a * self.v ** -3) - self.b * iv * iv)
-
-
 def im_w_bundle(model: InteriorModel, x: np.ndarray | float):
-    """W and its first four derivatives at real coordinates."""
+    """W and its first two derivatives at real coordinates."""
     a = model.alpha
     xa = np.asarray(x, dtype=np.float64)
     s = np.sin(2 * a * xa)
-    c = np.cos(2 * a * xa)
     W = s + 2 * a * (xa - model.z)
-    return W, 2 * a * c + 2 * a + 0j, -4 * a * a * s + 0j, -8 * a**3 * c + 0j, 16 * a**4 * s + 0j
+    return W, 2 * a * np.cos(2 * a * xa) + 2 * a + 0j, -4 * a * a * s + 0j
 
 
 def im_W(model: InteriorModel, x: np.ndarray | float) -> np.ndarray | complex:
@@ -132,36 +94,11 @@ def im_potential(model: InteriorModel, x: np.ndarray | float) -> np.ndarray | co
     """Potential values, coded via the derivative identity 4a(2W' - (x-z)W'')/W^2."""
     a = model.alpha
     xa = np.asarray(x, dtype=np.float64)
-    W, W1, W2, _, _ = im_w_bundle(model, xa)
+    W, W1, W2 = im_w_bundle(model, xa)
     out = 4 * a * (2 * W1 - (xa - model.z) * W2) / (W * W)
     if np.ndim(x) == 0:
         return complex(out)
     return out
-
-
-def _scatter_d3(
-    model: InteriorModel, k: np.ndarray | complex, x: np.ndarray, regularized: bool
-) -> _D3:
-    a = model.alpha
-    W, W1, W2, _, _ = im_w_bundle(model, x)
-    dW = _D3(W, W1, W2)
-    # half-angle coding, kept different from the grid kernel as its oracle:
-    # i k W' - W''/2 = 4 i a k cos^2(a x) + 2 a^2 sin(2 a x)
-    cos2 = np.cos(a * x) ** 2 + 0j
-    sin_two = np.sin(2 * a * x) + 0j
-    cos_two = np.cos(2 * a * x) + 0j
-    d_cos2 = _D3(cos2, -a * sin_two, -2 * a * a * cos_two)
-    d_sin_two = _D3(sin_two, 2 * a * cos_two, -4 * a * a * sin_two)
-    num = (4j * a * k) * d_cos2 + (2 * a * a) * d_sin_two
-    disp = k * k - a * a
-    phase = np.exp(1j * k * x) / math.sqrt(2 * math.pi)
-    dphase = _D3(phase, 1j * k * phase, -(k * k) * phase)
-    one = _D3(np.ones_like(W), np.zeros_like(W), np.zeros_like(W))
-    if regularized:
-        core = disp * one + num * dW.inv()
-    else:
-        core = one + (1.0 / disp) * (num * dW.inv())
-    return core * dphase
 
 
 def im_scatter(
@@ -169,41 +106,40 @@ def im_scatter(
     k: np.ndarray | complex,
     x: np.ndarray | float,
     regularized: bool = False,
-) -> PointEval:
-    """Scattering solution at spectral value(s) k, with analytic derivatives.
+) -> np.ndarray | complex:
+    """Scattering solution at spectral value(s) k.
 
     An array of k broadcasts against x.  The plain solution has simple poles
     at k = +-alpha; evaluation inside |k^2 - alpha^2| < 1e-6 is refused unless
     ``regularized=True``, which returns the pole-free multiple
     (k^2 - alpha^2) * psi instead.
     """
-    ka = np.asarray(k, dtype=np.complex128)
-    disp = ka * ka - model.alpha**2
+    a = model.alpha
+    K = np.asarray(k, dtype=np.complex128)
+    X = np.asarray(x, dtype=np.float64)
+    disp = K * K - a * a
     if not regularized and np.any(np.abs(disp) < 1e-6):
         raise ValueError(
             "spectral value sits on a pole of the solution; "
             "use regularized=True for the pole-free multiple"
         )
-    xa = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    d = _scatter_d3(model, ka if ka.ndim else complex(ka), xa, regularized)
-    if np.ndim(x) == 0 and ka.ndim == 0:
-        return PointEval(complex(d.v[0]), complex(d.a[0]), complex(d.b[0]))
-    return PointEval(d.v, d.a, d.b)
+    W, W1, W2 = im_w_bundle(model, X)
+    num = 1j * K * W1 - 0.5 * W2
+    base = np.exp(1j * K * X) / math.sqrt(2 * math.pi)
+    out = (disp + num / W) * base if regularized else (1.0 + num / (disp * W)) * base
+    return complex(out) if out.ndim == 0 else out
 
 
-def im_psi0(model: InteriorModel, x: np.ndarray | float) -> PointEval:
+def im_psi0(model: InteriorModel, x: np.ndarray | float) -> np.ndarray | complex:
     """Bounded state at the embedded energy: (2a)^(3/2) cos(a x) / W."""
     a = model.alpha
     xa = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    W, W1, W2, _, _ = im_w_bundle(model, xa)
-    cos = _D3(np.cos(a * xa) + 0j, -a * np.sin(a * xa), -a * a * np.cos(a * xa))
-    d = (2 * a) ** 1.5 * (cos * _D3(W, W1, W2).inv())
-    if np.ndim(x) == 0:
-        return PointEval(complex(d.v[0]), complex(d.a[0]), complex(d.b[0]))
-    return PointEval(d.v, d.a, d.b)
+    W = im_W(model, xa)
+    out = ((np.cos(a * xa) + 0j) * (1.0 / W)) * (2 * a) ** 1.5
+    return complex(out[0]) if np.ndim(x) == 0 else out
 
 
-def im_psi1(model: InteriorModel, x: np.ndarray | float) -> PointEval:
+def im_psi1(model: InteriorModel, x: np.ndarray | float) -> np.ndarray | complex:
     """Chain partner of the bounded state: (2a(x-z) sin(ax) + cos(ax)) / (sqrt(2a) W).
 
     Bounded but not decaying; the Hamiltonian maps it onto the bounded state
@@ -211,15 +147,88 @@ def im_psi1(model: InteriorModel, x: np.ndarray | float) -> PointEval:
     """
     a = model.alpha
     xa = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    W, W1, W2, _, _ = im_w_bundle(model, xa)
-    sin = _D3(np.sin(a * xa) + 0j, a * np.cos(a * xa), -a * a * np.sin(a * xa))
-    cos = _D3(np.cos(a * xa) + 0j, -a * np.sin(a * xa), -a * a * np.cos(a * xa))
-    lin = _D3(xa - model.z, np.ones_like(xa) + 0j, np.zeros_like(xa) + 0j)
-    num = (2 * a) * (lin * sin) + cos
-    d = (1.0 / math.sqrt(2 * a)) * (num * _D3(W, W1, W2).inv())
-    if np.ndim(x) == 0:
-        return PointEval(complex(d.v[0]), complex(d.a[0]), complex(d.b[0]))
-    return PointEval(d.v, d.a, d.b)
+    W = im_W(model, xa)
+    num = ((xa - model.z) * (np.sin(a * xa) + 0j)) * (2 * a) + (np.cos(a * xa) + 0j)
+    out = (num * (1.0 / W)) * (1.0 / math.sqrt(2 * a))
+    return complex(out[0]) if np.ndim(x) == 0 else out
+
+
+def im_member(model: InteriorModel, name: str, x: np.ndarray | float) -> np.ndarray | complex:
+    """The chain member named ``"psi0"`` (bounded state) or ``"psi1"`` (partner) at x."""
+    return im_psi0(model, x) if name == "psi0" else im_psi1(model, x)
+
+
+def im_jet(model: InteriorModel, kind: str, x: np.ndarray | float, k: complex | None = None,
+           regularized: bool = False):
+    """Oracle: value and first two x-derivatives of ``"psi0"``, ``"psi1"`` or ``"scatter"``.
+
+    Only the tests call it.  It carries the eigen-equation, Jordan-relation
+    and finite-difference checks, which need the derivatives, and it is the
+    independent second coding that the value evaluators above are tested
+    against: a small value-plus-two-derivatives arithmetic, with the
+    scattering solution in half-angle form.  Returns a ``PointEval`` with
+    fields ``value``, ``d1`` and ``d2``, complex for scalar input.
+    """
+
+    class PointEval:
+        """Value and first two x-derivatives, with the arithmetic of such jets."""
+
+        __slots__ = ("value", "d1", "d2")
+        # keeps ``ndarray * PointEval`` from building an object array: numpy
+        # defers to __rmul__, which scales the three components elementwise
+        __array_ufunc__ = None
+
+        def __init__(self, value, d1, d2):
+            self.value, self.d1, self.d2 = value, d1, d2
+
+        def __add__(self, o):
+            return PointEval(self.value + o.value, self.d1 + o.d1, self.d2 + o.d2)
+
+        def __mul__(self, o):
+            if isinstance(o, PointEval):
+                v, a, b = self.value, self.d1, self.d2
+                return PointEval(v * o.value, a * o.value + v * o.d1, b * o.value + 2 * a * o.d1 + v * o.d2)
+            return PointEval(self.value * o, self.d1 * o, self.d2 * o)
+
+        __rmul__ = __mul__
+
+        def inv(self):
+            iv = 1.0 / self.value
+            return PointEval(iv, -self.d1 * iv * iv, (2 * self.d1 * self.d1 * self.value ** -3) - self.d2 * iv * iv)
+
+    a = model.alpha
+    xa = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    inv_w = PointEval(*im_w_bundle(model, xa)).inv()
+    cos = PointEval(np.cos(a * xa) + 0j, -a * np.sin(a * xa), -a * a * np.cos(a * xa))
+    scalar = np.ndim(x) == 0
+    if kind == "psi0":
+        d = (2 * a) ** 1.5 * (cos * inv_w)
+    elif kind == "psi1":
+        sin = PointEval(np.sin(a * xa) + 0j, a * np.cos(a * xa), -a * a * np.sin(a * xa))
+        lin = PointEval(xa - model.z, np.ones_like(xa) + 0j, np.zeros_like(xa) + 0j)
+        d = (1.0 / math.sqrt(2 * a)) * (((2 * a) * (lin * sin) + cos) * inv_w)
+    elif kind == "scatter":
+        if k is None:
+            raise ValueError("the scattering solution needs the spectral value k")
+        ka = np.asarray(k, dtype=np.complex128)
+        scalar = scalar and ka.ndim == 0
+        k = ka if ka.ndim else complex(ka)
+        # half-angle coding, kept different from im_scatter's:
+        # i k W' - W''/2 = 4 i a k cos^2(a x) + 2 a^2 sin(2 a x)
+        sin_two = np.sin(2 * a * xa) + 0j
+        cos_two = np.cos(2 * a * xa) + 0j
+        cos2 = PointEval(np.cos(a * xa) ** 2 + 0j, -a * sin_two, -2 * a * a * cos_two)
+        num = (4j * a * k) * cos2 + (2 * a * a) * PointEval(sin_two, 2 * a * cos_two, -4 * a * a * sin_two)
+        disp = k * k - a * a
+        phase = np.exp(1j * k * xa) / math.sqrt(2 * math.pi)
+        one = PointEval(np.ones_like(phase), np.zeros_like(phase), np.zeros_like(phase))
+        core = disp * one + num * inv_w if regularized else one + (1.0 / disp) * (num * inv_w)
+        d = core * PointEval(phase, 1j * k * phase, -(k * k) * phase)
+    else:
+        raise ValueError(f"unknown jet kind {kind!r}")
+    if scalar:
+        return PointEval(complex(d.value[0]), complex(d.d1[0]), complex(d.d2[0]))
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +238,12 @@ def im_psi1(model: InteriorModel, x: np.ndarray | float) -> PointEval:
 # budget and order cap of the truncation rule in the module docstring
 _TAIL_BUDGET = 1e-11
 _TAIL_ORDER_CAP = 16
+
+# the windows that the package's interior integrals of chain members split
+# at, a core quadrature inside and exact tails beyond: the spectral
+# transforms at TRANSFORM_WINDOW, the pair moments and pairings at PAIR_WINDOW
+TRANSFORM_WINDOW = 40.0
+PAIR_WINDOW = 60.0
 
 
 def _tail_order(model: InteriorModel, X: float) -> int:

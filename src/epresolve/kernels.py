@@ -4,8 +4,8 @@ The kernels evaluate exact Laurent expressions and the interior-model
 scattering solution on grids of spectral values ``k`` (rows) and coordinates
 ``x`` (columns).  Both are thin numpy wrappers over the package's single
 evaluator of each quantity: the term loop of
-:meth:`epresolve.exact.ExpLaurent.eval` and the W bundle of
-:func:`epresolve.interior.im_w_bundle`.
+:meth:`epresolve.exact.ExpLaurent.eval` and
+:func:`epresolve.interior.im_scatter`, broadcast over the outer grid.
 
 :func:`interior_psi_grid` gives the interior spectral integrand its solution
 values.  :func:`el_eval_grid` has no caller in the package: the boundary
@@ -22,12 +22,10 @@ coefficients ``cs`` plus its phase integers and an overall scale; see
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .exact import el_eval_terms
-from .interior import InteriorModel, im_w_bundle
+from .interior import InteriorModel, im_scatter
 
 __all__ = ["el_eval_grid", "interior_psi_grid"]
 
@@ -60,10 +58,4 @@ def interior_psi_grid(
     """
     K = np.asarray(k, dtype=np.complex128)[:, None]
     X = np.asarray(x, dtype=np.float64)[None, :]
-    W, W1, W2, _, _ = im_w_bundle(InteriorModel(alpha, z), X)
-    num = 1j * K * W1 - 0.5 * W2
-    base = np.exp(1j * K * X) / math.sqrt(2 * math.pi)
-    disp = K * K - alpha * alpha
-    if regularized:
-        return (disp + num / W) * base
-    return (1.0 + num / (disp * W)) * base
+    return im_scatter(InteriorModel(alpha, z), K, X, regularized)

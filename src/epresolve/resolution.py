@@ -46,7 +46,16 @@ import numpy as np
 
 from .boundary import BoundaryModel, bm_assoc, bm_scatter
 from .exact import ExpLaurent, RationalComplex, add_terms, i_power, mul_terms
-from .interior import InteriorModel, im_psi0, im_psi1, im_tail_model, im_w_bundle
+from .interior import (
+    PAIR_WINDOW,
+    TRANSFORM_WINDOW,
+    InteriorModel,
+    im_member,
+    im_psi0,
+    im_psi1,
+    im_tail_model,
+    im_w_bundle,
+)
 from .kernels import interior_psi_grid
 from .quadrature import (
     ContourSpec,
@@ -429,8 +438,8 @@ class TestFunction:
 
     kinds: "gaussian" (center, width), "hermite_gaussian" (order, center,
     width), "rational_decay" (exponent q, f = (1+x^2)^-q), "chain"
-    (a member of one of the model families; ref is ("assoc", l),
-    ("interior0",) or ("interior1",)).
+    (a member of one of the model families; ref is ("assoc", l), or
+    ("psi0",) or ("psi1",), the interior member's name).
     """
 
     __test__ = False  # not a pytest collection target despite the name
@@ -470,7 +479,7 @@ class TestFunction:
     def chain_interior(which: int) -> "TestFunction":
         if which not in (0, 1):
             raise ValueError("interior chain members are 0 (bounded) and 1 (partner)")
-        return TestFunction(kind="chain", ref=(f"interior{which}",))
+        return TestFunction(kind="chain", ref=(f"psi{which}",))
 
     # -- evaluation --------------------------------------------------------
     def make_eval(self, model) -> Callable[[np.ndarray], np.ndarray]:
@@ -492,17 +501,19 @@ class TestFunction:
             if self.ref[0] == "assoc":
                 f = bm_assoc(model, self.ref[1])
                 return lambda x: np.asarray(f.eval(0.0, x, model.z))
-            member = im_psi0 if self.ref[0] == "interior0" else im_psi1
-            return lambda x: np.atleast_1d(member(model, np.asarray(x, dtype=np.float64)).value)
+            member = self.ref[0]
+            return lambda x: np.atleast_1d(im_member(model, member, np.asarray(x, dtype=np.float64)))
         raise ValueError(f"unknown test function kind {self.kind!r}")
 
     def window(self) -> float:
-        """Half-width outside which the function is numerically negligible."""
-        if self.kind in ("gaussian", "hermite_gaussian"):
-            return abs(self.center) + self.width * (9.0 + 0.6 * self.order)
+        """Half-width outside which a localized function is numerically negligible.
+
+        Chain members have none: their integrals split at a fixed window and
+        take exact tails beyond it.
+        """
         if self.kind == "rational_decay":
             return min(10.0 ** (9.0 / (2 * self.exponent)) + 5.0, 2000.0)
-        return 40.0  # chain members: algebraic decay, handled by exact tails
+        return abs(self.center) + self.width * (9.0 + 0.6 * self.order)
 
     @property
     def is_chain(self) -> bool:
@@ -595,9 +606,6 @@ def _spectral_reach(f: TestFunction) -> float:
 # extra k-range for interior transforms of localized packets, whose decay is
 # set by the denominator's complex zeros rather than the packet bandwidth
 _INTERIOR_REACH_PAD = 26.0
-
-# core window of a chain f's interior pair moments; exact tails beyond it
-_PAIR_WINDOW = 60.0
 
 # largest q of a rational:q test function with closed boundary moments.  The
 # moments stay within ~1e-14 of their size up to q = 130 (from q = 171 the
@@ -884,7 +892,7 @@ def _interior_transform(model: InteriorModel, f: TestFunction) -> Callable[[np.n
         # assembled with the explicit pole factor 1/(k^2 - a^2)
         nodes, _ = composite_gauss(lo, hi, n_panels, 16)
         fv = values(nodes)
-        W, W1, W2, _, _ = im_w_bundle(model, nodes)
+        W, W1, W2 = im_w_bundle(model, nodes)
         rows = np.stack([fv, fv * (W1 / W), fv * (W2 / W)])
 
         def core(k: np.ndarray) -> np.ndarray:
@@ -901,15 +909,13 @@ def _interior_transform(model: InteriorModel, f: TestFunction) -> Callable[[np.n
         layout = _panels_for(f, _spectral_reach(f) + 2 * a + _INTERIOR_REACH_PAD)
         return plane_wave_core(*layout, f.make_eval(model))
     if f.kind == "chain":
-        which = "psi0" if f.ref[0] == "interior0" else "psi1"
-        member = im_psi0 if which == "psi0" else im_psi1
-        X = 40.0
+        which, X = f.ref[0], TRANSFORM_WINDOW
         member_tail = im_tail_model(model, which, X)
         # members settle to O(1) oscillation, so the core grid only has to
         # resolve phases up to k_max plus the potential's harmonics; the
         # remainder integrals are exact large-x models
         h = min(0.5, 9.0 / (_spectral_reach(f) + 8 * a))
-        core = plane_wave_core(-X, X, int(math.ceil(2 * X / h)), lambda x: member(model, x).value)
+        core = plane_wave_core(-X, X, int(math.ceil(2 * X / h)), lambda x: im_member(model, which, x))
         # tail products with the wave's plane-phase factored out: the three
         # share their frequencies, so one stacked pass takes all of them over
         # the whole k array
@@ -960,27 +966,24 @@ def _pair_moments(model: InteriorModel, f: TestFunction, xp: float) -> Callable[
     """(member, mu) -> integral of f(x) * member(x) * e^{i mu (x - xp)} dx,
     each computed once per call of :func:`apply_scheme`.
 
-    A chain f's integral is a core over [-_PAIR_WINDOW, _PAIR_WINDOW] plus
+    A chain f's integral is a core over [-PAIR_WINDOW, PAIR_WINDOW] plus
     the exact tails of its large-x product with the member, which does not
     depend on mu and is built once, at that member's first moment.
     """
     moments: dict[tuple[str, float], complex] = {}
     tails: dict[str, OscRational] = {}
     ev_f = f.make_eval(model)
-    X = _PAIR_WINDOW if f.is_chain else f.window()
+    X = PAIR_WINDOW if f.is_chain else f.window()
 
     def pair(member: str, mu: float) -> complex:
         if (member, mu) not in moments:
-            ev_m = im_psi0 if member == "psi0" else im_psi1
-
             def integrand(x: np.ndarray) -> np.ndarray:
-                return ev_f(x) * ev_m(model, x).value * np.exp(1j * mu * np.asarray(x))
+                return ev_f(x) * im_member(model, member, x) * np.exp(1j * mu * np.asarray(x))
 
             value = _adaptive_oscillatory(integrand, -X, X, 1e-12, abs(mu) + 2 * model.alpha).value
             if f.is_chain:
                 if member not in tails:
-                    which = "psi0" if f.ref[0] == "interior0" else "psi1"
-                    tails[member] = im_tail_model(model, which, X) * im_tail_model(model, member, X)
+                    tails[member] = im_tail_model(model, f.ref[0], X) * im_tail_model(model, member, X)
                 value += (tails[member] * OscRational.wave(model.z, mu, 0, 1.0)).integral_tails(X)
             moments[member, mu] = value * cmath.exp(-1j * mu * xp)
         return moments[member, mu]
@@ -996,8 +999,8 @@ def _interior_singular_terms(
 
     ``pair`` is the :func:`_pair_moments` of (model, f, xp)."""
     a = model.alpha
-    p0_xp = complex(im_psi0(model, xp).value)
-    p1_xp = complex(im_psi1(model, xp).value)
+    p0_xp = im_psi0(model, xp)
+    p1_xp = im_psi1(model, xp)
 
     if kind in (SchemeId.RES12, SchemeId.INT04):
         return -(1.0 / (math.pi * eps * a)) * pair("psi0", 0.0) * p0_xp
@@ -1041,10 +1044,8 @@ def _interior_singular_terms(
             return np.where(d < 1e-12, flat, out)
 
         for member, other in (("psi0", p1_xp), ("psi1", p0_xp)):
-            ev_m = im_psi0 if member == "psi0" else im_psi1
-
             def integrand(x: np.ndarray) -> np.ndarray:
-                return ev_f(x) * ev_m(model, x).value * j_of(x)
+                return ev_f(x) * im_member(model, member, x) * j_of(x)
 
             val = _adaptive_oscillatory(integrand, -W, W, 1e-11, 2 * a + eps).value
             total += -(1.0 / math.pi) * val * other
@@ -1226,7 +1227,7 @@ def psi1_expandability(
         radii.append(eps)
         eps *= 0.5
     cutoffs = [coupling / e for e in radii]
-    p1 = complex(im_psi1(model, xp).value)
+    p1 = im_psi1(model, xp)
     c_xp = complex(control.make_eval(model)(np.array([xp]))[0])
     got_p = apply_scheme(scheme, radii, cutoffs, partner, xp)
     got_c = apply_scheme(scheme, radii, cutoffs, control, xp)

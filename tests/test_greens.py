@@ -18,7 +18,7 @@ from epresolve.greens import (
     indexes,
     pole_order,
 )
-from epresolve.interior import InteriorModel, im_potential, im_scatter
+from epresolve.interior import InteriorModel, im_jet, im_potential
 from epresolve.resolution import eps_chain
 
 INTERIOR = InteriorModel(1.0, 1j)
@@ -131,8 +131,8 @@ def _oracle(model, k, x, xp, psi=None):
     """Scalar Green function at one momentum, off the array code path.
 
     Boundary: the ladder-built solution ``psi`` (default
-    bm_scatter_ladder), one ExpLaurent.eval per scalar k.  Interior: one
-    im_scatter call per scalar k.
+    bm_scatter_ladder), one ExpLaurent.eval per scalar k.  Interior: the
+    half-angle coding of the im_jet oracle, one call per scalar k.
     """
     hi, lo = max(x, xp), min(x, xp)
     if isinstance(model, BoundaryModel):
@@ -140,8 +140,8 @@ def _oracle(model, k, x, xp, psi=None):
         left = psi.eval(k, hi, model.z) / k**model.n
         right = psi.eval(-k, lo, model.z) / (-k) ** model.n
     else:
-        left = im_scatter(model, k, hi).value
-        right = im_scatter(model, -k, lo).value
+        left = im_jet(model, "scatter", hi, k=k).value
+        right = im_jet(model, "scatter", lo, k=-k).value
     return (math.pi * 1j / k) * left * right
 
 

@@ -10,6 +10,7 @@ from epresolve import interior
 from epresolve.interior import (
     InteriorModel,
     im_W,
+    im_jet,
     im_potential,
     im_psi0,
     im_psi1,
@@ -48,7 +49,7 @@ def test_w_never_vanishes_on_line(model):
 
 def test_w_derivative_bundle_consistency(model):
     xs = np.linspace(-5, 5, 11)
-    W, W1, W2, W3, W4 = im_w_bundle(model, xs)
+    W, W1, W2 = im_w_bundle(model, xs)
     h = 1e-5
     Wp = im_w_bundle(model, xs + h)[0]
     Wm = im_w_bundle(model, xs - h)[0]
@@ -81,14 +82,57 @@ def test_potential_decays(model):
 # scattering solution
 # ---------------------------------------------------------------------------
 
-def test_scatter_two_codings_agree(model):
+def _coding_misses():
+    """(alpha, Im z, function) where a value evaluator disagrees with the
+    im_jet oracle on the stress grid: psi0 and psi1 must agree bitwise, the
+    scattering solution (two codings) within 1e-12 (1 + |value|)."""
     xs = _stress_x()
-    for k in (0.35, 1.7, -2.4):
-        pe = im_scatter(model, k, xs)
-        grid = interior_psi_grid(
-            np.array([k], dtype=complex), xs, model.alpha, model.z, False
-        )[0]
-        assert np.max(np.abs(pe.value - grid)) < 1e-12 * (1 + np.max(np.abs(grid)))
+    misses = []
+    for alpha, im_z in itertools.product((0.5, 1.0, 1.5), (0.5, 1.0, 2.0)):
+        m = InteriorModel(alpha, 1j * im_z)
+        for kind, value in (("psi0", interior.im_psi0), ("psi1", interior.im_psi1)):
+            if not np.array_equal(value(m, xs), im_jet(m, kind, xs).value):
+                misses.append((alpha, im_z, kind))
+        cases = [(k, False) for k in (0.35, 1.7, -2.4)] + [(k, True) for k in (alpha, -alpha, 0.35, -2.4)]
+        for k, reg in cases:
+            got = interior.im_scatter(m, k, xs, regularized=reg)
+            want = im_jet(m, "scatter", xs, k=k, regularized=reg).value
+            if not np.all(np.abs(got - want) <= 1e-12 * (1 + np.abs(want))):
+                misses.append((alpha, im_z, ("scatter", k, reg)))
+    return misses
+
+
+def test_scatter_two_codings_agree(model):
+    assert _coding_misses() == []
+    # scalar input gives a complex, equal to the array entry
+    xs = _stress_x()
+    assert isinstance(im_psi1(model, 0.41), complex)
+    assert isinstance(im_scatter(model, 1.7, 0.41), complex)
+    assert im_psi1(model, xs[7]) == im_psi1(model, xs)[7]
+    # the grid kernel is the outer (k, x) grid of the same evaluator
+    for reg in (False, True):
+        k = np.array([0.35, 1.7, -2.4, 0.9 + 0.2j])
+        grid = interior_psi_grid(k, xs, model.alpha, model.z, reg)
+        assert np.array_equal(grid, im_scatter(model, k[:, None], xs[None, :], reg))
+
+
+def test_value_evaluators_fail_against_the_oracle_under_mutation(monkeypatch):
+    # mutation control: psi1 with W's linear coefficient 2 -> 2.001 fails;
+    # the same recoding at 2 is bitwise the package's and passes
+    def psi1_with(coef):
+        def psi1(model, x):
+            a = model.alpha
+            xa = np.asarray(x, dtype=np.float64)
+            W = np.sin(2 * a * xa) + coef * a * (xa - model.z)
+            num = ((xa - model.z) * (np.sin(a * xa) + 0j)) * (2 * a) + (np.cos(a * xa) + 0j)
+            return (num * (1.0 / W)) * (1.0 / math.sqrt(2 * a))
+
+        return psi1
+
+    monkeypatch.setattr(interior, "im_psi1", psi1_with(2.0))
+    assert _coding_misses() == []
+    monkeypatch.setattr(interior, "im_psi1", psi1_with(2.001))
+    assert {kind for _, _, kind in _coding_misses()} == {"psi1"}
 
 
 def test_scatter_pole_guard(model):
@@ -103,7 +147,7 @@ def test_eigen_equation_on_stress_grid(model):
     V = im_potential(model, xs)
     ks = [k for k in np.linspace(-3.0, 3.0, 25) if abs(abs(k) - model.alpha) > 1e-3]
     for k in ks:
-        pe = im_scatter(model, k, xs)
+        pe = im_jet(model, "scatter", xs, k=k)
         res = -pe.d2 + (V - k * k) * pe.value
         assert np.max(np.abs(res)) < 1e-8 * (1 + np.max(np.abs(pe.value)))
 
@@ -113,7 +157,7 @@ def test_regularized_eigen_equation(model):
     xs = _stress_x()
     V = im_potential(model, xs)
     for k in (model.alpha, -model.alpha, 0.9):
-        pe = im_scatter(model, k, xs, regularized=True)
+        pe = im_jet(model, "scatter", xs, k=k, regularized=True)
         res = -pe.d2 + (V - k * k) * pe.value
         assert np.max(np.abs(res)) < 1e-8 * (1 + np.max(np.abs(pe.value)))
 
@@ -122,9 +166,9 @@ def test_derivatives_match_finite_differences(model):
     h = 1e-5
     for k in (0.6, 2.1):
         for x0 in (-3.3, 0.41, 7.9):
-            p0 = im_scatter(model, k, x0)
-            pp = im_scatter(model, k, x0 + h)
-            pm = im_scatter(model, k, x0 - h)
+            p0 = im_jet(model, "scatter", x0, k=k)
+            pp = im_jet(model, "scatter", x0 + h, k=k)
+            pm = im_jet(model, "scatter", x0 - h, k=k)
             assert abs((pp.value - pm.value) / (2 * h) - p0.d1) < 1e-4
             assert abs((pp.value - 2 * p0.value + pm.value) / h**2 - p0.d2) < 1e-4
 
@@ -136,7 +180,7 @@ def test_derivatives_match_finite_differences(model):
 def test_bounded_state_eigen_equation(model):
     xs = _stress_x()
     V = im_potential(model, xs)
-    p = im_psi0(model, xs)
+    p = im_jet(model, "psi0", xs)
     res = -p.d2 + (V - model.energy) * p.value
     assert np.max(np.abs(res)) < 1e-8 * (1 + np.max(np.abs(p.value)))
 
@@ -144,8 +188,8 @@ def test_bounded_state_eigen_equation(model):
 def test_chain_partner_jordan_relation(model):
     xs = _stress_x()
     V = im_potential(model, xs)
-    p0 = im_psi0(model, xs)
-    p1 = im_psi1(model, xs)
+    p0 = im_jet(model, "psi0", xs)
+    p1 = im_jet(model, "psi1", xs)
     res = -p1.d2 + (V - model.energy) * p1.value - p0.value
     assert np.max(np.abs(res)) < 1e-8 * (1 + np.max(np.abs(p1.value)))
 
@@ -153,7 +197,7 @@ def test_chain_partner_jordan_relation(model):
 def test_bounded_state_value_at_origin(model):
     # (2a)^{3/2} / W(0) with W(0) = -2 a z
     want = (2 * model.alpha) ** 1.5 / (-2 * model.alpha * model.z)
-    assert abs(im_psi0(model, 0.0).value - want) < 1e-14
+    assert abs(im_psi0(model, 0.0) - want) < 1e-14
 
 
 def test_chain_partner_is_bounded_not_decaying(model):
@@ -163,7 +207,7 @@ def test_chain_partner_is_bounded_not_decaying(model):
         asym = (1j / (2 * math.sqrt(2 * a))) * (
             np.exp(-1j * a * X) - np.exp(1j * a * X)
         )
-        diff = abs(im_psi1(model, X).value - asym)
+        diff = abs(im_psi1(model, X) - asym)
         assert diff < 5.0 / X
 
 
@@ -172,18 +216,18 @@ def test_removable_singularity_radial_sampling(model):
     # equals the center value, which matches i sqrt(a/pi) psi0 exactly
     a = model.alpha
     x0 = 0.7
-    want = 1j * math.sqrt(a / math.pi) * im_psi0(model, x0).value
+    want = 1j * math.sqrt(a / math.pi) * im_psi0(model, x0)
     for r in (1e-2, 1e-3):
         thetas = np.linspace(0, 2 * np.pi, 32, endpoint=False)
         vals = [
-            im_scatter(model, a + r * np.exp(1j * t), x0, regularized=True).value
+            im_scatter(model, a + r * np.exp(1j * t), x0, regularized=True)
             for t in thetas
         ]
         avg = np.mean(vals)
         assert abs(avg - want) < 1e-6
     # and the mirrored pole with the opposite sign
-    want_neg = -1j * math.sqrt(a / math.pi) * im_psi0(model, x0).value
-    got = im_scatter(model, -a, x0, regularized=True).value
+    want_neg = -1j * math.sqrt(a / math.pi) * im_psi0(model, x0)
+    got = im_scatter(model, -a, x0, regularized=True)
     assert abs(got - want_neg) < 1e-12
 
 
@@ -194,14 +238,12 @@ def test_chain_partner_from_spectral_derivative(model):
     h = 1e-5
 
     def reg(k):
-        return im_scatter(model, k, x0, regularized=True).value
+        return im_scatter(model, k, x0, regularized=True)
 
     dreg = (reg(-a + h) - reg(-a - h)) / (2 * h)
     lim = dreg / (2 * (-a))
-    got = 1j * math.sqrt(math.pi / a) * lim - ((1 - 2j * a * model.z) / (4 * a**2)) * im_psi0(
-        model, x0
-    ).value
-    assert abs(got - im_psi1(model, x0).value) < 1e-6
+    got = 1j * math.sqrt(math.pi / a) * lim - ((1 - 2j * a * model.z) / (4 * a**2)) * im_psi0(model, x0)
+    assert abs(got - im_psi1(model, x0)) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +251,11 @@ def test_chain_partner_from_spectral_derivative(model):
 # ---------------------------------------------------------------------------
 
 _EXACT = {
-    "psi0": lambda model, x: im_psi0(model, x).value,
-    "psi1": lambda model, x: im_psi1(model, x).value,
+    "psi0": im_psi0,
+    "psi1": im_psi1,
     "inv_w": lambda model, x: 1.0 / im_W(model, x),
-    "scatter": lambda model, x: im_scatter(model, 1.7, x).value,
-    "scatter_reg": lambda model, x: im_scatter(model, 1.7, x, regularized=True).value,
+    "scatter": lambda model, x: im_scatter(model, 1.7, x),
+    "scatter_reg": lambda model, x: im_scatter(model, 1.7, x, regularized=True),
 }
 
 

@@ -444,7 +444,7 @@ def test_interior_overlap_weight_oracle():
     xp = 0.0
 
     def integrand(x):
-        p0 = im_psi0(m, np.array([x])).value[0]
+        p0 = im_psi0(m, x)
         return np.sin(eps * (x - xp) / 2) ** 2 * p0 * p0
 
     oracle = quad_c(integrand, -10000, 10000, limit=10000) * 2.0 / (np.pi * eps * m.alpha)
@@ -566,7 +566,7 @@ def test_radius_sweep_builds_pair_tail_models_once(monkeypatch):
     real = rs.im_tail_model
 
     def counting(model, kind, X, k=None):
-        if X == rs._PAIR_WINDOW:
+        if X == interior.PAIR_WINDOW:
             built.append(kind)
         return real(model, kind, X, k)
 
