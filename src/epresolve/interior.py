@@ -110,15 +110,15 @@ def im_scatter(
     """Scattering solution at spectral value(s) k.
 
     An array of k broadcasts against x.  The plain solution has simple poles
-    at k = +-alpha; evaluation inside |k^2 - alpha^2| < 1e-6 is refused unless
-    ``regularized=True``, which returns the pole-free multiple
+    at k = +-alpha; evaluation inside |k^2 - alpha^2| < ``POLE_GUARD`` is
+    refused unless ``regularized=True``, which returns the pole-free multiple
     (k^2 - alpha^2) * psi instead.
     """
     a = model.alpha
     K = np.asarray(k, dtype=np.complex128)
     X = np.asarray(x, dtype=np.float64)
     disp = K * K - a * a
-    if not regularized and np.any(np.abs(disp) < 1e-6):
+    if not regularized and np.any(np.abs(disp) < POLE_GUARD):
         raise ValueError(
             "spectral value sits on a pole of the solution; "
             "use regularized=True for the pole-free multiple"
@@ -244,6 +244,8 @@ _TAIL_ORDER_CAP = 16
 # transforms at TRANSFORM_WINDOW, the pair moments and pairings at PAIR_WINDOW
 TRANSFORM_WINDOW = 40.0
 PAIR_WINDOW = 60.0
+# im_scatter refuses |k^2 - alpha^2| below this, next to its poles
+POLE_GUARD = 1e-6
 
 
 def _tail_order(model: InteriorModel, X: float) -> int:

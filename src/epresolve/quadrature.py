@@ -5,7 +5,11 @@ order, no randomness):
 
 * Adaptive Gauss-Legendre with error estimates from embedded lower-order
   rules, on intervals (``_adaptive``) and on deformed contours
-  (:func:`quad_contour`).  :func:`composite_gauss` owns the fixed
+  (:func:`quad_contour`).  ``_adaptive`` bisects level by level: the GL15
+  and GL7 nodes of every pending panel of a level, across all pieces of an
+  ``_adaptive_oscillatory`` pre-split, go to the integrand in one call of at
+  most ``_BATCH_PANELS`` panels (5632 nodes), which bounds the memory of a
+  level that runs into the panel cap.  :func:`composite_gauss` owns the fixed
   equal-panel layout; :func:`composite_phase_sums` takes plane-wave moments
   on it with phases separated per panel.
 * :class:`OscRational` -- finite sums ``sum_t c_t exp(i mu_t x) (x-z)^(-q_t)``
@@ -138,16 +142,7 @@ def composite_phase_sums(
     return sums.sum(axis=-1)
 
 
-def _panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[complex, float, int]:
-    """One embedded GL15/GL7 panel: (value, error, evaluations)."""
-    xm, hl = 0.5 * (a + b), 0.5 * (b - a)
-    x15, w15 = _gl(15)
-    x7, w7 = _gl(7)
-    nodes = np.concatenate([xm + hl * x15, xm + hl * x7])
-    vals = np.asarray(f(nodes), dtype=np.complex128)
-    v15 = hl * np.sum(w15 * vals[:15])
-    v7 = hl * np.sum(w7 * vals[15:])
-    return complex(v15), abs(v15 - v7), nodes.size
+_BATCH_PANELS = 256  # panels per integrand call: at most 256 * 22 = 5632 nodes
 
 
 def _adaptive(
@@ -156,30 +151,69 @@ def _adaptive(
     b: float,
     tol: float,
     max_panels: int = 4000,
+    pieces: int = 1,
 ) -> QuadResult:
-    """Deterministic adaptive bisection on [a, b] with embedded error rule."""
+    """Deterministic adaptive bisection on [a, b] with embedded error rule.
+
+    [a, b] is cut into ``pieces`` equal pieces, each bisected on its own with
+    tolerance tol / pieces over its own span and its own cap of
+    ``max_panels`` panels.  A panel's GL15 value is accepted when it lies
+    within tol * max(width / span, 1e-3) of its embedded GL7 value, or when
+    the panel is narrower than 1e-13 * span; otherwise it is halved, while
+    the panels its piece has evaluated plus the halves already queued stay
+    below ``max_panels``.  A piece that reaches the cap evaluates between
+    ``max_panels`` and ``max_panels + 1`` panels, and its value is not to be
+    trusted.  Bisection runs level by level: all pending panels of a level
+    go to ``f`` together, in calls of at most ``_BATCH_PANELS`` panels, so
+    ``f`` must act pointwise on a 1-D array.  Below the cap the accepted
+    panels do not depend on the visiting order.  Each piece sums its
+    accepted panels by left edge, and the pieces add in order.
+    """
     if b <= a:
         return QuadResult(0.0, 0.0, 0)
-    stack = [(a, b)]
-    accepted: list[tuple[float, complex, float]] = []
+    x15, w15 = _gl(15)
+    x7, w7 = _gl(7)
+    unit = np.concatenate([x15, x7])
+    edges = np.linspace(a, b, pieces + 1)
+    spans = np.diff(edges)
+    piece_tol = tol / pieces
+    piece = np.flatnonzero(spans > 0)
+    lo, hi = edges[piece], edges[piece + 1]
+    counted = np.zeros(pieces, dtype=np.int64)
+    kept = []
     evals = 0
-    panels = 0
-    span = b - a
-    while stack:
-        lo, hi = stack.pop()
-        val, err, n = _panel(f, lo, hi)
-        evals += n
-        panels += 1
-        local = tol * max((hi - lo) / span, 1e-3)
-        if err <= local or (hi - lo) < 1e-13 * span or panels >= max_panels:
-            accepted.append((lo, val, err))
-        else:
-            mid = 0.5 * (lo + hi)
-            stack.append((mid, hi))
-            stack.append((lo, mid))
-    accepted.sort(key=lambda t: t[0])
-    total = sum(v for _, v, _ in accepted)
-    errsum = sum(e for _, _, e in accepted)
+    while lo.size:
+        xm, hl = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        v15 = np.empty(lo.size, dtype=np.complex128)
+        v7 = np.empty(lo.size, dtype=np.complex128)
+        for s in range(0, lo.size, _BATCH_PANELS):
+            c = slice(s, s + _BATCH_PANELS)
+            nodes = (xm[c, None] + hl[c, None] * unit).ravel()
+            vals = np.asarray(f(nodes), dtype=np.complex128).reshape(-1, unit.size)
+            v15[c] = hl[c] * np.sum(w15 * vals[:, :15], axis=1)
+            v7[c] = hl[c] * np.sum(w7 * vals[:, 15:], axis=1)
+        evals += lo.size * unit.size
+        width, span = hi - lo, spans[piece]
+        err = np.abs(v15 - v7)
+        fail = (err > piece_tol * np.maximum(width / span, 1e-3)) & (width >= 1e-13 * span)
+        # a level keeps its panels grouped by piece: the halves queued by the
+        # failing panels before this one, in its own piece
+        before = np.cumsum(fail) - fail
+        queued = 2 * (before - before[np.searchsorted(piece, piece)])
+        counted += np.bincount(piece, minlength=pieces)
+        split = fail & (counted[piece] + queued < max_panels)
+        kept.append((piece[~split], lo[~split], v15[~split], err[~split]))
+        mid = xm[split]
+        lo = np.stack([lo[split], mid], axis=1).ravel()
+        hi = np.stack([mid, hi[split]], axis=1).ravel()
+        piece = np.repeat(piece[split], 2)
+    piece, lo, v15, err = (np.concatenate(part) for part in zip(*kept))
+    order = np.lexsort((lo, piece))
+    values, errors = v15[order].tolist(), err[order].tolist()
+    bounds = np.searchsorted(piece[order], np.arange(pieces + 1)).tolist()
+    runs = list(zip(bounds[:-1], bounds[1:]))
+    total = sum(sum(values[i:j]) for i, j in runs)
+    errsum = sum(sum(errors[i:j]) for i, j in runs)
     return QuadResult(complex(total), float(errsum), evals)
 
 
@@ -190,23 +224,13 @@ def _adaptive_oscillatory(
     tol: float,
     omega: float,
 ) -> QuadResult:
-    """Pre-split so each starting panel spans at most ~2 oscillation periods."""
-    if b <= a:
-        return QuadResult(0.0, 0.0, 0)
+    """Pre-split so each starting panel spans at most ~2 oscillation periods;
+    the pieces are bisected together by one :func:`_adaptive` call."""
     if omega == 0.0:
         return _adaptive(f, a, b, tol)
     max_len = 4.0 * math.pi / abs(omega)
     n_init = max(1, int(math.ceil((b - a) / max_len)))
-    edges = np.linspace(a, b, n_init + 1)
-    total = 0.0 + 0.0j
-    err = 0.0
-    evals = 0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        r = _adaptive(f, float(lo), float(hi), tol / n_init)
-        total += r.value
-        err += r.error
-        evals += r.evaluations
-    return QuadResult(total, err, evals)
+    return _adaptive(f, a, b, tol, pieces=n_init)
 
 
 # ---------------------------------------------------------------------------

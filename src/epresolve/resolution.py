@@ -48,6 +48,7 @@ from .boundary import BoundaryModel, bm_assoc, bm_scatter
 from .exact import ExpLaurent, RationalComplex, add_terms, i_power, mul_terms
 from .interior import (
     PAIR_WINDOW,
+    POLE_GUARD,
     TRANSFORM_WINDOW,
     InteriorModel,
     im_member,
@@ -1089,8 +1090,17 @@ def apply_scheme(
     kind, model = scheme.kind, scheme.model
     f.check_model(model)
     if kind in _INTERIOR_IDS:
-        if np.any(radii >= model.alpha):
-            raise ValueError("puncture radius must stay below the resonance momentum")
+        # the spectral integral reaches k = +-(alpha - eps), where
+        # |k^2 - alpha^2| = eps (2 alpha - eps) must not fall below POLE_GUARD
+        a = model.alpha
+        least = POLE_GUARD / (a + math.sqrt(max(a * a - POLE_GUARD, 0.0)))
+        bad = radii[(radii < least) | (radii >= a)]
+        if bad.size:
+            raise ValueError(
+                f"puncture radius {bad.flat[0]:g} (--eps-grid) is out of range: the interior schemes need "
+                f"{least:.3g} <= eps < alpha = {a:g}, the resonance momentum (below {least:.3g} the spectral "
+                f"integral comes within |k^2 - alpha^2| < {POLE_GUARD:g} of the scattering solution's poles)"
+            )
         integrand = _spectral_integrand(model, _interior_transform(model, f), xp)
         pair = _pair_moments(model, f, xp)
 

@@ -537,6 +537,19 @@ def test_model_flag_of_the_other_family_is_usage_error(args, flag, capsys):
     assert f"{flag} applies to the" in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("radius", ["1e-7", "0.4,1.5"])
+def test_interior_radius_out_of_range_is_usage_error(radius, capsys):
+    # below ~5e-7 at alpha 1 the spectral integral reaches the scattering
+    # solution's pole guard; at or past alpha the puncture swallows the pole
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", "--model", "interior", "--scheme", "res12", "--testfn", "gaussian", "--eps-grid", radius])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "out of range" in captured.err and "--eps-grid" in captured.err
+    assert "regularized" not in captured.err and "Traceback" not in captured.err
+
+
 # ---------------------------------------------------------------------------
 # argv fuzz: every input ends in a result, a verdict or a usage error
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Quadrature layer: composite and contour integrals, exact tails, packet smearing."""
 
+import itertools
 import math
 
 import numpy as np
@@ -117,6 +118,146 @@ def test_composite_phase_sums_mutation_control(monkeypatch):
     monkeypatch.setattr(quadrature, "_panel_layout", shifted)
     got = quadrature.composite_phase_sums(lo, hi, n_panels, order, rows, k)
     assert np.all(np.abs(got - want) > bound[:, None])
+
+
+# ---------------------------------------------------------------------------
+# adaptive bisection
+# ---------------------------------------------------------------------------
+
+def _oracle_panel(f, a, b):
+    """One embedded GL15/GL7 panel: (value, error, evaluations)."""
+    xm, hl = 0.5 * (a + b), 0.5 * (b - a)
+    x15, w15 = quadrature._gl(15)
+    x7, w7 = quadrature._gl(7)
+    nodes = np.concatenate([xm + hl * x15, xm + hl * x7])
+    vals = np.asarray(f(nodes), dtype=np.complex128)
+    v15 = hl * np.sum(w15 * vals[:15])
+    v7 = hl * np.sum(w7 * vals[15:])
+    return complex(v15), abs(v15 - v7), nodes.size
+
+
+def _oracle_adaptive(f, a, b, tol, max_panels=4000, slack=1.0):
+    """Oracle: the depth-first bisection that ``_adaptive`` replaced, one
+    integrand call per panel.  Returns (value, error, evaluations) and the
+    number of panels per bisection level.  ``slack`` scales the local
+    tolerance, for the mutation control."""
+    if b <= a:
+        return (0.0, 0.0, 0), []
+    stack = [(a, b, 0)]
+    accepted = []
+    levels = []
+    evals = 0
+    panels = 0
+    span = b - a
+    while stack:
+        lo, hi, depth = stack.pop()
+        val, err, n = _oracle_panel(f, lo, hi)
+        evals += n
+        panels += 1
+        if depth == len(levels):
+            levels.append(0)
+        levels[depth] += 1
+        local = slack * tol * max((hi - lo) / span, 1e-3)
+        if err <= local or (hi - lo) < 1e-13 * span or panels >= max_panels:
+            accepted.append((lo, val, err))
+        else:
+            mid = 0.5 * (lo + hi)
+            stack.append((mid, hi, depth + 1))
+            stack.append((lo, mid, depth + 1))
+    accepted.sort(key=lambda t: t[0])
+    total = sum(v for _, v, _ in accepted)
+    errsum = sum(e for _, _, e in accepted)
+    return (complex(total), float(errsum), evals), levels
+
+
+def _oracle_oscillatory(f, a, b, tol, omega, slack=1.0):
+    """Oracle: one depth-first bisection per pre-split piece, the pieces added
+    in order; the level counts are summed over the pieces."""
+    n_init = max(1, int(math.ceil((b - a) / (4.0 * math.pi / abs(omega)))))
+    edges = np.linspace(a, b, n_init + 1)
+    total, err, evals, levels = 0.0 + 0.0j, 0.0, 0, []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        (v, e, n), piece_levels = _oracle_adaptive(f, float(lo), float(hi), tol / n_init, slack=slack)
+        total, err, evals = total + v, err + e, evals + n
+        levels = [x + y for x, y in itertools.zip_longest(levels, piece_levels, fillvalue=0)]
+    return (total, err, evals), levels
+
+
+_POLE = 0.3 + 0.7j
+_ADAPTIVE_CASES = {
+    # (integrand, a, b, tol, omega of the pre-split or None).  Each tolerance
+    # leaves some panel's error between tol and 2 tol, so that the mutation
+    # control bites: a smooth panel's error drops by orders of magnitude per
+    # halving, and at many tolerances doubling changes no panel
+    "gaussian": (lambda x: np.exp(-x * x), -8.0, 8.0, 1e-11, None),
+    "oscillatory-pole": (lambda x: np.exp(2.5j * x) / (x - _POLE) ** 3, -20.0, 30.0, 1e-12, None),
+    "near-pole": (lambda x: 1.0 / (x - (0.2 + 1e-3j)), -1.0, 1.0, 1e-10, None),
+    # omega 5 cuts [-20, 30] into 20 pieces
+    "presplit-20": (lambda x: np.exp(2.5j * x) / (x - _POLE) ** 3, -20.0, 30.0, 1e-11, 5.0),
+}
+
+
+def _batched(name, f):
+    _, a, b, tol, omega = _ADAPTIVE_CASES[name]
+    if omega is None:
+        return quadrature._adaptive(f, a, b, tol)
+    return quadrature._adaptive_oscillatory(f, a, b, tol, omega)
+
+
+def _oracle(name, slack=1.0):
+    f, a, b, tol, omega = _ADAPTIVE_CASES[name]
+    if omega is None:
+        return _oracle_adaptive(f, a, b, tol, slack=slack)
+    return _oracle_oscillatory(f, a, b, tol, omega, slack=slack)
+
+
+@pytest.mark.parametrize("name", sorted(_ADAPTIVE_CASES))
+def test_adaptive_levels_match_the_depth_first_oracle_bitwise(name):
+    f = _ADAPTIVE_CASES[name][0]
+    sizes = []
+
+    def recorded(x):
+        sizes.append(x.size)
+        return f(x)
+
+    got = _batched(name, recorded)
+    want, levels = _oracle(name)
+    assert (got.value, got.error, got.evaluations) == want
+    # one call per bisection level, each within the node cap
+    assert max(levels) <= quadrature._BATCH_PANELS
+    assert sizes == [22 * n for n in levels]
+    if name == "presplit-20":
+        assert levels[0] == 20
+
+
+@pytest.mark.parametrize("name", sorted(_ADAPTIVE_CASES))
+def test_adaptive_oracle_mutation_control(name):
+    # accepting at twice the local tolerance changes the accepted panels,
+    # and the bitwise comparison sees it
+    got = _batched(name, _ADAPTIVE_CASES[name][0])
+    mutated, _ = _oracle(name, slack=2.0)
+    assert (got.value, got.error, got.evaluations) != mutated
+
+
+def test_adaptive_cap_is_deterministic_and_counted():
+    # sin(1e8 x) is never resolved: every piece ends on its panel cap.  The
+    # benchmark counts a cap hit as evaluations >= 22 * max_panels
+    sizes = []
+
+    def f(x):
+        sizes.append(x.size)
+        return np.sin(1e8 * x)
+
+    first = quadrature._adaptive(f, 0.0, 1.0, 1e-12, max_panels=50)
+    again = quadrature._adaptive(f, 0.0, 1.0, 1e-12, max_panels=50)
+    assert first == again
+    assert 22 * 50 <= first.evaluations <= 22 * 51
+    sizes.clear()
+    full = quadrature._adaptive(f, 0.0, 1.0, 1e-12)
+    assert 22 * 4000 <= full.evaluations <= 22 * 4001
+    # levels past the batch cap take several calls, none over the node cap
+    assert max(sizes) == 22 * quadrature._BATCH_PANELS
+    assert sum(sizes) == full.evaluations
 
 
 # ---------------------------------------------------------------------------
