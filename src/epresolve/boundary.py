@@ -56,7 +56,7 @@ class BoundaryModel:
     z: complex = 1j
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 0:
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 0:
             raise ValueError(f"model index must be a nonnegative integer, got {self.n!r}")
         z = complex(self.z)
         if z.imag == 0.0:

@@ -272,7 +272,10 @@ _SUITES = {
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     try:
         model = _build_model(args)
-        names = [s.strip() for s in args.suite.split(",") if s.strip()]
+        # each named suite runs once, in first-seen order
+        names = list(dict.fromkeys(s.strip() for s in args.suite.split(",") if s.strip()))
+        if not names:
+            raise ValueError(f"--suite names no suite; choose from all, {', '.join(_SUITE_NAMES)}")
         if "all" in names:
             names = [s for s in _SUITE_NAMES if not (s == "susy" and args.model == "interior")]
         for name in names:

@@ -19,8 +19,12 @@ multiplied by their natural power of ``k``, and all first-order ladder
 operators connecting neighbouring potentials -- while keeping every identity
 check free of floating-point error.
 
-Differentiation, ladder application, ``k -> -k`` substitution and the
-``k -> 0`` limit of phase-stripped expressions are all closed operations here.
+Differentiation, ``k -> -k`` substitution and the ``k -> 0`` limit of
+phase-stripped expressions are all closed operations here.  So are
+differential operators with Laurent coefficients, sum c*(x-z)**p*D**j:
+:func:`op_compose` multiplies two by the Leibniz rule and :func:`op_apply`
+applies one to an :class:`ExpLaurent`; the ladder operators and the
+Hamiltonian (:func:`op_q`, :func:`op_h`) are applied only this way.
 
 The sparse term-sum core shared by every term algebra of the package lives
 here too: :func:`add_terms` accumulates keyed coefficients and drops what
@@ -51,6 +55,10 @@ __all__ = [
     "el_apply_q",
     "el_apply_h",
     "el_limit_k0_deriv",
+    "op_h",
+    "op_q",
+    "op_compose",
+    "op_apply",
 ]
 
 
@@ -469,26 +477,84 @@ def el_diff_x(f: ExpLaurent) -> ExpLaurent:
 
 
 def el_apply_q(f: ExpLaurent, n: int, sign: int) -> ExpLaurent:
-    """Apply the first-order ladder operator of index n.
-
-    The raising (+) and lowering (-) forms are ``-d/dx + n/(x-z)`` and
-    ``+d/dx + n/(x-z)`` respectively: sign selects which, and must be +1
-    or -1.  Raising maps solutions of the index-(n-1) problem to index n;
-    lowering goes the other way.
-    """
-    if n < 1:
-        raise ValueError(f"ladder index must be a positive integer, got {n}")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 (raising) or -1 (lowering), got {sign}")
-    sup = f.mul_xz(-1) * n
-    if sign == 1:
-        return -f.diff_x() + sup
-    return f.diff_x() + sup
+    """Apply the first-order ladder operator of index n: ``op_q(n, sign)``."""
+    return op_apply(op_q(n, sign), f)
 
 
 def el_apply_h(f: ExpLaurent, coupling: Fraction | int) -> ExpLaurent:
     """Apply -d^2/dx^2 + coupling/(x-z)^2, the centered singular Hamiltonian."""
-    return -f.diff_x().diff_x() + f.mul_xz(-2) * coupling
+    return op_apply(op_h(coupling), f)
+
+
+# ---------------------------------------------------------------------------
+# differential operators with Laurent coefficients
+# ---------------------------------------------------------------------------
+#
+# An operator is a term dict {(p, j): c} standing for sum c * (x-z)**p * D**j
+# with D = d/dx and Gaussian-rational c; like every term dict of the package
+# it holds no zero coefficient.
+
+_Operator = dict[tuple[int, int], RationalComplex]
+
+
+def op_h(coupling: Fraction | int) -> _Operator:
+    """H(g) = -D**2 + g * (x-z)**-2, the centered singular Hamiltonian."""
+    return add_terms({}, [((0, 2), RationalComplex.from_value(-1)),
+                          ((-2, 0), RationalComplex.from_value(coupling))])
+
+
+def op_q(n: int, sign: int) -> _Operator:
+    """Q(n, sign) = -sign * D + n * (x-z)**-1, the ladder operator of index n.
+
+    The raising (+1) and lowering (-1) forms are ``-d/dx + n/(x-z)`` and
+    ``+d/dx + n/(x-z)``.  Raising maps solutions of the index-(n-1) problem
+    to index n; lowering goes the other way.
+    """
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"ladder index must be a positive integer, got {n!r}")
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 (raising) or -1 (lowering), got {sign}")
+    return {(0, 1): RationalComplex.from_value(-sign), (-1, 0): RationalComplex.from_value(n)}
+
+
+def _leibniz(j: int, q: int) -> Iterable[tuple[int, int]]:
+    # D**j (x-z)**q = sum_r C(j, r) q(q-1)...(q-r+1) (x-z)**(q-r) D**(j-r):
+    # the (r, integer factor) pairs whose factor is nonzero
+    falling = 1
+    for r in range(j + 1):
+        if not falling:
+            return
+        yield r, math.comb(j, r) * falling
+        falling *= q - r
+
+
+def op_compose(a: Mapping, b: Mapping) -> _Operator:
+    """The operator product a∘b, moving every D of ``a`` past ``b``'s coefficients.
+
+    >>> op_compose(op_q(1, -1), op_q(1, +1)) == op_h(0)
+    True
+    """
+    return add_terms({}, (
+        ((p + q - r, j - r + k), ca * cb * factor)
+        for (p, j), ca in a.items()
+        for (q, k), cb in b.items()
+        for r, factor in _leibniz(j, q)
+    ))
+
+
+def op_apply(op: Mapping, f: ExpLaurent) -> ExpLaurent:
+    """Apply the operator to f exactly.
+
+    D is :meth:`ExpLaurent.diff_x`, so on coordinate phase sigma it acts as
+    D + i*sigma*k; the result keeps f's grading.
+    """
+    derivs = [f]
+    out: dict = {}
+    for (p, j), c in op.items():
+        while len(derivs) <= j:
+            derivs.append(derivs[-1].diff_x())
+        add_terms(out, (((m, pp + p), cf * c) for (m, pp), cf in derivs[j].terms.items()))
+    return ExpLaurent._normalized(out, *f._grading())
 
 
 def el_mutate(f: ExpLaurent, delta: Fraction) -> ExpLaurent:

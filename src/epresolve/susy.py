@@ -14,7 +14,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .boundary import BoundaryModel, bm_apply_h, bm_assoc, bm_growing
-from .exact import ExpLaurent, RationalComplex, el_apply_h, el_apply_q, el_diff_x
+from .exact import (
+    ExpLaurent,
+    RationalComplex,
+    add_terms,
+    el_diff_x,
+    op_apply,
+    op_compose,
+    op_h,
+    op_q,
+)
 from .report import VerificationReport
 
 __all__ = [
@@ -213,17 +222,19 @@ _PROBE_POWERS = (-3, -1, 0, 2)
 def verify_intertwining(n: int, mutate: bool = False) -> VerificationReport:
     """Check the two ladder intertwinings and both factorizations at index n.
 
-    All four relations are applied to a spanning set of Laurent monomials
-    (with and without the oscillatory phase) and required to vanish
-    exactly.  ``mutate`` bumps the ladder operator's pole coefficient by one
-    while leaving the Hamiltonians alone; every relation must then fail,
+    Each relation is composed once as an exact operator identity, R = 0,
+    and R is applied to a spanning set of Laurent monomials (with and
+    without the oscillatory phase); a probe fails when its residual is not
+    exactly zero.  The zero operator leaves every probe at zero, so it is
+    not applied.  ``mutate`` bumps the ladder operator's pole coefficient by
+    one while leaving the Hamiltonians alone; every relation must then fail,
     which is the sensitivity control for this suite.
     """
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"ladder index must be a positive integer, got {n!r}")
     q = n + 1 if mutate else n
-    upper = n * (n + 1)
-    lower = (n - 1) * n
+    h_upper, h_lower = op_h(n * (n + 1)), op_h((n - 1) * n)
+    q_raise, q_lower = op_q(q, +1), op_q(q, -1)
 
     probes = [
         ExpLaurent.monomial(1, k_pow=k_pow, xz_pow=p, phase_x=phase)
@@ -232,20 +243,17 @@ def verify_intertwining(n: int, mutate: bool = False) -> VerificationReport:
         for p in _PROBE_POWERS
     ]
     relations = {
-        "raise-intertwine": lambda f: el_apply_h(el_apply_q(f, q, +1), upper)
-        - el_apply_q(el_apply_h(f, lower), q, +1),
-        "lower-intertwine": lambda f: el_apply_h(el_apply_q(f, q, -1), lower)
-        - el_apply_q(el_apply_h(f, upper), q, -1),
-        "factor-upper": lambda f: el_apply_q(el_apply_q(f, q, -1), q, +1)
-        - el_apply_h(f, upper),
-        "factor-lower": lambda f: el_apply_q(el_apply_q(f, q, +1), q, -1)
-        - el_apply_h(f, lower),
+        "raise-intertwine": (op_compose(h_upper, q_raise), op_compose(q_raise, h_lower)),
+        "lower-intertwine": (op_compose(h_lower, q_lower), op_compose(q_lower, h_upper)),
+        "factor-upper": (op_compose(q_raise, q_lower), h_upper),
+        "factor-lower": (op_compose(q_lower, q_raise), h_lower),
     }
 
     failures = 0
     trace: list[str] = []
-    for name, residual_of in relations.items():
-        bad = sum(0 if residual_of(f).is_zero else 1 for f in probes)
+    for name, (lhs, rhs) in relations.items():
+        residual = add_terms(dict(lhs), ((key, -c) for key, c in rhs.items()))
+        bad = sum(0 if op_apply(residual, f).is_zero else 1 for f in probes) if residual else 0
         failures += bad
         trace.append(f"{name}: {len(probes)} probes, {bad} nonzero residual(s)")
     return VerificationReport(

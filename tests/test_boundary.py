@@ -31,6 +31,12 @@ def test_model_validation():
     assert m.z == 1j and m.coupling == 6
 
 
+@pytest.mark.parametrize("n", [True, False, 2.0])
+def test_model_rejects_non_int_index(n):
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        BoundaryModel(n)
+
+
 def test_potential_values():
     m = BoundaryModel(2, z=1j)
     v = bm_potential(m, 0.0)

@@ -102,6 +102,27 @@ def test_verify_unknown_suite():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("suite", [",", "", " , ,"])
+def test_verify_empty_suite_list_is_usage_error(suite, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--suite", suite])
+    assert exc.value.code == 2
+    assert "names no suite" in capsys.readouterr().err
+
+
+def test_verify_repeated_suite_runs_once(tmp_path):
+    out = tmp_path / "report.json"
+    assert run(["verify", "--suite", "susy,algebra,susy,algebra", "--out", str(out)]) == 0
+    payload = read_json(out)
+    assert payload["suites"] == ["susy", "algebra"]
+    # susy: its intertwining at n = 2 and the round trip; algebra: n = 1, 2, 4
+    labels = [r["label"] for r in payload["reports"]]
+    assert labels == [
+        "ladder intertwining and factorization at index 2",
+        "raising then lowering restores the coupling exactly",
+    ] + [f"ladder intertwining and factorization at index {n}" for n in (1, 2, 4)]
+
+
 def test_sweep_res3_exact_rows(tmp_path):
     out = tmp_path / "res3.csv"
     code = run(["sweep", "--scheme", "res3", "--n", "2",

@@ -22,7 +22,12 @@ from epresolve.exact import (
     el_diff_x,
     el_limit_k0_deriv,
     i_power,
+    op_apply,
+    op_compose,
+    op_h,
+    op_q,
 )
+from epresolve.boundary import BoundaryModel, bm_scatter_ladder
 
 RC = RationalComplex
 
@@ -323,6 +328,75 @@ def test_apply_q_validates_arguments():
         el_apply_q(f, 0, +1)
     with pytest.raises(ValueError):
         el_apply_q(f, 2, 0)
+    for index in (True, False, 2.0):
+        with pytest.raises(ValueError, match="positive integer"):
+            el_apply_q(f, index, +1)
+
+
+def _old_apply_q(f, n, sign):
+    # oracle: the ladder operator written out on ExpLaurent arithmetic; the
+    # package applies the term dict op_q(n, sign) through op_apply
+    sup = f.mul_xz(-1) * n
+    if sign == 1:
+        return -f.diff_x() + sup
+    return f.diff_x() + sup
+
+
+def _old_apply_h(f, coupling):
+    # oracle: the Hamiltonian written out on ExpLaurent arithmetic
+    return -f.diff_x().diff_x() + f.mul_xz(-2) * coupling
+
+
+# any coordinate phase, so that D acts as D + i*sigma*k with sigma in -2..2
+phased_els = st.builds(
+    lambda terms, phase_x, phase_z, unit_pow: ExpLaurent(terms, phase_x, phase_z, unit_pow),
+    el_terms, st.integers(-2, 2), st.integers(-1, 1), st.integers(0, 2),
+)
+operators = st.dictionaries(
+    st.tuples(st.integers(-3, 2), st.integers(0, 3)), rationals, max_size=3
+).map(lambda terms: {key: c for key, c in terms.items() if c})
+
+
+@given(operators, operators, phased_els)
+@settings(max_examples=60, deadline=None)
+def test_composition_applies_as_successive_application(a, b, f):
+    assert op_apply(op_compose(a, b), f) == op_apply(a, op_apply(b, f))
+
+
+@given(phased_els, st.integers(1, 7), st.sampled_from([1, -1]),
+       st.fractions(min_value=-3, max_value=30, max_denominator=4))
+@settings(max_examples=60, deadline=None)
+def test_ladder_and_hamiltonian_match_the_written_out_oracle(f, n, sign, coupling):
+    # same terms in the same order, since float evaluations sum in that order
+    got, want = el_apply_q(f, n, sign), _old_apply_q(f, n, sign)
+    assert got == want and list(got.terms) == list(want.terms)
+    got, want = el_apply_h(f, coupling), _old_apply_h(f, coupling)
+    assert got == want and list(got.terms) == list(want.terms)
+
+
+def test_operator_builders():
+    assert op_h(6) == {(0, 2): RC(-1), (-2, 0): RC(6)}
+    assert op_h(0) == {(0, 2): RC(-1)}
+    assert op_q(3, +1) == {(0, 1): RC(-1), (-1, 0): RC(3)}
+    assert op_q(3, -1) == {(0, 1): RC(1), (-1, 0): RC(3)}
+    with pytest.raises(ValueError):
+        op_q(2, 0)
+
+
+def test_composition_moves_d_past_a_coefficient():
+    # D^2 (x-z)^-1 = (x-z)^-1 D^2 - 2 (x-z)^-2 D + 2 (x-z)^-3
+    assert op_compose({(0, 2): RC(1)}, {(-1, 0): RC(1)}) == {
+        (-1, 2): RC(1), (-2, 1): RC(-2), (-3, 0): RC(2)
+    }
+    # D^3 x^1: the Leibniz sum stops once the falling factorial vanishes
+    assert op_compose({(0, 3): RC(1)}, {(1, 0): RC(1)}) == {(1, 3): RC(1), (0, 2): RC(3)}
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_scatter_ladder_keeps_its_term_order(n):
+    # the Green oracle of tests/test_greens.py evaluates bm_scatter_ladder in
+    # floats, summing in dict order: that order is k**(n-m) (x-z)**(-m), m = 0..n
+    assert list(bm_scatter_ladder(BoundaryModel(n)).terms) == [(n - m, -m) for m in range(n + 1)]
 
 
 def test_lowering_annihilates_chain_bottom():

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import epresolve.exact as exact
 from epresolve.boundary import BoundaryModel, bm_assoc, bm_growing
-from epresolve.exact import ExpLaurent, RationalComplex, el_diff_x
+from epresolve.exact import ExpLaurent, RationalComplex, el_apply_h, el_apply_q, el_diff_x
+from epresolve.report import VerificationReport
 from epresolve.greens import indexes
 from epresolve.susy import (
     ChainKind,
@@ -163,6 +165,74 @@ def test_intertwining_mutation_control_fails():
 def test_intertwining_rejects_bad_index():
     with pytest.raises(ValueError):
         verify_intertwining(0)
+
+
+@pytest.mark.parametrize("index", [True, False, 2.0])
+def test_intertwining_rejects_non_int_index(index):
+    with pytest.raises(ValueError, match="positive integer"):
+        verify_intertwining(index)
+
+
+def _oracle_intertwining(n, mutate=False):
+    # oracle: every relation applied probe by probe through el_apply_h and
+    # el_apply_q (224 operator applications); the package composes each
+    # relation once as an exact operator and applies only a nonzero residual
+    q = n + 1 if mutate else n
+    upper = n * (n + 1)
+    lower = (n - 1) * n
+    probes = [
+        ExpLaurent.monomial(1, k_pow=k_pow, xz_pow=p, phase_x=phase)
+        for phase in (0, 1)
+        for k_pow in (0, 1)
+        for p in (-3, -1, 0, 2)
+    ]
+    relations = {
+        "raise-intertwine": lambda f: el_apply_h(el_apply_q(f, q, +1), upper)
+        - el_apply_q(el_apply_h(f, lower), q, +1),
+        "lower-intertwine": lambda f: el_apply_h(el_apply_q(f, q, -1), lower)
+        - el_apply_q(el_apply_h(f, upper), q, -1),
+        "factor-upper": lambda f: el_apply_q(el_apply_q(f, q, -1), q, +1)
+        - el_apply_h(f, upper),
+        "factor-lower": lambda f: el_apply_q(el_apply_q(f, q, +1), q, -1)
+        - el_apply_h(f, lower),
+    }
+    failures = 0
+    trace = []
+    for name, residual_of in relations.items():
+        bad = sum(0 if residual_of(f).is_zero else 1 for f in probes)
+        failures += bad
+        trace.append(f"{name}: {len(probes)} probes, {bad} nonzero residual(s)")
+    return VerificationReport(
+        identity="susy-intertwining" + ("-mutated" if mutate else ""),
+        label=f"ladder intertwining and factorization at index {n}",
+        mode="exact-symbolic",
+        residual=float(failures),
+        tolerance=0.0,
+        trace=tuple(trace),
+    )
+
+
+@pytest.mark.parametrize("mutate", [False, True], ids=["plain", "mutated"])
+@pytest.mark.parametrize("n", range(1, 9), ids=[f"n{i}" for i in range(1, 9)])
+def test_intertwining_matches_probe_oracle(n, mutate):
+    assert verify_intertwining(n, mutate).to_dict() == _oracle_intertwining(n, mutate).to_dict()
+
+
+@pytest.mark.parametrize(
+    "dropped expected".split(),
+    [(lambda r: r >= 1, 62), (lambda r: r == 2, 32)],
+    ids=["drop-r-ge-1", "drop-r-eq-2"],
+)
+def test_intertwining_catches_a_broken_composition(monkeypatch, dropped, expected):
+    # mutation control: a composition that loses Leibniz terms (D no longer
+    # moves past the coefficients correctly) must show in the unmutated check
+    leibniz = exact._leibniz
+    monkeypatch.setattr(
+        exact, "_leibniz", lambda j, q: [(r, c) for r, c in leibniz(j, q) if not dropped(r)]
+    )
+    report = verify_intertwining(2)
+    assert not report.passed
+    assert report.residual == expected
 
 
 @pytest.mark.parametrize(
