@@ -276,11 +276,13 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         names = list(dict.fromkeys(s.strip() for s in args.suite.split(",") if s.strip()))
         if not names:
             raise ValueError(f"--suite names no suite; choose from all, {', '.join(_SUITE_NAMES)}")
+        # every name is checked before "all" replaces the list
+        for name in names:
+            if name != "all" and name not in _SUITES:
+                raise ValueError(f"unknown suite {name!r}; choose from {', '.join(_SUITE_NAMES)}")
         if "all" in names:
             names = [s for s in _SUITE_NAMES if not (s == "susy" and args.model == "interior")]
         for name in names:
-            if name not in _SUITES:
-                raise ValueError(f"unknown suite {name!r}; choose from {', '.join(_SUITE_NAMES)}")
             if name == "susy" and args.model == "interior":
                 raise ValueError("the susy suite applies to the boundary family only")
     except ValueError as exc:

@@ -102,6 +102,14 @@ def test_verify_unknown_suite():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("suite", ["all,nosuch", "nosuch,all"])
+def test_verify_unknown_suite_beside_all(suite):
+    # "all" replaces the list, but only after every name was checked
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--suite", suite])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("suite", [",", "", " , ,"])
 def test_verify_empty_suite_list_is_usage_error(suite, capsys):
     with pytest.raises(SystemExit) as exc:
