@@ -167,8 +167,7 @@ def _suite_algebra(model, mutate: bool) -> list[VerificationReport]:
 
 
 def _suite_susy(model: BoundaryModel, mutate: bool) -> list[VerificationReport]:
-    n = model.n if model.n >= 1 else 2
-    reports = [verify_intertwining(n, mutate=mutate)]
+    reports = [verify_intertwining(model.n, mutate=mutate)]
     bad: list[str] = []
     for base in range(4):
         raised = darboux_potential(
@@ -280,11 +279,15 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         for name in names:
             if name != "all" and name not in _SUITES:
                 raise ValueError(f"unknown suite {name!r}; choose from {', '.join(_SUITE_NAMES)}")
+        # the susy suite checks the ladder at the model's own index n >= 1;
+        # "all" leaves it out where there is none
+        ladder = isinstance(model, BoundaryModel) and model.n >= 1
         if "all" in names:
-            names = [s for s in _SUITE_NAMES if not (s == "susy" and args.model == "interior")]
-        for name in names:
-            if name == "susy" and args.model == "interior":
+            names = [s for s in _SUITE_NAMES if s != "susy" or ladder]
+        if "susy" in names and not ladder:
+            if args.model == "interior":
                 raise ValueError("the susy suite applies to the boundary family only")
+            raise ValueError("the susy suite needs a ladder index n >= 1")
     except ValueError as exc:
         parser.error(str(exc))
     reports: list[VerificationReport] = []

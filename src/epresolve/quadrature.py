@@ -116,6 +116,23 @@ def composite_gauss(lo: float, hi: float, n_panels: int, order: int) -> tuple[np
     return nodes, weights
 
 
+# panels per block of the two-level centre-phase table
+_PHASE_BLOCK = 16
+# entries of the (wave number x panel) phase table and of the (wave number x
+# row x order) panel sums that one chunk of wave numbers may hold
+_PHASE_ENTRIES = 2**20
+
+
+def _centre_phases(k: np.ndarray, c0: float, step: float, n_panels: int) -> np.ndarray:
+    # e^{ik(c0 + step p)} for p < n_panels, shape (K, n_panels): with
+    # p = B a + b, the product of a coarse table e^{ik(c0 + step B a)} and a
+    # fine one e^{ik step b}
+    blocks = -(-n_panels // _PHASE_BLOCK)
+    coarse = np.exp(1j * k[:, None] * (c0 + step * _PHASE_BLOCK * np.arange(blocks)))
+    fine = np.exp(1j * k[:, None] * (step * np.arange(_PHASE_BLOCK)))
+    return (coarse[:, :, None] * fine[:, None, :]).reshape(k.size, -1)[:, :n_panels]
+
+
 def composite_phase_sums(
     lo: float, hi: float, n_panels: int, order: int, rows: np.ndarray, k: np.ndarray
 ) -> np.ndarray:
@@ -123,23 +140,31 @@ def composite_phase_sums(
     every value row v of ``rows`` (last axis: the nodes) and every k.
 
     The phases separate over the equal panels: x_j = c_p + h t_j gives
-    e^{ikx_j} = e^{ikc_p} e^{ikh t_j}, so a K-point k array costs
-    K*(n_panels + order) exponentials and one (K x order).(order x n_panels)
-    product per row instead of a dense K x N phase matrix.  The result has
-    shape ``rows.shape[:-1] + (K,)``.
+    e^{ikx_j} = e^{ikc_p} e^{ikh t_j}.  The weighted rows are contracted over
+    the panels first, in one (K x n_panels).(n_panels x rows*order) matrix
+    product, and then against the K x order local phases e^{ikht}.  The
+    centre phases come from a two-level table (:func:`_centre_phases`), so a
+    K-point k array costs K*(ceil(n_panels/16) + 16 + order) exponentials
+    instead of a dense K x N phase matrix.  The k array is taken in chunks
+    whose tables hold about ``_PHASE_ENTRIES`` entries.  The result has shape
+    ``rows.shape[:-1] + (K,)``.
     """
     xg, wg = _gl(order)
     mid, half = _panel_layout(lo, hi, n_panels)
     h = (hi - lo) / (2 * n_panels)
     karr = np.atleast_1d(np.asarray(k, dtype=np.complex128))
     v = np.asarray(rows)
-    wv = v.reshape(v.shape[:-1] + (n_panels, order)) * (half[:, None] * wg)
-    wv = np.swapaxes(wv, -1, -2)  # (..., order, n_panels)
-    local = np.exp(1j * karr[:, None] * (h * xg)[None, :])
-    centre = np.exp(1j * karr[:, None] * mid[None, :])
-    sums = local @ wv  # (..., K, n_panels)
-    sums *= centre
-    return sums.sum(axis=-1)
+    lead = v.shape[:-1]
+    wv = v.reshape(-1, n_panels, order) * (half[:, None] * wg)
+    wv = np.swapaxes(wv, 0, 1).reshape(n_panels, -1)  # (n_panels, rows*order)
+    out = np.empty((karr.size, wv.shape[1] // order), dtype=np.result_type(wv, karr))
+    step = max(1, _PHASE_ENTRIES // max(n_panels, wv.shape[1]))
+    for s in range(0, karr.size, step):
+        kc = karr[s:s + step]
+        sums = (_centre_phases(kc, mid[0], 2 * h, n_panels) @ wv).reshape(kc.size, -1, order)
+        local = np.exp(1j * kc[:, None] * (h * xg))
+        out[s:s + step] = np.einsum("krj,kj->kr", sums, local)
+    return out.T.reshape(lead + (karr.size,))
 
 
 _BATCH_PANELS = 256  # panels per integrand call: at most 256 * 22 = 5632 nodes

@@ -588,12 +588,30 @@ class Scheme:
 # boundary transforms
 # ---------------------------------------------------------------------------
 
+# most panels of a composite grid: 2^15 panels hold 524288 nodes, 8 MB per
+# value row, while a far-off or wide packet (gaussian:1e6,1) would ask for
+# millions.  The tests' layouts reach 4001 panels (a radius-2000 moment), the
+# benchmark's about 100; the interior rational:1 layout, 4000 (71 + 2 alpha)/9
+# panels, fits up to alpha = 1.36.
+_MAX_PANELS = 2**15
+
+
 def _panels_for(f: TestFunction, k_max: float) -> tuple[float, float, int]:
     """Equal-panel layout (lo, hi, n_panels) of the 16-point composite Gauss
-    grid resolving both f's support and e^{ikx} phases up to k_max."""
+    grid resolving both f's support and e^{ikx} phases up to k_max.
+
+    A layout of more than ``_MAX_PANELS`` panels is out of range: ValueError,
+    before any grid is built.
+    """
     W = f.window()
     h = min(0.5, 9.0 / max(k_max, 1.0))
-    return -W, W, max(8, int(math.ceil(2 * W / h)))
+    n_panels = max(8, math.ceil(2 * W / h))
+    if n_panels > _MAX_PANELS:
+        raise ValueError(
+            f"test function {f.kind} at center {f.center!r} with width {f.width!r} needs "
+            f"{n_panels} grid panels, more than {_MAX_PANELS}; bring the packet nearer 0 or narrow it"
+        )
+    return -W, W, n_panels
 
 
 def _spectral_reach(f: TestFunction) -> float:
@@ -734,15 +752,9 @@ def _f_osc_moment(model: BoundaryModel, f: TestFunction, reach: float = 0.0) -> 
     nodes, _ = composite_gauss(*layout, 16)
     values, xz = f.make_eval(model)(nodes), nodes - z
     row = functools.cache(lambda q: _moment_row(values, xz, q))
-    # frequencies per phase sum, so that its (frequency x panel) arrays stay
-    # near 2^20 entries when a large radius asks for thousands of them
-    step = max(1, 2**20 // layout[2])
 
     def grid_moment(omega: np.ndarray | complex, qs: Sequence[int]) -> np.ndarray:
-        w, rows = np.ravel(omega), np.stack([row(q) for q in qs])
-        sums = np.concatenate([
-            composite_phase_sums(*layout, 16, rows, w[i:i + step]) for i in range(0, w.size, step)
-        ], axis=-1)
+        sums = composite_phase_sums(*layout, 16, np.stack([row(q) for q in qs]), np.ravel(omega))
         return sums.reshape(sums.shape[:1] + np.shape(omega))
 
     return grid_moment

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import epresolve.cli as cli
 import epresolve.greens as greens
+import epresolve.resolution as resolution
 from epresolve.cli import main
 
 
@@ -94,6 +95,20 @@ def test_verify_interior_susy_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         run(["verify", "--model", "interior", "--suite", "susy"])
     assert exc.value.code == 2
+
+
+def test_verify_susy_at_index_zero_is_usage_error(capsys):
+    # index 0 has no ladder; the suite must not check another index instead
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--n", "0", "--suite", "susy"])
+    assert exc.value.code == 2
+    assert "the susy suite needs a ladder index n >= 1" in capsys.readouterr().err
+
+
+def test_verify_all_at_index_zero_leaves_susy_out(tmp_path):
+    out = tmp_path / "report.json"
+    assert run(["verify", "--n", "0", "--suite", "all", "--out", str(out)]) == 0
+    assert read_json(out)["suites"] == ["algebra", "biortho", "greens"]
 
 
 def test_verify_unknown_suite():
@@ -493,6 +508,26 @@ def test_sweep_rational_exponent_out_of_range_is_usage_error(exponent, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert f"rational:{exponent}" in captured.err
+
+
+@pytest.mark.parametrize("family", [["--n", "1", "--scheme", "res3"], ["--model", "interior", "--scheme", "res12"]],
+                         ids=["boundary", "interior"])
+@pytest.mark.parametrize("testfn", ["gaussian:1e6,1", "gaussian:0,1e5"], ids=["far", "wide"])
+def test_sweep_packet_past_the_panel_bound_is_usage_error(family, testfn, monkeypatch, capsys):
+    # millions of grid panels, gigabytes of value rows: refused before any
+    # grid is built
+    def boom(*args):
+        raise AssertionError("built a grid")
+
+    monkeypatch.setattr(resolution, "composite_gauss", boom)
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", *family, "--testfn", testfn, "--eps-grid", "0.4"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    center, width = (1e6, 1.0) if testfn.endswith("1e6,1") else (0.0, 1e5)
+    assert f"center {center!r} with width {width!r}" in captured.err
+    assert "more than 32768" in captured.err
 
 
 @pytest.mark.parametrize(

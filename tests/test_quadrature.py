@@ -59,11 +59,29 @@ def _dense_phase_sums(nodes, weights, rows, k):
     return (np.exp(1j * k[:, None] * nodes[None, :]) @ (rows * weights).T).T
 
 
+def _separable_phase_sums_oracle(lo, hi, n_panels, order, rows, k):
+    """Oracle: the panel-separable sum that the two-level table and the one
+    matrix product replaced, with every centre phase e^{ikc_p} its own
+    exponential and a (rows, K, n_panels) temporary."""
+    xg, wg = quadrature._gl(order)
+    mid, half = quadrature._panel_layout(lo, hi, n_panels)
+    h = (hi - lo) / (2 * n_panels)
+    karr = np.atleast_1d(np.asarray(k, dtype=np.complex128))
+    v = np.asarray(rows)
+    wv = v.reshape(v.shape[:-1] + (n_panels, order)) * (half[:, None] * wg)
+    wv = np.swapaxes(wv, -1, -2)  # (..., order, n_panels)
+    local = np.exp(1j * karr[:, None] * (h * xg)[None, :])
+    centre = np.exp(1j * karr[:, None] * mid[None, :])
+    sums = local @ wv  # (..., K, n_panels)
+    sums *= centre
+    return sums.sum(axis=-1)
+
+
 def _phase_rounding_bound(nodes, weights, rows, k):
     # each path rounds every phase k*x to within a few ulps of |k x| (node,
     # product, argument reduction) and sums N terms; 64 eps per unit phase
     # covers both paths, N eps the two summation orders
-    kx = float(np.max(np.abs(k))) * float(np.max(np.abs(nodes)))
+    kx = float(np.max(np.abs(k), initial=0.0)) * float(np.max(np.abs(nodes)))
     mass = np.sum(np.abs(rows * weights), axis=-1)
     return np.finfo(float).eps * (64.0 * (1.0 + kx) + nodes.size) * mass
 
@@ -118,6 +136,97 @@ def test_composite_phase_sums_mutation_control(monkeypatch):
     monkeypatch.setattr(quadrature, "_panel_layout", shifted)
     got = quadrature.composite_phase_sums(lo, hi, n_panels, order, rows, k)
     assert np.all(np.abs(got - want) > bound[:, None])
+
+
+def _stacked_rows(nodes, lead):
+    # value rows of leading shape ``lead``: one row, three, or two stacks of three
+    rows = _phase_rows(nodes)
+    if lead == ():
+        return rows[1]
+    if lead == (3,):
+        return rows
+    return np.stack([rows, (0.5 - 2j) * rows[::-1]])
+
+
+def _block_panel_counts():
+    # panel counts at and next to multiples of the table's block size
+    block = quadrature._PHASE_BLOCK
+    return st.builds(lambda m, d: block * m + d, st.integers(1, 600 // block - 1), st.integers(-1, 1))
+
+
+@given(
+    st.one_of(st.integers(1, 600), _block_panel_counts()),
+    st.floats(-40.0, 30.0),
+    st.floats(1.0, 80.0),
+    st.sampled_from([(), (3,), (2, 3)]),
+    st.lists(st.tuples(st.floats(-60.0, 60.0), st.sampled_from([0.0, 0.0, 0.05, -0.1])), max_size=6),
+)
+@settings(max_examples=80, deadline=None)
+@example(n_panels=600, lo=-40.0, width=80.0, lead=(3,), ks=[(60.0, 0.0), (-59.5, 0.0)])
+@example(n_panels=1, lo=-3.0, width=7.0, lead=(), ks=[])
+def test_two_level_phase_table_matches_both_oracles(n_panels, lo, width, lead, ks):
+    # any panel count, block-aligned or not; no k, real k and k off the axis;
+    # one value row, a stack of rows and a 2-D stack
+    hi = min(40.0, lo + width)
+    nodes, weights = composite_gauss(lo, hi, n_panels, 16)
+    rows = _stacked_rows(nodes, lead)
+    k = np.array([complex(re, im) for re, im in ks], dtype=np.complex128)
+    got = quadrature.composite_phase_sums(lo, hi, n_panels, 16, rows, k)
+    assert got.shape == lead + (k.size,)
+    # off-axis phases grow by at most e^{|Im k| max|x|}
+    growth = math.exp(max([abs(im) for _, im in ks], default=0.0) * float(np.max(np.abs(nodes))))
+    bound = (_phase_rounding_bound(nodes, weights, rows, k) * growth)[..., None]
+    dense = (rows * weights) @ np.exp(1j * nodes[:, None] * k[None, :])
+    assert np.all(np.abs(got - dense) <= bound)
+    assert np.all(np.abs(got - _separable_phase_sums_oracle(lo, hi, n_panels, 16, rows, k)) <= bound)
+
+
+def test_phase_sums_across_chunk_boundaries(monkeypatch):
+    # chunks of 3 wave numbers, the last one short: the same sums as one chunk
+    lo, hi, n_panels = -25.0, 31.0, 37
+    nodes, weights = composite_gauss(lo, hi, n_panels, 16)
+    rows, k = _phase_rows(nodes), np.linspace(-45.0, 45.0, 10) + 0.0j
+    whole = quadrature.composite_phase_sums(lo, hi, n_panels, 16, rows, k)
+    monkeypatch.setattr(quadrature, "_PHASE_ENTRIES", 3 * rows.shape[0] * 16)
+    chunked = quadrature.composite_phase_sums(lo, hi, n_panels, 16, rows, k)
+    bound = _phase_rounding_bound(nodes, weights, rows, k)[:, None]
+    assert np.all(np.abs(chunked - whole) <= bound)
+    assert np.all(np.abs(chunked - _dense_phase_sums(nodes, weights, rows, k)) <= bound)
+
+
+def _two_level_table(k, c0, step, n_panels, coarse_stride, fine_shift):
+    # the centre-phase table with its coarse stride and fine offset, in panels,
+    # as parameters: (block, 0) is the kernel's table
+    block = quadrature._PHASE_BLOCK
+    blocks = -(-n_panels // block)
+    coarse = np.exp(1j * k[:, None] * (c0 + step * coarse_stride * np.arange(blocks)))
+    fine = np.exp(1j * k[:, None] * (step * (np.arange(block) + fine_shift)))
+    return (coarse[:, :, None] * fine[:, None, :]).reshape(k.size, -1)[:, :n_panels]
+
+
+@pytest.mark.parametrize(
+    "coarse_stride, fine_shift",
+    [(quadrature._PHASE_BLOCK, 1), (quadrature._PHASE_BLOCK - 1, 0)],
+    ids=["fine-table-shifted", "coarse-stride-short"],
+)
+def test_two_level_phase_table_mutation_controls(coarse_stride, fine_shift, monkeypatch):
+    # a fine table shifted by one panel, or a coarse stride one panel short of
+    # the block: the rounding bound must catch either
+    lo, hi, n_panels = -30.0, 25.0, 40
+    nodes, weights = composite_gauss(lo, hi, n_panels, 16)
+    rows, k = _phase_rows(nodes), np.array([0.7, -13.0, 41.5], dtype=np.complex128)
+    want = _dense_phase_sums(nodes, weights, rows, k)
+    bound = _phase_rounding_bound(nodes, weights, rows, k)[:, None]
+    block = quadrature._PHASE_BLOCK
+    real = quadrature._centre_phases(k, lo + 0.5 * (hi - lo) / n_panels, (hi - lo) / n_panels, n_panels)
+    assert np.array_equal(real, _two_level_table(k, lo + 0.5 * (hi - lo) / n_panels, (hi - lo) / n_panels,
+                                                 n_panels, block, 0))
+    monkeypatch.setattr(
+        quadrature, "_centre_phases",
+        lambda k, c0, step, n: _two_level_table(k, c0, step, n, coarse_stride, fine_shift),
+    )
+    got = quadrature.composite_phase_sums(lo, hi, n_panels, 16, rows, k)
+    assert np.all(np.abs(got - want) > bound)
 
 
 # ---------------------------------------------------------------------------

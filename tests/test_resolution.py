@@ -685,6 +685,13 @@ def test_grid_moment_batches_long_frequency_arrays():
     assert np.max(np.abs(whole - parts)) < 1e-15 * np.max(np.abs(whole))
 
 
+def test_panel_layout_bound():
+    # GAUSS spans [-9, 9]; k_max = 16384 asks for 2 * 16384 panels, the bound
+    assert rs._panels_for(GAUSS, 16384.0) == (-9.0, 9.0, rs._MAX_PANELS)
+    with pytest.raises(ValueError, match=r"center 0\.0 with width 1\.0 needs 32769 grid panels"):
+        rs._panels_for(GAUSS, 16384.5)
+
+
 @pytest.mark.parametrize("f", [GAUSS, TestFunction.hermite_gaussian(2)], ids=["gaussian", "hermite2"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5], ids=[f"n{k}" for k in range(1, 6)])
 def test_boundary_transform_against_the_laurent_tensor(f, n):
