@@ -157,13 +157,13 @@ def composite_phase_sums(
     lead = v.shape[:-1]
     wv = v.reshape(-1, n_panels, order) * (half[:, None] * wg)
     wv = np.swapaxes(wv, 0, 1).reshape(n_panels, -1)  # (n_panels, rows*order)
-    out = np.empty((karr.size, wv.shape[1] // order), dtype=np.result_type(wv, karr))
-    step = max(1, _PHASE_ENTRIES // max(n_panels, wv.shape[1]))
-    for s in range(0, karr.size, step):
-        kc = karr[s:s + step]
+    out = np.empty((karr.size, wv.shape[1] // order), dtype=np.complex128)
+    chunk = max(1, _PHASE_ENTRIES // max(n_panels, wv.shape[1]))
+    for s in range(0, karr.size, chunk):
+        kc = karr[s:s + chunk]
         sums = (_centre_phases(kc, mid[0], 2 * h, n_panels) @ wv).reshape(kc.size, -1, order)
         local = np.exp(1j * kc[:, None] * (h * xg))
-        out[s:s + step] = np.einsum("krj,kj->kr", sums, local)
+        out[s:s + chunk] = np.einsum("krj,kj->kr", sums, local)
     return out.T.reshape(lead + (karr.size,))
 
 

@@ -607,10 +607,9 @@ def _panels_for(f: TestFunction, k_max: float) -> tuple[float, float, int]:
     h = min(0.5, 9.0 / max(k_max, 1.0))
     n_panels = max(8, math.ceil(2 * W / h))
     if n_panels > _MAX_PANELS:
-        raise ValueError(
-            f"test function {f.kind} at center {f.center!r} with width {f.width!r} needs "
-            f"{n_panels} grid panels, more than {_MAX_PANELS}; bring the packet nearer 0 or narrow it"
-        )
+        what = f"rational:{f.exponent}" if f.kind == "rational_decay" else (
+            f"{f.kind} at center {f.center!r} with width {f.width!r}")
+        raise ValueError(f"test function {what} needs {n_panels} grid panels, more than {_MAX_PANELS}")
     return -W, W, n_panels
 
 

@@ -217,10 +217,9 @@ def test_two_level_phase_table_mutation_controls(coarse_stride, fine_shift, monk
     rows, k = _phase_rows(nodes), np.array([0.7, -13.0, 41.5], dtype=np.complex128)
     want = _dense_phase_sums(nodes, weights, rows, k)
     bound = _phase_rounding_bound(nodes, weights, rows, k)[:, None]
-    block = quadrature._PHASE_BLOCK
-    real = quadrature._centre_phases(k, lo + 0.5 * (hi - lo) / n_panels, (hi - lo) / n_panels, n_panels)
-    assert np.array_equal(real, _two_level_table(k, lo + 0.5 * (hi - lo) / n_panels, (hi - lo) / n_panels,
-                                                 n_panels, block, 0))
+    c0, step = lo + 0.5 * (hi - lo) / n_panels, (hi - lo) / n_panels
+    unmutated = _two_level_table(k, c0, step, n_panels, quadrature._PHASE_BLOCK, 0)
+    assert np.array_equal(quadrature._centre_phases(k, c0, step, n_panels), unmutated)
     monkeypatch.setattr(
         quadrature, "_centre_phases",
         lambda k, c0, step, n: _two_level_table(k, c0, step, n, coarse_stride, fine_shift),

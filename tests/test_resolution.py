@@ -690,6 +690,10 @@ def test_panel_layout_bound():
     assert rs._panels_for(GAUSS, 16384.0) == (-9.0, 9.0, rs._MAX_PANELS)
     with pytest.raises(ValueError, match=r"center 0\.0 with width 1\.0 needs 32769 grid panels"):
         rs._panels_for(GAUSS, 16384.5)
+    # rational:1 spans [-2000, 2000], past the bound once k_max > 73.728
+    assert rs._panels_for(TestFunction.rational_decay(1), 73.7)[2] == 32756
+    with pytest.raises(ValueError, match="test function rational:1 needs 32778 grid panels"):
+        rs._panels_for(TestFunction.rational_decay(1), 73.75)
 
 
 @pytest.mark.parametrize("f", [GAUSS, TestFunction.hermite_gaussian(2)], ids=["gaussian", "hermite2"])
