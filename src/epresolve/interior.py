@@ -39,6 +39,7 @@ __all__ = [
     "InteriorModel",
     "im_W",
     "im_w_bundle",
+    "im_zero_gap",
     "im_potential",
     "im_scatter",
     "im_psi0",
@@ -80,6 +81,23 @@ def im_w_bundle(model: InteriorModel, x: np.ndarray | float):
     s = np.sin(2 * a * xa)
     W = s + 2 * a * (xa - model.z)
     return W, 2 * a * np.cos(2 * a * xa) + 2 * a + 0j, -4 * a * a * s + 0j
+
+
+def im_zero_gap(model: InteriorModel) -> float:
+    """Least distance |Im x| of a complex zero of W from the real axis.
+
+    Im W(t + iy) = cos(2at) sinh(2ay) + 2a(y - Im z), so every zero has
+    |y| >= u/(2a) with sinh u + u = 2a|Im z|.
+    """
+    c = 2 * model.alpha * abs(model.z.imag)
+    # sinh u + u >= c at the start, so Newton descends monotonically
+    u = min(0.5 * c, math.asinh(c))
+    for _ in range(100 if math.isfinite(c) else 0):
+        step = (math.sinh(u) + u - c) / (math.cosh(u) + 1)
+        u -= step
+        if step <= 1e-16 * u:
+            break
+    return u / (2 * model.alpha)
 
 
 def im_W(model: InteriorModel, x: np.ndarray | float) -> np.ndarray | complex:
@@ -241,7 +259,8 @@ _TAIL_ORDER_CAP = 16
 
 # the windows that the package's interior integrals of chain members split
 # at, a core quadrature inside and exact tails beyond: the spectral
-# transforms at TRANSFORM_WINDOW, the pair moments and pairings at PAIR_WINDOW
+# transforms and the schemes' pair moments at TRANSFORM_WINDOW, the biortho
+# pairings and reproduce_psi0_term at PAIR_WINDOW
 TRANSFORM_WINDOW = 40.0
 PAIR_WINDOW = 60.0
 # im_scatter refuses |k^2 - alpha^2| below this, next to its poles
@@ -275,13 +294,12 @@ def _inv_w_model(model: InteriorModel, order: int) -> OscRational:
     return (1.0 / (2 * a)) * total.shift_power(1)
 
 
-def im_tail_model(model: InteriorModel, kind: str, X: float, k: float | None = None) -> OscRational:
+def im_tail_model(model: InteriorModel, kind: str, X: float) -> OscRational:
     """Exact large-|x| model of an interior-model function, as an OscRational.
 
-    ``kind`` is one of ``"inv_w"``, ``"psi0"``, ``"psi1"``, ``"scatter"``,
-    ``"scatter_reg"``; the scatter kinds require the spectral value ``k``.
-    ``X`` is the window the caller integrates beyond; the order of the 1/W
-    expansion follows from it by the rule of the module docstring.
+    ``kind`` is one of ``"inv_w"``, ``"psi0"``, ``"psi1"``.  ``X`` is the
+    window the caller integrates beyond; the order of the 1/W expansion
+    follows from it by the rule of the module docstring.
     """
     a, z = model.alpha, model.z
     inv_w = _inv_w_model(model, _tail_order(model, X))
@@ -293,20 +311,4 @@ def im_tail_model(model: InteriorModel, kind: str, X: float, k: float | None = N
         num = (2 * a) * (OscRational.centered_poly(z, [0.0, 1.0]) * OscRational.sine(z, a))
         num = num + OscRational.cosine(z, a)
         return (1.0 / math.sqrt(2 * a)) * (num * inv_w)
-    if kind in ("scatter", "scatter_reg"):
-        if k is None:
-            raise ValueError("scatter tail models require the spectral value k")
-        disp = k * k - a * a
-        if kind == "scatter" and abs(disp) < 1e-6:
-            raise ValueError("scatter tail model undefined on the spectral poles")
-        # i k W' - W''/2 as trig sums
-        num = OscRational.cosine(z, 2 * a, 2j * k * a) + OscRational.constant(z, 2j * k * a)
-        num = num + OscRational.sine(z, 2 * a, 2 * a * a)
-        core = num * inv_w
-        if kind == "scatter_reg":
-            out = OscRational.constant(z, disp) + core
-        else:
-            out = OscRational.constant(z, 1.0) + (1.0 / disp) * core
-        plane = OscRational.wave(z, k, 0, 1.0 / math.sqrt(2 * math.pi))
-        return out * plane
     raise ValueError(f"unknown tail-model kind {kind!r}")

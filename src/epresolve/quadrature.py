@@ -647,10 +647,6 @@ class OscRational:
         return OscRational(z, [(0.0, 0, c)])
 
     @staticmethod
-    def wave(z: complex, mu: float, q: int = 0, c: complex = 1.0) -> "OscRational":
-        return OscRational(z, [(mu, q, c)])
-
-    @staticmethod
     def cosine(z: complex, mu: float, c: complex = 1.0) -> "OscRational":
         return OscRational(z, [(mu, 0, 0.5 * c), (-mu, 0, 0.5 * c)])
 

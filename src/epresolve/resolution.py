@@ -56,6 +56,7 @@ from .interior import (
     im_psi1,
     im_tail_model,
     im_w_bundle,
+    im_zero_gap,
 )
 from .kernels import interior_psi_grid
 from .quadrature import (
@@ -596,17 +597,27 @@ class Scheme:
 _MAX_PANELS = 2**15
 
 
-def _panels_for(f: TestFunction, k_max: float) -> tuple[float, float, int]:
+def _panels_for(f: TestFunction, k_max: float, model: InteriorModel | None = None,
+                X: float = TRANSFORM_WINDOW) -> tuple[float, float, int]:
     """Equal-panel layout (lo, hi, n_panels) of the 16-point composite Gauss
     grid resolving both f's support and e^{ikx} phases up to k_max.
 
-    A layout of more than ``_MAX_PANELS`` panels is out of range: ValueError,
-    before any grid is built.
+    For the interior family (``model`` given) an interior chain member spans
+    the window [-X, X], and no panel is wider than :func:`im_zero_gap`, the
+    distance of W's complex zeros from the real axis.  A layout of more than
+    ``_MAX_PANELS`` panels is out of range: ValueError, before any grid is
+    built.
     """
-    W = f.window()
+    W = X if f.is_chain else f.window()
     h = min(0.5, 9.0 / max(k_max, 1.0))
-    n_panels = max(8, math.ceil(2 * W / h))
+    gap = math.inf if model is None else im_zero_gap(model)
+    n_panels = max(8, math.ceil(2 * W / min(h, gap)))
     if n_panels > _MAX_PANELS:
+        if gap < h:
+            raise ValueError(
+                f"Im z = {model.z.imag:g} (--z) is out of range: W's complex zeros come within {gap:.3g} of the "
+                f"real axis, and panels that narrow need {n_panels} over [-{W:g}, {W:g}], more than {_MAX_PANELS}"
+            )
         what = f"rational:{f.exponent}" if f.kind == "rational_decay" else (
             f"{f.kind} at center {f.center!r} with width {f.width!r}")
         raise ValueError(f"test function {what} needs {n_panels} grid panels, more than {_MAX_PANELS}")
@@ -645,6 +656,8 @@ _MAX_BLOCK_GROWTH = 700.0
 # (omega, qs) -> the moments of f that _f_osc_moment evaluates, one row per
 # q of qs: shape (len(qs),) + shape of omega
 _Moment = Callable[[np.ndarray | complex, Sequence[int]], np.ndarray]
+# (mu array, xp) -> the interior pair moments of f, one per mu (_pair_moments)
+_Pair = Callable[[np.ndarray, float], np.ndarray]
 
 
 def _pf_decompose(centers: Sequence[tuple[complex, int]]) -> list[tuple[complex, int, complex]]:
@@ -887,64 +900,61 @@ def _apply_two_point(model: BoundaryModel, terms: dict, moment: _Moment, eps: fl
 # interior transforms
 # ---------------------------------------------------------------------------
 
-def _interior_transform(model: InteriorModel, f: TestFunction) -> Callable[[np.ndarray], np.ndarray]:
-    """k-array -> integral of f(x) psi(x;k) dx for the interior family.
+def _interior_transform(model: InteriorModel, f: TestFunction) -> tuple[Callable[[np.ndarray], np.ndarray], _Pair]:
+    """(transform, pair) of f for the interior family, on one composite grid.
 
-    Localized f: three fixed-grid plane-wave transforms assembled with the
-    explicit pole factors.  Chain members: the same fixed-grid core on
-    [-X, X] plus exact oscillatory-settling tails from the large-x models,
-    all three taking the whole k array in one stacked call (the integrals
-    exist in the Abel sense; the tail machinery evaluates exactly that).
+    ``transform``: k array -> integral of f(x) psi(x;k) dx, three plane-wave
+    transforms assembled with the explicit pole factors; ``pair``: the
+    :func:`_pair_moments` of f.  Chain members add exact tails beyond
+    TRANSFORM_WINDOW from the large-x models, all three transforms' in one
+    stacked call per k array (Abel-regularized, which is what they mean).
     """
-    a, z = model.alpha, model.z
-
-    def plane_wave_core(lo: float, hi: float, n_panels: int, values: Callable[[np.ndarray], np.ndarray]):
-        # plane-wave transforms of f, f W'/W and f W''/W on the 16-point
-        # composite grid, one stacked panel-separable phase sum per k array,
-        # assembled with the explicit pole factor 1/(k^2 - a^2)
-        nodes, _ = composite_gauss(lo, hi, n_panels, 16)
-        fv = values(nodes)
-        W, W1, W2 = im_w_bundle(model, nodes)
-        rows = np.stack([fv, fv * (W1 / W), fv * (W2 / W)])
-
-        def core(k: np.ndarray) -> np.ndarray:
-            karr = np.atleast_1d(np.asarray(k, dtype=np.complex128))
-            g0, g1, g2 = composite_phase_sums(lo, hi, n_panels, 16, rows, karr)
-            return (g0 + (1j * karr * g1 - 0.5 * g2) / (karr * karr - a * a)) / math.sqrt(2 * math.pi)
-
-        return core
-
+    a, z, X = model.alpha, model.z, TRANSFORM_WINDOW
     if f.kind in ("gaussian", "hermite_gaussian", "rational_decay"):
         # the transform inherits an exp(-|k| Im x0) tail from the complex
         # zeros of the denominator, so the k-range outlives the packet's own
         # bandwidth; _INTERIOR_REACH_PAD pushes that tail below 1e-10
-        layout = _panels_for(f, _spectral_reach(f) + 2 * a + _INTERIOR_REACH_PAD)
-        return plane_wave_core(*layout, f.make_eval(model))
-    if f.kind == "chain":
-        which, X = f.ref[0], TRANSFORM_WINDOW
-        member_tail = im_tail_model(model, which, X)
+        layout = _panels_for(f, _spectral_reach(f) + 2 * a + _INTERIOR_REACH_PAD, model)
+        member_tail = None
+    elif f.kind == "chain":
         # members settle to O(1) oscillation, so the core grid only has to
         # resolve phases up to k_max plus the potential's harmonics; the
         # remainder integrals are exact large-x models
-        h = min(0.5, 9.0 / (_spectral_reach(f) + 8 * a))
-        core = plane_wave_core(-X, X, int(math.ceil(2 * X / h)), lambda x: im_member(model, which, x))
-        # tail products with the wave's plane-phase factored out: the three
-        # share their frequencies, so one stacked pass takes all of them over
-        # the whole k array
-        inv_w = im_tail_model(model, "inv_w", X)
-        p1 = member_tail * ((OscRational.cosine(z, 2 * a, 2 * a) + OscRational.constant(z, 2 * a)) * inv_w)
-        p2 = member_tail * (OscRational.sine(z, 2 * a, 2 * a * a) * inv_w)
-        tails = stacked_tails([member_tail, p1, p2], X)
-        rt2pi = math.sqrt(2 * math.pi)
+        layout = _panels_for(f, _spectral_reach(f) + 8 * a, model, X)
+        member_tail = im_tail_model(model, f.ref[0], X)
+    else:
+        raise ValueError(f"unsupported test function kind {f.kind!r}")
+    # plane-wave transforms of f, f W'/W and f W''/W on the 16-point
+    # composite grid, one stacked panel-separable phase sum per k array,
+    # assembled with the explicit pole factor 1/(k^2 - a^2)
+    nodes, _ = composite_gauss(*layout, 16)
+    fv = f.make_eval(model)(nodes)
+    W, W1, W2 = im_w_bundle(model, nodes)
+    rows = np.stack([fv, fv * (W1 / W), fv * (W2 / W)])
+    pair = _pair_moments(model, layout, nodes, fv, member_tail, X)
 
-        def theta(k: np.ndarray) -> np.ndarray:
-            karr = np.atleast_1d(np.asarray(k, dtype=np.complex128))
-            kr = karr.real
-            t0, t1, t2 = tails(kr)
-            return core(karr) + (t0 + (1j * kr * t1 + t2) / (kr * kr - a * a)) / rt2pi
+    def core(k: np.ndarray) -> np.ndarray:
+        karr = np.atleast_1d(np.asarray(k, dtype=np.complex128))
+        g0, g1, g2 = composite_phase_sums(*layout, 16, rows, karr)
+        return (g0 + (1j * karr * g1 - 0.5 * g2) / (karr * karr - a * a)) / math.sqrt(2 * math.pi)
 
-        return theta
-    raise ValueError(f"unsupported test function kind {f.kind!r}")
+    if member_tail is None:
+        return core, pair
+    # tail products with the wave's plane-phase factored out: the three
+    # share their frequencies, so one stacked pass takes all of them over
+    # the whole k array
+    inv_w = im_tail_model(model, "inv_w", X)
+    p1 = member_tail * ((OscRational.cosine(z, 2 * a, 2 * a) + OscRational.constant(z, 2 * a)) * inv_w)
+    p2 = member_tail * (OscRational.sine(z, 2 * a, 2 * a * a) * inv_w)
+    tails = stacked_tails([member_tail, p1, p2], X)
+
+    def theta(k: np.ndarray) -> np.ndarray:
+        karr = np.atleast_1d(np.asarray(k, dtype=np.complex128))
+        kr = karr.real
+        t0, t1, t2 = tails(kr)
+        return core(karr) + (t0 + (1j * kr * t1 + t2) / (kr * kr - a * a)) / math.sqrt(2 * math.pi)
+
+    return theta, pair
 
 
 def _ik_interior(
@@ -955,89 +965,71 @@ def _ik_interior(
     a = model.alpha
     pad = 3 * a if f.is_chain else 3 * a + _INTERIOR_REACH_PAD
     K = min(A, _spectral_reach(f) + pad)
-    segments = [(-K, -a - eps), (-a + eps, a - eps), (a + eps, K)]
-    if f.is_chain:
-        # fixed composite grids: the integrand is smooth on the punctured
-        # axis, and per-spectral-point transforms are expensive, so a
-        # deterministic rule beats adaptivity here; the only oscillation in
-        # k comes from the x' plane-wave phase, well under a panel width
-        total = 0.0 + 0.0j
-        for lo, hi in segments:
-            if hi > lo:
-                nodes, weights = composite_gauss(lo, hi, max(6, int(math.ceil((hi - lo) * 0.4))), 12)
-                total += np.sum(integrand(nodes) * weights)
-        return total
     total = 0.0 + 0.0j
-    for lo, hi in segments:
-        if hi > lo:
+    for lo, hi in [(-K, -a - eps), (-a + eps, a - eps), (a + eps, K)]:
+        if hi <= lo:
+            continue
+        if f.is_chain:
+            # fixed composite grids: the integrand is smooth on the punctured
+            # axis, and per-spectral-point transforms are expensive, so a
+            # deterministic rule beats adaptivity here; the only oscillation
+            # in k comes from the x' plane-wave phase, well under a panel width
+            nodes, weights = composite_gauss(lo, hi, max(6, math.ceil((hi - lo) * 0.4)), 12)
+            total += np.sum(integrand(nodes) * weights)
+        else:
             total += _adaptive(integrand, lo, hi, tol).value
     return total
 
 
-def _pair_moments(model: InteriorModel, f: TestFunction, xp: float) -> Callable[[str, float], complex]:
-    """(member, mu) -> integral of f(x) * member(x) * e^{i mu (x - xp)} dx,
-    each computed once per call of :func:`apply_scheme`.
+def _pair_moments(model: InteriorModel, layout: tuple[float, float, int], nodes: np.ndarray,
+                  values: np.ndarray, tail: OscRational | None, X: float) -> _Pair:
+    """(mu array, xp) -> integral of f(x) psi0(x) e^{i mu (x - xp)} dx per mu.
 
-    A chain f's integral is a core over [-PAIR_WINDOW, PAIR_WINDOW] plus
-    the exact tails of its large-x product with the member, which does not
-    depend on mu and is built once, at that member's first moment.
+    One :func:`composite_phase_sums` of the row f psi0 on the grid
+    ``layout``, whose ``nodes`` carry f's ``values``; a chain f adds the
+    exact tails beyond X of its large-x model ``tail`` times psi0's, in one
+    ``integral_tails`` call over the mu array.
     """
-    moments: dict[tuple[str, float], complex] = {}
-    tails: dict[str, OscRational] = {}
-    ev_f = f.make_eval(model)
-    X = PAIR_WINDOW if f.is_chain else f.window()
+    row = (values * im_psi0(model, nodes))[None]
+    product = None if tail is None else tail * im_tail_model(model, "psi0", X)
 
-    def pair(member: str, mu: float) -> complex:
-        if (member, mu) not in moments:
-            def integrand(x: np.ndarray) -> np.ndarray:
-                return ev_f(x) * im_member(model, member, x) * np.exp(1j * mu * np.asarray(x))
-
-            value = _adaptive_oscillatory(integrand, -X, X, 1e-12, abs(mu) + 2 * model.alpha).value
-            if f.is_chain:
-                if member not in tails:
-                    tails[member] = im_tail_model(model, f.ref[0], X) * im_tail_model(model, member, X)
-                value += (tails[member] * OscRational.wave(model.z, mu, 0, 1.0)).integral_tails(X)
-            moments[member, mu] = value * cmath.exp(-1j * mu * xp)
-        return moments[member, mu]
+    def pair(mu: np.ndarray, xp: float) -> np.ndarray:
+        mu = np.asarray(mu, dtype=np.float64)
+        out = composite_phase_sums(*layout, 16, row, mu)[0]
+        if product is not None:
+            out = out + product.integral_tails(X, k=mu)
+        return out * np.exp(-1j * mu * xp)
 
     return pair
 
 
 def _interior_singular_terms(
     model: InteriorModel, f: TestFunction, eps: float, xp: float, kind: SchemeId,
-    pair: Callable[[str, float], complex],
+    pair: _Pair,
 ) -> complex:
     """The non-integral blocks of the interior schemes, applied to f.
 
-    ``pair`` is the :func:`_pair_moments` of (model, f, xp)."""
+    Each scheme pairs f with the bounded state in a bracket of waves,
+    -(1/(pi a)) psi0(x') sum_mu c_mu P(mu), where P(mu) is the integral of
+    f psi0 e^{i mu (x - x')}: ``pair``, the second half of
+    :func:`_interior_transform`, takes every mu of the bracket in one call.
+    res13 adds its sinc and partner cross terms."""
     a = model.alpha
-    p0_xp = im_psi0(model, xp)
-    p1_xp = im_psi1(model, xp)
-
     if kind in (SchemeId.RES12, SchemeId.INT04):
-        return -(1.0 / (math.pi * eps * a)) * pair("psi0", 0.0) * p0_xp
-    if kind == SchemeId.RES11:
-        # -(1/(pi eps a)) cos(eps D) pairing
-        val = 0.5 * (pair("psi0", eps) + pair("psi0", -eps))
-        return -(1.0 / (math.pi * eps * a)) * val * p0_xp
+        waves = {0.0: 1.0 / eps}
+    else:
+        # (1/eps) cos(eps D), which res13 extends by
+        # -(eps cos(2a D) cos(eps D) + 2a sin(2a D) sin(eps D)) / (4a^2 - eps^2)
+        waves = {eps: 0.5 / eps, -eps: 0.5 / eps}
+        if kind == SchemeId.RES13:
+            for s1, s2 in itertools.product((1, -1), repeat=2):
+                waves[s1 * 2 * a + s2 * eps] = 0.25 * (s1 * s2 * 2 * a - eps) / (4 * a * a - eps * eps)
+    bracket = complex(np.dot(list(waves.values()), pair(np.array(list(waves)), xp)))
+    p0_xp = im_psi0(model, xp)
+    total = -(1.0 / (math.pi * a)) * bracket * p0_xp
     if kind == SchemeId.RES13:
-        total = _sinc_applied(model, f, eps, xp, a)
-        # bracket: (1/eps)cos(eps D) - (eps/(4a^2-eps^2)) cos(2a D)cos(eps D)
-        #          - (2a/(4a^2-eps^2)) sin(2a D) sin(eps D)
-        denom = 4 * a * a - eps * eps
-        waves = add_terms({}, itertools.chain(
-            ((s1 * eps, 0.5 / eps) for s1 in (1, -1)),
-            (
-                (s1 * 2 * a + s2 * eps, c)
-                for s1 in (1, -1)
-                for s2 in (1, -1)
-                for c in (-eps / denom * 0.25, -(2 * a) / denom * (s1 * s2) * (-0.25))
-            ),
-        ))
-        bracket = 0.0 + 0.0j
-        for mu, c in waves.items():
-            bracket += c * pair("psi0", mu)
-        total += -(1.0 / (math.pi * a)) * bracket * p0_xp
+        total += _sinc_applied(model, f, eps, xp, a)
+        p1_xp = im_psi1(model, xp)
         # partner cross term with the band integral J(D).  Its Ci comes from
         # scipy, imported here, the package's only scipy call, so that the
         # other commands load without it; ROADMAP item 4 retires this
@@ -1061,8 +1053,7 @@ def _interior_singular_terms(
 
             val = _adaptive_oscillatory(integrand, -W, W, 1e-11, 2 * a + eps).value
             total += -(1.0 / math.pi) * val * other
-        return total
-    raise ValueError(f"scheme {kind} has no interior singular block")
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -1096,8 +1087,9 @@ def apply_scheme(
     radii, cutoffs = np.broadcast_arrays(np.asarray(eps, dtype=float), np.asarray(A, dtype=float))
     if radii.ndim > 1:
         raise ValueError("regulators must be scalars or 1-D arrays")
-    if np.any(radii <= 0) or np.any(cutoffs <= 0):
-        raise ValueError("regulators must be positive")
+    # NaN fails both comparisons; a cutoff A = inf (none) is valid
+    if not (np.all(np.isfinite(radii) & (radii > 0)) and np.all(cutoffs > 0)):
+        raise ValueError("regulators must be positive and finite (a cutoff A may be inf: none)")
     kind, model = scheme.kind, scheme.model
     f.check_model(model)
     if kind in _INTERIOR_IDS:
@@ -1112,13 +1104,12 @@ def apply_scheme(
                 f"{least:.3g} <= eps < alpha = {a:g}, the resonance momentum (below {least:.3g} the spectral "
                 f"integral comes within |k^2 - alpha^2| < {POLE_GUARD:g} of the scattering solution's poles)"
             )
-        integrand = _spectral_integrand(model, _interior_transform(model, f), xp)
-        pair = _pair_moments(model, f, xp)
+        transform, pair = _interior_transform(model, f)
+        integrand = _spectral_integrand(model, transform, xp)
 
         def at(e: float, cut: float) -> complex:
-            total = _ik_interior(model, f, integrand, e, cut, tol)
-            total += _interior_singular_terms(model, f, e, xp, kind, pair)
-            return total
+            blocks = _interior_singular_terms(model, f, e, xp, kind, pair)
+            return _ik_interior(model, f, integrand, e, cut, tol) + blocks
 
     else:
         # boundary family: the spectral integral, the sinc kernel (its
@@ -1182,7 +1173,7 @@ def apply_base_resolution(
         transform = _boundary_transform(model, f, _f_osc_moment(model, f))
         centers, pad = (0.0,), 4.0
     else:
-        transform = _interior_transform(model, f)
+        transform = _interior_transform(model, f)[0]
         centers, pad = (-model.alpha, model.alpha), 4.0 + _INTERIOR_REACH_PAD
     K = min(cutoff, _spectral_reach(f) + pad)
     spec = ContourSpec(cutoff=K, epsilon=radius, direction=direction, centers=centers)
@@ -1222,9 +1213,13 @@ def reproduce_psi0_term(model: InteriorModel, eps: float, xp: float = 0.0) -> co
     a = model.alpha
     if not (0 < eps < a):
         raise ValueError("puncture radius must lie in (0, resonance momentum)")
-    pair = _pair_moments(model, TestFunction.chain_interior(0), xp)
-    total = 0.5 * pair("psi0", 0.0) - 0.25 * (pair("psi0", eps) + pair("psi0", -eps))
-    return (2.0 / (math.pi * eps * a)) * total
+    # PAIR_WINDOW, wider than the transforms', keeps alpha down to about 0.037
+    f, X = TestFunction.chain_interior(0), PAIR_WINDOW
+    layout = _panels_for(f, _spectral_reach(f) + 8 * a, model, X)
+    nodes, _ = composite_gauss(*layout, 16)
+    pair = _pair_moments(model, layout, nodes, im_psi0(model, nodes), im_tail_model(model, "psi0", X), X)
+    m0, mp, mm = pair(np.array([0.0, eps, -eps]), xp)
+    return complex((2.0 / (math.pi * eps * a)) * (0.5 * m0 - 0.25 * (mp + mm)))
 
 
 def psi1_expandability(
@@ -1239,6 +1234,10 @@ def psi1_expandability(
     vanishes; the report passes when the floor exceeds ten times the final
     control error.
     """
+    if not 0 < eps_min <= 0.4:
+        raise ValueError(f"eps_min must lie in (0, 0.4], the sweep's first radius, got {eps_min!r}")
+    if not (math.isfinite(coupling) and coupling > 0):
+        raise ValueError(f"coupling must be positive and finite, got {coupling!r}")
     scheme = Scheme(SchemeId.RES12, model)
     partner = TestFunction.chain_interior(1)
     control = TestFunction.gaussian(0.0, 1.0)

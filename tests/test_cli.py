@@ -666,3 +666,17 @@ def test_cli_fuzz_exact_commands(argv):
         json.loads(out.getvalue(), parse_constant=_reject_constant)
     else:
         assert code == 1 and "no result" in err.getvalue()
+
+
+@pytest.mark.parametrize("scheme testfn".split(), [("res12", "psi1"), ("res13", "rational:2")])
+def test_interior_sweep_near_the_real_axis_is_usage_error(scheme, testfn, capsys):
+    # W's complex zeros come within about Im z / 2 of the real axis, and no
+    # grid panel may be wider: at Im z 0.001 that takes 160,001 panels over
+    # the chain window and 731,312 over rational:2's, past the panel bound
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", "--model", "interior", "--z", "0,0.001", "--scheme", scheme, "--testfn", testfn,
+             "--eps-grid", "0.4"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "Im z = 0.001 (--z) is out of range" in captured.err

@@ -47,6 +47,23 @@ def test_w_never_vanishes_on_line(model):
     assert np.min(np.abs(W)) >= 2 * model.alpha * abs(model.z.imag) - 1e-12
 
 
+@pytest.mark.parametrize("alpha", [0.06, 1.0, 3.0])
+@pytest.mark.parametrize("im_z", [1e-3, 0.1, 1.0, 2.0])
+def test_zero_gap_bounds_the_zeros_of_w(alpha, im_z):
+    # on the imaginary axis (z purely imaginary) the bound is attained: W
+    # vanishes at i * gap; inside the strip |Im x| < gap, Im W keeps the
+    # sign of -Im z everywhere
+    model = InteriorModel(alpha, 1j * im_z)
+    a, gap = alpha, interior.im_zero_gap(model)
+
+    def w(x):
+        return np.sin(2 * a * x) + 2 * a * (x - model.z)
+
+    assert abs(w(1j * gap)) < 1e-13 * (1 + 2 * a * im_z)
+    t, y = np.meshgrid(np.linspace(-3, 3, 301) / a, np.linspace(-0.999, 0.999, 41) * gap)
+    assert np.all(w(t + 1j * y).imag < 0)
+
+
 def test_w_derivative_bundle_consistency(model):
     xs = np.linspace(-5, 5, 11)
     W, W1, W2 = im_w_bundle(model, xs)
@@ -254,8 +271,6 @@ _EXACT = {
     "psi0": im_psi0,
     "psi1": im_psi1,
     "inv_w": lambda model, x: 1.0 / im_W(model, x),
-    "scatter": lambda model, x: im_scatter(model, 1.7, x),
-    "scatter_reg": lambda model, x: im_scatter(model, 1.7, x, regularized=True),
 }
 
 
@@ -265,7 +280,7 @@ def _tail_misses(kind):
     misses = []
     for alpha, im_z, X in itertools.product((0.2, 0.5, 1.0, 1.5), (0.5, 1.0, 2.0), (40.0, 60.0)):
         model = InteriorModel(alpha, 1j * im_z)
-        tm = im_tail_model(model, kind, X, k=1.7 if kind.startswith("scatter") else None)
+        tm = im_tail_model(model, kind, X)
         for x in (X, -X, 1.5 * X, -1.5 * X):
             want = _EXACT[kind](model, x)
             if abs(tm.eval(x) - want) > interior._TAIL_BUDGET * (1 + abs(want)):
@@ -278,12 +293,8 @@ def test_tail_models_match_exact_functions(kind):
     assert _tail_misses(kind) == []
 
 
-def test_tail_model_scatter(model):
-    for kind in ("scatter", "scatter_reg"):
-        assert _tail_misses(kind) == []
-    with pytest.raises(ValueError):
-        im_tail_model(model, "scatter", 40.0, k=None)
-    with pytest.raises(ValueError):
+def test_tail_model_refusals(model):
+    with pytest.raises(ValueError, match="unknown tail-model kind"):
         im_tail_model(model, "nope", 40.0)
     # a window where the expansion would need more orders than the cap
     with pytest.raises(ValueError, match=r"\|x\| = 60 .* alpha = 0\.03"):

@@ -642,7 +642,7 @@ def _oracle_tails(f, X, ks):
     """
     values, scales = [], []
     for k in ks:
-        g = f * OscRational.wave(f.z, float(k))
+        g = f * OscRational(f.z, [(float(k), 0, 1.0)])
         parts = [
             c * (osc_power_tail(mu, g.z, q, X, 1) + osc_power_tail(mu, g.z, q, X, -1))
             for (mu, q), c in sorted(g.terms.items())

@@ -1,7 +1,10 @@
 """Resolution layer: exact coefficient tables, the scaled chain, closed-form
 gap certificates, and the numeric reconstruction schemes."""
 
+import cmath
 import functools
+import itertools
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -13,7 +16,7 @@ from scipy.integrate import quad
 
 from epresolve.boundary import BoundaryModel, bm_apply_h, bm_assoc, bm_scatter
 from epresolve.exact import i_power
-from epresolve.interior import InteriorModel, im_psi0
+from epresolve.interior import InteriorModel, im_member, im_psi0, im_tail_model
 from epresolve import interior, kernels, quadrature
 from epresolve import resolution as rs
 from epresolve.resolution import (
@@ -369,6 +372,21 @@ def test_partially_reduced_scheme_recovers_the_chain_head():
     assert errs[1] < 0.4 * errs[0]
 
 
+def test_partner_floor_validates_before_sweeping(monkeypatch):
+    # eps_min -0.1 never returned, 0 ran out of memory and 1.0 found no radius
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(rs, "apply_scheme", no_sweep)
+    model = InteriorModel(1.0, 1j)
+    for eps_min in (-0.1, 0.0, 1.0, math.nan):
+        with pytest.raises(ValueError, match=r"eps_min must lie in \(0, 0\.4\]"):
+            psi1_expandability(model, eps_min=eps_min)
+    for coupling in (0.0, -50.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="coupling must be positive and finite"):
+            psi1_expandability(model, coupling=coupling)
+
+
 def test_partner_function_floor_quick():
     rep = psi1_expandability(InteriorModel(1.0, 1j), eps_min=0.1)
     assert rep.residual <= rep.tolerance
@@ -507,6 +525,19 @@ def test_apply_scheme_regulator_validation():
         apply_scheme(si, 1.5, 100.0, GAUSS, XP)  # radius must stay below alpha
 
 
+@pytest.mark.parametrize("sid model".split(), [(SchemeId.RES3, BoundaryModel(1)),
+                                               (SchemeId.RES12, InteriorModel(1.0, 1j))], ids=["res3", "res12"])
+def test_apply_scheme_rejects_non_finite_regulators(sid, model):
+    # a NaN radius or cutoff once ended in an unpacking error (res3) or a
+    # silent value 20% off (res12); an infinite cutoff means none and stays
+    s = Scheme(sid, model)
+    for eps, A in ((math.nan, 100.0), (math.inf, 100.0), (0.4, math.nan), ([0.4, math.nan], 100.0)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            apply_scheme(s, eps, A, GAUSS, XP)
+    # past the spectral reach a cutoff changes nothing
+    assert apply_scheme(s, 0.4, math.inf, GAUSS, XP) == apply_scheme(s, 0.4, 1e6, GAUSS, XP)
+
+
 _PSI1 = TestFunction.chain_interior(1)
 
 
@@ -559,27 +590,114 @@ def test_radius_array_validation():
 
 
 def test_radius_sweep_builds_pair_tail_models_once(monkeypatch):
-    # res12 pairs f with psi0 at mu = 0 on every radius: one moment, and one
-    # model of f and of the member beyond the pair window, per call rather
-    # than per radius
+    # res12 pairs f with psi0 on every radius: the tail models beyond the
+    # transform window, of f (shared with the transform), of psi0 and of
+    # 1/W, are built once per call rather than per radius
     built = []
     real = rs.im_tail_model
 
-    def counting(model, kind, X, k=None):
-        if X == interior.PAIR_WINDOW:
+    def counting(model, kind, X):
+        if X == interior.TRANSFORM_WINDOW:
             built.append(kind)
-        return real(model, kind, X, k)
+        return real(model, kind, X)
 
     monkeypatch.setattr(rs, "im_tail_model", counting)
     scheme = Scheme(SchemeId.RES12, InteriorModel(1.0, 1j))
     radii = [0.4, 0.2, 0.1, 0.05]
     apply_scheme(scheme, radii, [50.0 / e for e in radii], _PSI1, 0.7)
-    assert sorted(built) == ["psi0", "psi1"]
+    assert sorted(built) == ["inv_w", "psi0", "psi1"]
     # control: scalar calls rebuild them on every radius
     built.clear()
     for e in radii[:2]:
         apply_scheme(scheme, e, 50.0 / e, _PSI1, 0.7)
-    assert sorted(built) == ["psi0", "psi0", "psi1", "psi1"]
+    assert sorted(built) == ["inv_w", "inv_w", "psi0", "psi0", "psi1", "psi1"]
+
+
+def _pair_moments_oracle(model, f, xp):
+    """Oracle: (member, mu) -> integral of f member e^{i mu (x - xp)} dx by
+    adaptive bisection on [-PAIR_WINDOW, PAIR_WINDOW] (f's own window for a
+    localized f) plus, for a chain f, the exact tails of its large-x product
+    with the member.  The package took the pair moments this way before it
+    read them off the spectral transform's grid."""
+    moments, tails = {}, {}
+    ev_f = f.make_eval(model)
+    X = interior.PAIR_WINDOW if f.is_chain else f.window()
+
+    def pair(member, mu):
+        if (member, mu) not in moments:
+            def integrand(x):
+                return ev_f(x) * im_member(model, member, x) * np.exp(1j * mu * np.asarray(x))
+
+            value = quadrature._adaptive_oscillatory(integrand, -X, X, 1e-12, abs(mu) + 2 * model.alpha).value
+            if f.is_chain:
+                if member not in tails:
+                    tails[member] = im_tail_model(model, f.ref[0], X) * im_tail_model(model, member, X)
+                value += (tails[member] * quadrature.OscRational(model.z, [(mu, 0, 1.0)])).integral_tails(X)
+            moments[member, mu] = value * cmath.exp(-1j * mu * xp)
+        return moments[member, mu]
+
+    return pair
+
+
+_PAIR_TESTFNS = {
+    "psi0": TestFunction.chain_interior(0),
+    "psi1": _PSI1,
+    "gaussian:0.2,1.1": TestFunction.gaussian(0.2, 1.1),
+    "hermite:5": TestFunction.hermite_gaussian(5),
+    "rational:2": TestFunction.rational_decay(2),
+}
+
+
+def _pair_mus(alpha):
+    # every wave of the interior brackets, at a wide and a narrow radius
+    radii = (0.4 * alpha, 0.0125 * alpha)
+    return np.array(sorted({0.0} | {s * e for e in radii for s in (1, -1)}
+                           | {s1 * 2 * alpha + s2 * e for e in radii for s1 in (1, -1) for s2 in (1, -1)}))
+
+
+def _pair_miss(model, f, xp=0.3):
+    mus = _pair_mus(model.alpha)
+    got = rs._interior_transform(model, f)[1](mus, xp)
+    oracle = _pair_moments_oracle(model, f, xp)
+    want = np.array([oracle("psi0", mu) for mu in mus])
+    return np.max(np.abs(got - want) / (1 + np.abs(want)))
+
+
+@pytest.mark.parametrize("alpha", [0.06, 0.2, 1.0, 1.5, 3.0])
+def test_pair_moments_on_the_transform_grid_match_the_adaptive_oracle(alpha):
+    # the pair moments are one more row of the transform's grid, with the
+    # chain tails beyond its window; the panels stay below W's zero distance
+    for im_z, (name, f) in itertools.product((0.02, 0.1, 0.5, 1.0, 2.0), _PAIR_TESTFNS.items()):
+        model = InteriorModel(alpha, 1j * im_z)
+        if name == "rational:2" and im_z == 0.02:
+            # 36,566 panels no wider than the zero distance 0.01
+            with pytest.raises(ValueError, match=r"Im z = 0\.02 \(--z\)"):
+                rs._interior_transform(model, f)
+            continue
+        assert _pair_miss(model, f) < 1e-12, (alpha, im_z, name)
+
+
+def test_pair_moments_need_the_zero_distance_and_the_chain_tail(monkeypatch):
+    # mutation controls: panels as wide as the k-resolution alone allows
+    # (0.18 against W's zero distance of 0.05), or no tails past the window
+    model = InteriorModel(1.0, 0.1j)
+    with monkeypatch.context() as m:
+        m.setattr(rs, "im_zero_gap", lambda model: math.inf)
+        assert _pair_miss(model, _PSI1) > 1e-7
+    with monkeypatch.context() as m:
+        m.setattr(quadrature.OscRational, "integral_tails", lambda self, X, k=None: np.zeros(np.shape(k)))
+        assert _pair_miss(model, _PSI1) > 1e-3
+
+
+def test_interior_layouts_of_the_benchmark_range_keep_their_width():
+    # the zero distance binds only below the benchmark's Im z: at alpha 1
+    # from Im z 0.5 and at alpha 1.5 from 1.2 the layouts are the ones the
+    # k-resolution alone gives
+    for alpha, im_z in ((1.0, 0.5), (1.5, 1.2)):
+        model = InteriorModel(alpha, 1j * im_z)
+        for f in (_PSI1, TestFunction.gaussian(0.3, 0.8), TestFunction.gaussian(-0.3, 1.2)):
+            reach = rs._spectral_reach(f) + (8 * alpha if f.is_chain else 2 * alpha + rs._INTERIOR_REACH_PAD)
+            assert rs._panels_for(f, reach, model) == rs._panels_for(f, reach)
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.2])
@@ -607,7 +725,7 @@ def test_partner_transform_seeds_each_frequency_once_per_side(monkeypatch):
         seeds.append(np.shape(w))
         return real(w, qmax)
 
-    transform = rs._interior_transform(InteriorModel(1.0, 1j), _PSI1)
+    transform, _ = rs._interior_transform(InteriorModel(1.0, 1j), _PSI1)
     monkeypatch.setattr(quadrature, "_scaled_expn", counting)
     transform(np.linspace(0.3, 7.0, 33))
     assert seeds == [(24, 33), (24, 33)]
