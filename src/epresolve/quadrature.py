@@ -17,19 +17,17 @@ order, no randomness):
   evaluation, half-line Abel regularization where classical convergence
   fails) and exact one-sided tail integrals built on the exponential
   integral, so slowly decaying oscillatory integrands never need giant grids.
-  :func:`stacked_tails` evaluates the tails of ``e * e^{ikx}`` for several
-  expressions e with one pole center and a whole array of wave numbers k in
-  one stacked pass: the union of their terms is grouped by frequency mu, and
-  per side one table of g_q(w) = e^w E_q(w) over the (group x k) frequencies
-  mu + k gives every power q >= 1 that the expressions' coefficients read.
-  The table (``_scaled_expn``) seeds each element at a pivot order
-  P = clip(floor|w|, 1, max(qmax, 16)), by a power series near the branch
-  cut and for small |w| and by a continued fraction elsewhere, and runs the
-  recurrence in q away from P, downward below it and upward above it, so
-  that rounding is damped in both directions.
-  :meth:`OscRational.integral_tails` is the one-expression case; the scalar
+  :meth:`OscRational.integral_tails` evaluates the tails of ``e * e^{ikx}``
+  for a whole array of wave numbers k in one pass: the terms are grouped by
+  frequency mu, and per side one table of g_q(w) = e^w E_q(w) over the
+  (group x k) frequencies mu + k gives every power q >= 1 that the
+  coefficients read.  The table (``_scaled_expn``) seeds each element at a
+  pivot order P = clip(floor|w|, 1, max(qmax, 16)), by a power series near
+  the branch cut and for small |w| and by a continued fraction elsewhere,
+  and runs the recurrence in q away from P, downward below it and upward
+  above it, so that rounding is damped in both directions.  The scalar
   :func:`osc_power_tail` reads the same table on a 0-d array and is the
-  one-term oracle both are tested against.
+  one-term oracle it is tested against.
 * :class:`GaussianPacket` / :func:`quad_packet` -- closed-form smearing of an
   exact Laurent expression against a Gaussian-windowed polynomial weight,
   via one three-term recurrence for the window moments.
@@ -58,7 +56,6 @@ __all__ = [
     "gauss_moment",
     "hermite_values",
     "osc_power_tail",
-    "stacked_tails",
     "ft_inverse_power",
 ]
 
@@ -498,7 +495,7 @@ def osc_power_tail(mu: float, z: complex, q: int, X: float, side: int = 1) -> co
     cases reduce to the complex exponential integral.
 
     This scalar, one-term form is the oracle for the batched evaluator behind
-    :meth:`OscRational.integral_tails`, which collects stacked coefficients
+    :meth:`OscRational.integral_tails`, which collects grouped coefficients
     over an array of frequencies; the package itself calls only the batched
     one.  Both read the same ``_scaled_expn`` table (here on a 0-d array),
     which is tested against mpmath on its own.
@@ -528,22 +525,20 @@ def osc_power_tail(mu: float, z: complex, q: int, X: float, side: int = 1) -> co
 
 
 def _right_tails(
-    nu: np.ndarray, z: complex, terms: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    n_rows: int, X: float,
+    nu: np.ndarray, z: complex, terms: tuple[np.ndarray, np.ndarray, np.ndarray], X: float,
 ) -> np.ndarray:
-    """Right tails of stacked terms over a (group x k) frequency array.
+    """Right tails of grouped terms over a (group x k) frequency array.
 
     ``nu`` holds one row of frequencies per group, and ``terms`` the flat
-    arrays (power q, row, group, coefficient) of every term, each row's in its
-    expression's order.  Returns the (n_rows, group, k) partial sums
-    sum_q c * osc_power_tail(nu, z, q, X) of every row and group: one
-    :func:`_scaled_expn` table over the whole ``nu`` gives every q >= 1 as
-    e^{i nu X} (X-z)^(1-q) g_q(-i nu (X-z)), the plain oscillation seeds the
-    Abel-regularized recurrence in q <= 0, and each row collects its
-    coefficients order by order.  Zero frequencies take the closed form
+    arrays (power q, group, coefficient) of every term.  Returns the
+    (group, k) partial sums sum_q c * osc_power_tail(nu, z, q, X) of every
+    group: one :func:`_scaled_expn` table over the whole ``nu`` gives every
+    q >= 1 as e^{i nu X} (X-z)^(1-q) g_q(-i nu (X-z)), the plain oscillation
+    seeds the Abel-regularized recurrence in q <= 0, and each group collects
+    its coefficients order by order.  Zero frequencies take the closed form
     (q >= 2 only, as in the oracle).
     """
-    qs, rows, groups, cs = terms
+    qs, groups, cs = terms
     zero = nu == 0.0
     zero_groups = zero.any(axis=1)
     if zero_groups[groups[qs <= 1]].any():
@@ -551,11 +546,11 @@ def _right_tails(
     d = X - z
     iw = 1j * np.where(zero, 1.0, nu)  # placeholder at zeros, overwritten below
     ph = np.exp(iw * X)
-    out = np.zeros((n_rows,) + nu.shape, dtype=np.complex128)
+    out = np.zeros(nu.shape, dtype=np.complex128)
 
     def collect(q: int, val: np.ndarray, scale: complex = 1.0) -> None:
         at = qs == q
-        out[rows[at], groups[at]] += (scale * cs[at])[:, None] * val[groups[at]]
+        out[groups[at]] += (scale * cs[at])[:, None] * val[groups[at]]
 
     qmin, qmax = int(qs.min()), int(qs.max())
     if qmax >= 1:
@@ -569,51 +564,12 @@ def _right_tails(
                 val = -ph * d**j / iw - (j / iw) * val
             collect(-j, val)
     if zero_groups.any():
-        closed = np.zeros((n_rows, len(nu)), dtype=np.complex128)
-        for q, r, g, c in zip(qs.tolist(), rows.tolist(), groups.tolist(), cs.tolist()):
+        closed = np.zeros(len(nu), dtype=np.complex128)
+        for q, g, c in zip(qs.tolist(), groups.tolist(), cs.tolist()):
             if zero_groups[g]:
-                closed[r, g] += c * d ** (1 - q) / (q - 1)
-        out[:, zero] = closed[:, np.nonzero(zero)[0]]
+                closed[g] += c * d ** (1 - q) / (q - 1)
+        out[zero] = closed[np.nonzero(zero)[0]]
     return out
-
-
-def stacked_tails(exprs: Sequence["OscRational"], X: float) -> Callable[[np.ndarray], np.ndarray]:
-    """k -> the two tails |x| >= X of ``e * e^{ikx}`` for every e of ``exprs``.
-
-    The expressions share one pole center.  The union of their terms is
-    grouped by frequency mu once, here; each call then makes one
-    :func:`_right_tails` pass per side over the (group x k) array of
-    frequencies mu + k, so a frequency that several expressions carry is
-    seeded once.  A real array k gives shape ``(len(exprs),) + k.shape``.
-    Each row sums its groups in ascending mu, the right tail before the left,
-    whatever the other rows hold.  Raises ``ValueError`` where mu + k vanishes
-    in a group that carries a power q <= 1 in some row: that tail diverges.
-    """
-    z = exprs[0].z
-    for e in exprs[1:]:
-        exprs[0]._require_same_center(e)
-    mus = sorted({mu for e in exprs for mu, _ in e.terms})
-    group = {mu: g for g, mu in enumerate(mus)}
-    flat = [(q, r, group[mu], c) for r, e in enumerate(exprs) for (mu, q), c in e.terms.items()]
-    qs, rows, groups = (np.array([t[i] for t in flat], dtype=int) for i in range(3))
-    right = (qs, rows, groups, np.array([t[3] for t in flat], dtype=np.complex128))
-    # t -> -t maps the left tail onto a right tail with reflected data
-    left = (qs, rows, groups, np.array([(-1.0) ** t[0] * t[3] for t in flat], dtype=np.complex128))
-    mu_col = np.array(mus)[:, None]
-
-    def tails(k: np.ndarray) -> np.ndarray:
-        kv = np.asarray(k, dtype=np.float64)
-        total = np.zeros((len(exprs), kv.size), dtype=np.complex128)
-        if flat:
-            # rounded like OscRational keys: the tails of the per-k products
-            nu = np.round(mu_col + kv.ravel(), 12)
-            sides = (_right_tails(nu, z, right, len(exprs), X), _right_tails(-nu, -z, left, len(exprs), X))
-            for g in range(len(mus)):
-                for side in sides:
-                    total += side[:, g]
-        return total.reshape((len(exprs),) + kv.shape)
-
-    return tails
 
 
 def _add_osc_keys(a: tuple[float, int], b: tuple[float, int]) -> tuple[float, int]:
@@ -716,12 +672,29 @@ class OscRational:
 
         ``k=None`` integrates ``self`` alone (k = 0) and returns a complex.  A
         real array ``k`` returns an array of the same shape, one tail per wave
-        number: the one-row case of :func:`stacked_tails`.  Raises
-        ``ValueError`` where mu + k vanishes under a power q <= 1, whose tail
-        diverges.
+        number.  The terms are grouped by frequency mu; one
+        :func:`_right_tails` pass per side over the (group x k) array of
+        frequencies mu + k (rounded like the keys) seeds each frequency once,
+        and the groups are summed in ascending mu, the right tail before the
+        left.  Raises ``ValueError`` where mu + k vanishes under a power
+        q <= 1, whose tail diverges.
         """
-        (total,) = stacked_tails([self], X)(np.zeros(1) if k is None else k)
-        return complex(total[0]) if k is None else total
+        kv = np.asarray(np.zeros(1) if k is None else k, dtype=np.float64)
+        total = np.zeros(kv.size, dtype=np.complex128)
+        if self.terms:
+            mus = sorted({mu for mu, _ in self.terms})
+            group = {mu: g for g, mu in enumerate(mus)}
+            flat = [(q, group[mu], c) for (mu, q), c in self.terms.items()]
+            qs, groups = (np.array([t[i] for t in flat], dtype=int) for i in range(2))
+            right = (qs, groups, np.array([t[2] for t in flat], dtype=np.complex128))
+            # t -> -t maps the left tail onto a right tail with reflected data
+            left = (qs, groups, np.array([(-1.0) ** t[0] * t[2] for t in flat], dtype=np.complex128))
+            nu = np.round(np.array(mus)[:, None] + kv.ravel(), 12)
+            sides = (_right_tails(nu, self.z, right, X), _right_tails(-nu, -self.z, left, X))
+            for g in range(len(mus)):
+                for side in sides:
+                    total += side[g]
+        return complex(total[0]) if k is None else total.reshape(kv.shape)
 
     def integral_line(self, X: float = 60.0, tol: float = 1e-10) -> QuadResult:
         """Core quadrature on [-X, X] plus exact tails."""

@@ -21,7 +21,12 @@ The module provides three layers:
    f(x) e^{i omega x} (x-z)^(-q) that those blocks, the sinc band and the
    boundary spectral transform need come from one evaluator,
    ``_f_osc_moment``, over whole arrays of omega: in closed form for chain
-   and rational test functions, from one composite grid for localized ones;
+   and rational test functions, from one composite grid for localized ones.
+   The interior schemes integrate a localized f's spectral transform; an
+   interior chain member's is zero (the Jordan chain at the exceptional
+   point is bilinearly orthogonal to the continuum), so its reconstruction
+   is the singular blocks alone, built from its pair moments with the
+   bounded state;
 3. singular-term experiments: the closed-form reproduction coefficients for
    the index-2 boundary model (those trigonometric blocks on the chain head)
    and the interior bound state, and the non-expandability probe for the
@@ -69,7 +74,6 @@ from .quadrature import (
     ft_inverse_power,
     hermite_values,
     quad_contour,
-    stacked_tails,
 )
 from .report import VerificationReport
 
@@ -900,16 +904,20 @@ def _apply_two_point(model: BoundaryModel, terms: dict, moment: _Moment, eps: fl
 # interior transforms
 # ---------------------------------------------------------------------------
 
-def _interior_transform(model: InteriorModel, f: TestFunction) -> tuple[Callable[[np.ndarray], np.ndarray], _Pair]:
+def _interior_transform(
+    model: InteriorModel, f: TestFunction,
+) -> tuple[Callable[[np.ndarray], np.ndarray] | None, _Pair]:
     """(transform, pair) of f for the interior family, on one composite grid.
 
     ``transform``: k array -> integral of f(x) psi(x;k) dx, three plane-wave
     transforms assembled with the explicit pole factors; ``pair``: the
-    :func:`_pair_moments` of f.  Chain members add exact tails beyond
-    TRANSFORM_WINDOW from the large-x models, all three transforms' in one
-    stacked call per k array (Abel-regularized, which is what they mean).
+    :func:`_pair_moments` of f.  An interior chain member has no transform
+    to build: the Jordan chain is bilinearly orthogonal to the continuum, so
+    it vanishes at every real k != +-alpha, and ``transform`` is None.  Its
+    grid still spans TRANSFORM_WINDOW, with exact tails beyond, for the pair
+    moments.
     """
-    a, z, X = model.alpha, model.z, TRANSFORM_WINDOW
+    a, X = model.alpha, TRANSFORM_WINDOW
     if f.kind in ("gaussian", "hermite_gaussian", "rational_decay"):
         # the transform inherits an exp(-|k| Im x0) tail from the complex
         # zeros of the denominator, so the k-range outlives the packet's own
@@ -917,66 +925,43 @@ def _interior_transform(model: InteriorModel, f: TestFunction) -> tuple[Callable
         layout = _panels_for(f, _spectral_reach(f) + 2 * a + _INTERIOR_REACH_PAD, model)
         member_tail = None
     elif f.kind == "chain":
-        # members settle to O(1) oscillation, so the core grid only has to
-        # resolve phases up to k_max plus the potential's harmonics; the
-        # remainder integrals are exact large-x models
+        # members settle to O(1) oscillation: the pair moments' grid spans
+        # [-X, X] and resolves phases up to the spectral reach plus the
+        # potential's harmonics, and exact large-x models take the rest
         layout = _panels_for(f, _spectral_reach(f) + 8 * a, model, X)
         member_tail = im_tail_model(model, f.ref[0], X)
     else:
         raise ValueError(f"unsupported test function kind {f.kind!r}")
+    nodes, _ = composite_gauss(*layout, 16)
+    fv = f.make_eval(model)(nodes)
+    pair = _pair_moments(model, layout, nodes, fv, member_tail, X)
+    if f.is_chain:
+        return None, pair
     # plane-wave transforms of f, f W'/W and f W''/W on the 16-point
     # composite grid, one stacked panel-separable phase sum per k array,
     # assembled with the explicit pole factor 1/(k^2 - a^2)
-    nodes, _ = composite_gauss(*layout, 16)
-    fv = f.make_eval(model)(nodes)
     W, W1, W2 = im_w_bundle(model, nodes)
     rows = np.stack([fv, fv * (W1 / W), fv * (W2 / W)])
-    pair = _pair_moments(model, layout, nodes, fv, member_tail, X)
 
-    def core(k: np.ndarray) -> np.ndarray:
+    def transform(k: np.ndarray) -> np.ndarray:
         karr = np.atleast_1d(np.asarray(k, dtype=np.complex128))
         g0, g1, g2 = composite_phase_sums(*layout, 16, rows, karr)
         return (g0 + (1j * karr * g1 - 0.5 * g2) / (karr * karr - a * a)) / math.sqrt(2 * math.pi)
 
-    if member_tail is None:
-        return core, pair
-    # tail products with the wave's plane-phase factored out: the three
-    # share their frequencies, so one stacked pass takes all of them over
-    # the whole k array
-    inv_w = im_tail_model(model, "inv_w", X)
-    p1 = member_tail * ((OscRational.cosine(z, 2 * a, 2 * a) + OscRational.constant(z, 2 * a)) * inv_w)
-    p2 = member_tail * (OscRational.sine(z, 2 * a, 2 * a * a) * inv_w)
-    tails = stacked_tails([member_tail, p1, p2], X)
-
-    def theta(k: np.ndarray) -> np.ndarray:
-        karr = np.atleast_1d(np.asarray(k, dtype=np.complex128))
-        kr = karr.real
-        t0, t1, t2 = tails(kr)
-        return core(karr) + (t0 + (1j * kr * t1 + t2) / (kr * kr - a * a)) / math.sqrt(2 * math.pi)
-
-    return theta, pair
+    return transform, pair
 
 
 def _ik_interior(
     model: InteriorModel, f: TestFunction, integrand: Callable[[np.ndarray], np.ndarray],
     eps: float, A: float, tol: float,
 ) -> complex:
-    # integrand is the _spectral_integrand, which does not depend on the radius
+    # integrand is the _spectral_integrand of a localized f, which does not
+    # depend on the radius
     a = model.alpha
-    pad = 3 * a if f.is_chain else 3 * a + _INTERIOR_REACH_PAD
-    K = min(A, _spectral_reach(f) + pad)
+    K = min(A, _spectral_reach(f) + 3 * a + _INTERIOR_REACH_PAD)
     total = 0.0 + 0.0j
     for lo, hi in [(-K, -a - eps), (-a + eps, a - eps), (a + eps, K)]:
-        if hi <= lo:
-            continue
-        if f.is_chain:
-            # fixed composite grids: the integrand is smooth on the punctured
-            # axis, and per-spectral-point transforms are expensive, so a
-            # deterministic rule beats adaptivity here; the only oscillation
-            # in k comes from the x' plane-wave phase, well under a panel width
-            nodes, weights = composite_gauss(lo, hi, max(6, math.ceil((hi - lo) * 0.4)), 12)
-            total += np.sum(integrand(nodes) * weights)
-        else:
+        if hi > lo:
             total += _adaptive(integrand, lo, hi, tol).value
     return total
 
@@ -1082,7 +1067,9 @@ def apply_scheme(
     scalar call at that (eps, A).  Whatever does not depend on the radius
     is built once per call: the spectral transform of f and the closed
     blocks, and for the interior family the pair moments with their tail
-    products.
+    products.  An interior chain member (psi0 or psi1) is bilinearly
+    orthogonal to the continuum, so its spectral part is exactly zero: only
+    its pair moments and the singular blocks are built.
     """
     radii, cutoffs = np.broadcast_arrays(np.asarray(eps, dtype=float), np.asarray(A, dtype=float))
     if radii.ndim > 1:
@@ -1105,10 +1092,15 @@ def apply_scheme(
                 f"integral comes within |k^2 - alpha^2| < {POLE_GUARD:g} of the scattering solution's poles)"
             )
         transform, pair = _interior_transform(model, f)
-        integrand = _spectral_integrand(model, transform, xp)
+        # an interior chain member has no transform: its spectral part is
+        # exactly zero (tests/test_resolution.py certifies it in
+        # test_chain_member_transforms_vanish)
+        integrand = None if transform is None else _spectral_integrand(model, transform, xp)
 
         def at(e: float, cut: float) -> complex:
             blocks = _interior_singular_terms(model, f, e, xp, kind, pair)
+            if integrand is None:
+                return blocks
             return _ik_interior(model, f, integrand, e, cut, tol) + blocks
 
     else:
@@ -1167,12 +1159,18 @@ def apply_base_resolution(
     boundary family, both resonance momenta for the interior one) on
     semicircles of the given radius; ``direction`` picks the half-plane.
     Equality of the two directions -- the vanishing of the enclosed residue
-    -- is a property of the construction that tests assert.
+    -- is a property of the construction that tests assert.  An interior
+    chain member has no transform off the real k axis: ValueError.
     """
     if isinstance(model, BoundaryModel):
         transform = _boundary_transform(model, f, _f_osc_moment(model, f))
         centers, pad = (0.0,), 4.0
     else:
+        if f.is_chain:
+            # psi(x; k) grows like e^{|Im k x|} on one side off the real k
+            # axis, where the detours run, and a chain member does not decay
+            raise ValueError(f"the interior base resolution takes no chain member ({f.ref[0]}): its "
+                             "transform against psi(x; k) diverges off the real k axis")
         transform = _interior_transform(model, f)[0]
         centers, pad = (-model.alpha, model.alpha), 4.0 + _INTERIOR_REACH_PAD
     K = min(cutoff, _spectral_reach(f) + pad)

@@ -24,7 +24,6 @@ from epresolve.quadrature import (
     packet_product_moment,
     quad_contour,
     quad_packet,
-    stacked_tails,
 )
 
 
@@ -828,7 +827,7 @@ def test_batched_tails_one_shot_path():
 
 @pytest.mark.parametrize("which", ["psi0", "psi1"])
 def test_batched_tails_on_chain_member_models(which):
-    # the products the interior chain transform integrates, at its X = 40
+    # the products of the chain-transform oracle (test_resolution.py), at its X = 40
     model = InteriorModel(1.0, 0.2 + 1j)
     a, z = model.alpha, model.z
     member = im_tail_model(model, which, 40.0)
@@ -841,22 +840,16 @@ def test_batched_tails_on_chain_member_models(which):
         assert np.allclose(got, want, rtol=1e-10, atol=0.0)
 
 
-def _stacked_agree(exprs, X, ks):
-    """Each row of one stacked pass equals its expression's own tails bitwise
-    and matches the scalar oracle; where some row's tail diverges, the
-    stacked pass refuses too."""
+def _oracle_agree(f, X, ks):
+    """integral_tails matches the scalar oracle; where the oracle's tail
+    diverges, integral_tails refuses too."""
     try:
-        for e in exprs:
-            _oracle_tails(e, X, ks)
+        _oracle_tails(f, X, ks)
     except ValueError:
         with pytest.raises(ValueError):
-            stacked_tails(exprs, X)(np.asarray(ks))
+            f.integral_tails(X, np.asarray(ks))
         return True
-    rows = stacked_tails(exprs, X)(np.asarray(ks))
-    return rows.shape == (len(exprs), len(ks)) and all(
-        row.tobytes() == e.integral_tails(X, np.asarray(ks)).tobytes() and _tails_agree(e, X, ks)
-        for row, e in zip(rows, exprs)
-    )
+    return _tails_agree(f, X, ks)
 
 
 @given(
@@ -867,7 +860,7 @@ def _stacked_agree(exprs, X, ks):
     X=st.floats(3.0, 6.0),
     ks=st.lists(st.integers(-6, 6).map(lambda j: j / 4), min_size=1, max_size=6),
 )
-# disjoint frequencies, and a frequency the rows share with different powers
+# disjoint frequencies, and a frequency that several powers share
 @example(expr_terms=[[(0.5, 2, 1.0)], [(-1.5, -1, 0.5j), (1.25, 3, -2.0)]],
          z_re=0.1, z_im=0.8, z_sign=1.0, X=4.0, ks=[-0.25, 0.75])
 @example(expr_terms=[[(0.5, 2, 1.0), (0.5, -3, 0.25)], [(0.5, 1, 2j)], [(0.5, 4, -1.0), (-0.5, 0, 1.0)]],
@@ -875,25 +868,27 @@ def _stacked_agree(exprs, X, ks):
 # series seeds of two frequencies in one table: each element stops on its own
 @example(expr_terms=[[(0.0, 0, 1.0)], [(0.5, 1, 1.0)]], z_re=0.0, z_im=1.0, z_sign=-1.0, X=3.0, ks=[0.25])
 @settings(max_examples=100, deadline=None)
-def test_stacked_tails_rows_match_their_own_tails(expr_terms, z_re, z_im, z_sign, X, ks):
+def test_tails_of_grouped_frequencies_match_scalar_oracle(expr_terms, z_re, z_im, z_sign, X, ks):
+    # the terms of up to 3 lists in one expression: up to 24 terms, whose
+    # frequency groups share one e^w E_q(w) table per side
     z = complex(z_re, z_sign * z_im)
-    assert _stacked_agree([OscRational(z, terms) for terms in expr_terms], X, ks)
+    assert _oracle_agree(OscRational(z, [t for terms in expr_terms for t in terms]), X, ks)
 
 
-def test_stacked_tails_zero_frequency_per_group():
+def test_tails_zero_frequency_per_group():
     z, X = 0.2 - 0.7j, 12.0
     ks = [-0.5, 0.25]
     # mu + k == 0 at k = -0.5 in the 0.5 group, which carries q >= 2 only;
-    # the second row's q <= 1 terms sit in the -1 group, which never vanishes
-    closed = OscRational(z, [(0.5, 3, 1.5 - 0.5j), (0.5, 2, 0.3j)])
-    elsewhere = OscRational(z, [(0.5, 2, 0.7), (-1.0, 1, 2.0), (-1.0, 0, 0.25)])
-    assert _stacked_agree([closed, elsewhere], X, ks)
-    # one row with q <= 1 in the vanishing group makes the whole pass refuse ...
-    diverging = OscRational(z, [(0.5, 1, 1.0)])
+    # the q <= 1 terms sit in the -1 group, which never vanishes
+    closed = [(0.5, 3, 1.5 - 0.5j), (0.5, 2, 0.3j)]
+    elsewhere = [(0.5, 2, 0.7), (-1.0, 1, 2.0), (-1.0, 0, 0.25)]
+    assert _oracle_agree(OscRational(z, closed + elsewhere), X, ks)
+    # one q <= 1 term in the vanishing group makes the whole call refuse ...
+    diverging = OscRational(z, closed + [(0.5, 1, 1.0)] + elsewhere)
     with pytest.raises(ValueError):
-        stacked_tails([closed, diverging, elsewhere], X)(np.asarray(ks))
+        diverging.integral_tails(X, np.asarray(ks))
     # ... and only where that group vanishes
-    assert _stacked_agree([closed, diverging, elsewhere], X, ks[1:])
+    assert _oracle_agree(diverging, X, ks[1:])
 
 
 def test_batched_tails_mutation_control(monkeypatch):
@@ -906,8 +901,8 @@ def test_batched_tails_mutation_control(monkeypatch):
 
     def unsigned(nu, zc, terms, *rest):
         if zc == -z:  # the reflected (left) side: undo its (-1)^q
-            qs, rows, groups, cs = terms
-            terms = (qs, rows, groups, (-1.0) ** qs * cs)
+            qs, groups, cs = terms
+            terms = (qs, groups, (-1.0) ** qs * cs)
         return right(nu, zc, terms, *rest)
 
     monkeypatch.setattr(quadrature, "_right_tails", unsigned)

@@ -591,8 +591,8 @@ def test_radius_array_validation():
 
 def test_radius_sweep_builds_pair_tail_models_once(monkeypatch):
     # res12 pairs f with psi0 on every radius: the tail models beyond the
-    # transform window, of f (shared with the transform), of psi0 and of
-    # 1/W, are built once per call rather than per radius
+    # transform window, of f and of psi0, are built once per call rather
+    # than per radius (a chain member has no transform, so no 1/W model)
     built = []
     real = rs.im_tail_model
 
@@ -605,12 +605,12 @@ def test_radius_sweep_builds_pair_tail_models_once(monkeypatch):
     scheme = Scheme(SchemeId.RES12, InteriorModel(1.0, 1j))
     radii = [0.4, 0.2, 0.1, 0.05]
     apply_scheme(scheme, radii, [50.0 / e for e in radii], _PSI1, 0.7)
-    assert sorted(built) == ["inv_w", "psi0", "psi1"]
+    assert sorted(built) == ["psi0", "psi1"]
     # control: scalar calls rebuild them on every radius
     built.clear()
     for e in radii[:2]:
         apply_scheme(scheme, e, 50.0 / e, _PSI1, 0.7)
-    assert sorted(built) == ["inv_w", "inv_w", "psi0", "psi0", "psi1", "psi1"]
+    assert sorted(built) == ["psi0", "psi0", "psi1", "psi1"]
 
 
 def _pair_moments_oracle(model, f, xp):
@@ -713,22 +713,144 @@ def test_partner_sweep_matches_tails_at_the_order_cap(monkeypatch, alpha):
     assert np.max(np.abs(deep - base)) < 1e-10
 
 
-def test_partner_transform_seeds_each_frequency_once_per_side(monkeypatch):
-    # the psi1 transform's three tail products (the member, p1 and p2) carry
-    # 12, 24 and 24 frequency groups over 24 distinct frequencies: one
-    # stacked pass per k array builds one e^w E_q(w) table per side over
-    # those 24
-    seeds = []
-    real = quadrature._scaled_expn
+# ---------------------------------------------------------------------------
+# the interior chain members' spectral part is zero
+# ---------------------------------------------------------------------------
 
-    def counting(w, qmax):
-        seeds.append(np.shape(w))
-        return real(w, qmax)
+_CHAIN = (TestFunction.chain_interior(0), _PSI1)
 
-    transform, _ = rs._interior_transform(InteriorModel(1.0, 1j), _PSI1)
-    monkeypatch.setattr(quadrature, "_scaled_expn", counting)
-    transform(np.linspace(0.3, 7.0, 33))
-    assert seeds == [(24, 33), (24, 33)]
+
+def _chain_transform_oracle(model, f, tails=True):
+    """Labelled oracle: real k array -> integral of the interior chain member
+    f against psi(x; k), as the package took it before it set that transform
+    to zero.
+
+    A core of plane-wave moments of f, f W'/W and f W''/W on the composite
+    grid of the pair moments over [-X, X], X = TRANSFORM_WINDOW, plus the
+    exact Abel-regularized tails beyond X of the same three from the large-x
+    models: the member, p1 = member W'/W and p2 = -member W''/W / 2, each
+    assembled with the pole factor 1/(k^2 - a^2).  ``tails=False`` drops the
+    tails (a mutation control)."""
+    a, z, X = model.alpha, model.z, interior.TRANSFORM_WINDOW
+    layout = rs._panels_for(f, rs._spectral_reach(f) + 8 * a, model, X)
+    nodes, _ = quadrature.composite_gauss(*layout, 16)
+    fv = f.make_eval(model)(nodes)
+    W, W1, W2 = interior.im_w_bundle(model, nodes)
+    rows = np.stack([fv, fv * (W1 / W), fv * (W2 / W)])
+    member = im_tail_model(model, f.ref[0], X)
+    inv_w = im_tail_model(model, "inv_w", X)
+    osc = quadrature.OscRational
+    p1 = member * ((osc.cosine(z, 2 * a, 2 * a) + osc.constant(z, 2 * a)) * inv_w)
+    p2 = member * (osc.sine(z, 2 * a, 2 * a * a) * inv_w)
+
+    def transform(k):
+        kr = np.real(np.atleast_1d(k))
+        g0, g1, g2 = quadrature.composite_phase_sums(*layout, 16, rows, kr + 0j)
+        total = g0 + (1j * kr * g1 - 0.5 * g2) / (kr * kr - a * a)
+        if tails:
+            t0, t1, t2 = (e.integral_tails(X, kr) for e in (member, p1, p2))
+            total = total + t0 + (1j * kr * t1 + t2) / (kr * kr - a * a)
+        return total / math.sqrt(2 * math.pi)
+
+    return transform
+
+
+def _chain_spectral_oracle(model, f, transform, eps, A, xp):
+    """The spectral integral of the oracle path: ``transform`` against
+    psi(x'; -k) over the punctured axis up to min(A, reach + 3 alpha), on
+    fixed 12-point composite grids of about 0.4 panels per unit of k, the
+    rule the package once took for chain members."""
+    a = model.alpha
+    integrand = rs._spectral_integrand(model, transform, xp)
+    K = min(A, rs._spectral_reach(f) + 3 * a)
+    total = 0.0 + 0.0j
+    for lo, hi in [(-K, -a - eps), (-a + eps, a - eps), (a + eps, K)]:
+        if hi > lo:
+            nodes, weights = quadrature.composite_gauss(lo, hi, max(6, math.ceil((hi - lo) * 0.4)), 12)
+            total += np.sum(integrand(nodes) * weights)
+    return total
+
+
+_CHAIN_KS = np.linspace(-7.3, 11.0, 9)
+
+
+def _chain_transform_peak(model, f, tails=True):
+    return np.max(np.abs(_chain_transform_oracle(model, f, tails)(_CHAIN_KS)))
+
+
+@pytest.mark.parametrize("alpha", [0.06, 0.5, 1.0, 1.5, 3.0])
+def test_chain_member_transforms_vanish(alpha):
+    # the Jordan chain at the exceptional point is bilinearly orthogonal to
+    # the continuum: psi0's and psi1's transforms vanish at every real
+    # k != +-alpha.  The oracle gets this zero as an O(1) core (up to 7.6 for
+    # psi1 at alpha 0.5) minus O(1) exact tails; apply_scheme relies on it
+    for im_z, f in itertools.product((0.1, 0.5, 1.0, 2.0), _CHAIN):
+        assert _chain_transform_peak(InteriorModel(alpha, 1j * im_z), f) <= 1e-10, (im_z, f.ref)
+
+
+def _psi1_with(coef):
+    # psi1 recoded with W's linear coefficient 2 -> coef; at 2 it is bitwise im_psi1
+    def psi1(model, x):
+        a = model.alpha
+        xa = np.atleast_1d(np.asarray(x, dtype=np.float64))
+        W = np.sin(2 * a * xa) + coef * a * (xa - model.z)
+        num = ((xa - model.z) * (np.sin(a * xa) + 0j)) * (2 * a) + (np.cos(a * xa) + 0j)
+        return (num * (1.0 / W)) * (1.0 / math.sqrt(2 * a))
+
+    return psi1
+
+
+def test_chain_member_transforms_vanish_mutation_controls(monkeypatch):
+    # the oracle's tails dropped leave the O(1) core; psi1 alone recoded with
+    # W's linear coefficient 2.001, while psi0 and psi(x; k) keep W, breaks
+    # the orthogonality (a W changed everywhere at once might keep it)
+    model = InteriorModel(1.0, 1j)
+    psi0, psi1 = _CHAIN
+    for f in _CHAIN:
+        assert _chain_transform_peak(model, f, tails=False) > 1e-2, f.ref
+    monkeypatch.setattr(interior, "im_psi1", _psi1_with(2.0))
+    assert _chain_transform_peak(model, psi1) <= 1e-10
+    monkeypatch.setattr(interior, "im_psi1", _psi1_with(2.001))
+    assert _chain_transform_peak(model, psi1) > 1e-5
+    assert _chain_transform_peak(model, psi0) <= 1e-10
+
+
+_CHAIN_RADII = (0.4, 0.2, 0.1, 0.05)
+
+
+def _chain_path_miss(model, kinds, radii, xp=0.7):
+    """Largest move of apply_scheme on psi0 and psi1 against the oracle path:
+    the same singular blocks plus the oracle's spectral integral."""
+    cutoffs = [50.0 / e for e in radii]
+    miss = 0.0
+    for f in _CHAIN:
+        transform, pair = _chain_transform_oracle(model, f), rs._interior_transform(model, f)[1]
+        spectral = [_chain_spectral_oracle(model, f, transform, e, A, xp) for e, A in zip(radii, cutoffs)]
+        for kind in kinds:
+            got = apply_scheme(Scheme(kind, model), radii, cutoffs, f, xp)
+            want = [rs._interior_singular_terms(model, f, e, xp, kind, pair) + s for e, s in zip(radii, spectral)]
+            miss = max(miss, np.max(np.abs(got - np.array(want))))
+    return miss
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_chain_sweeps_match_the_oracle_path(alpha):
+    for z in (0.5j, 1.3j, 0.3 + 0.7j):
+        model = InteriorModel(alpha, z)
+        assert _chain_path_miss(model, (SchemeId.RES11, SchemeId.RES12, SchemeId.INT04), _CHAIN_RADII) <= 1e-10, z
+
+
+def test_res13_chain_sweep_matches_the_oracle_path():
+    assert _chain_path_miss(InteriorModel(1.0, 1j), (SchemeId.RES13,), _CHAIN_RADII[:2]) <= 1e-10
+
+
+def test_base_resolution_refuses_interior_chain_members():
+    # their transform exists on the real k axis only: the deformed contour
+    # once read its tails at Re k, and psi1 at radius 0.3 gave -0.104+0.017i
+    # on the upper detours against 0.090-0.010i on the lower ones
+    for f, direction in itertools.product(_CHAIN, ("up", "down")):
+        with pytest.raises(ValueError, match=f"chain member \\({f.ref[0]}\\)"):
+            apply_base_resolution(InteriorModel(1.0, 1j), f, 0.7, 0.3, 80.0, direction)
 
 
 def test_rational_sweep_decomposes_each_power_once(monkeypatch):
