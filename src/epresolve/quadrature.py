@@ -5,13 +5,15 @@ order, no randomness):
 
 * Adaptive Gauss-Legendre with error estimates from embedded lower-order
   rules, on intervals (``_adaptive``) and on deformed contours
-  (:func:`quad_contour`).  ``_adaptive`` bisects level by level: the GL15
-  and GL7 nodes of every pending panel of a level, across all pieces of an
-  ``_adaptive_oscillatory`` pre-split, go to the integrand in one call of at
-  most ``_BATCH_PANELS`` panels (5632 nodes), which bounds the memory of a
-  level that runs into the panel cap.  :func:`composite_gauss` owns the fixed
-  equal-panel layout; :func:`composite_phase_sums` takes plane-wave moments
-  on it with phases separated per panel.
+  (:func:`quad_contour`).  ``_adaptive`` takes one interval or a list of
+  pieces, each with its own tolerance (the equal pieces of an
+  ``_adaptive_oscillatory`` pre-split, or every spectral band of a radius
+  sweep), and bisects them level by level: the GL15 and GL7 nodes of every
+  pending panel of a level, over all pieces, go to the integrand in one call
+  of at most ``_BATCH_PANELS`` panels (5632 nodes), which bounds the memory
+  of a level that runs into the panel cap.  :func:`composite_gauss` owns the
+  fixed equal-panel layout; :func:`composite_phase_sums` takes plane-wave
+  moments on it with phases separated per panel.
 * :class:`OscRational` -- finite sums ``sum_t c_t exp(i mu_t x) (x-z)^(-q_t)``
   with one complex pole center.  These admit *exact* full-line values (residue
   evaluation, half-line Abel regularization where classical convergence
@@ -62,11 +64,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadResult:
-    """Value of an integral together with an error estimate and work count."""
+    """Value of an integral together with an error estimate and work count.
 
-    value: complex
-    error: float
+    A multi-piece :func:`_adaptive` call carries one value and one error per
+    piece; ``evaluations`` and ``capped``, the number of pieces that reached
+    the panel cap, count the whole call.
+    """
+
+    value: complex | np.ndarray
+    error: float | np.ndarray
     evaluations: int
+    capped: int = 0
 
     def __complex__(self) -> complex:  # pragma: no cover - convenience
         return complex(self.value)
@@ -116,8 +124,10 @@ def composite_gauss(lo: float, hi: float, n_panels: int, order: int) -> tuple[np
 # panels per block of the two-level centre-phase table
 _PHASE_BLOCK = 16
 # entries of the (wave number x panel) phase table and of the (wave number x
-# row x order) panel sums that one chunk of wave numbers may hold
-_PHASE_ENTRIES = 2**20
+# row x order) panel sums that one chunk of wave numbers may hold.  A level
+# of a radius sweep's bisection sends up to 5632 wave numbers at once; 2^14
+# entries (256 KB per table) keep its peak memory that of a single radius
+_PHASE_ENTRIES = 2**14
 
 
 def _centre_phases(k: np.ndarray, c0: float, step: float, n_panels: int) -> np.ndarray:
@@ -169,40 +179,48 @@ _BATCH_PANELS = 256  # panels per integrand call: at most 256 * 22 = 5632 nodes
 
 def _adaptive(
     f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    tol: float,
+    a: float | np.ndarray,
+    b: float | np.ndarray,
+    tol: float | np.ndarray,
     max_panels: int = 4000,
-    pieces: int = 1,
 ) -> QuadResult:
     """Deterministic adaptive bisection on [a, b] with embedded error rule.
 
-    [a, b] is cut into ``pieces`` equal pieces, each bisected on its own with
-    tolerance tol / pieces over its own span and its own cap of
-    ``max_panels`` panels.  A panel's GL15 value is accepted when it lies
-    within tol * max(width / span, 1e-3) of its embedded GL7 value, or when
-    the panel is narrower than 1e-13 * span; otherwise it is halved, while
-    the panels its piece has evaluated plus the halves already queued stay
-    below ``max_panels``.  A piece that reaches the cap evaluates between
-    ``max_panels`` and ``max_panels + 1`` panels, and its value is not to be
-    trusted.  Bisection runs level by level: all pending panels of a level
-    go to ``f`` together, in calls of at most ``_BATCH_PANELS`` panels, so
-    ``f`` must act pointwise on a 1-D array.  Below the cap the accepted
-    panels do not depend on the visiting order.  Each piece sums its
-    accepted panels by left edge, and the pieces add in order.
+    ``a``, ``b`` and ``tol`` are scalars, or equal-length 1-D arrays of
+    pieces [a_i, b_i], each bisected over its own span with its own
+    tolerance tol_i and its own cap of ``max_panels`` panels; an empty piece
+    (b_i <= a_i) integrates to 0.  A panel's GL15 value is accepted when it
+    lies within tol * max(width / span, 1e-3) of its embedded GL7 value, or
+    when the panel is narrower than 1e-13 * span; otherwise it is halved,
+    while the panels its piece has evaluated plus the halves already queued
+    stay below ``max_panels``.  A piece that reaches the cap evaluates
+    between ``max_panels`` and ``max_panels + 1`` panels, and its value is
+    not to be trusted: ``capped`` counts the pieces where the cap kept a
+    failing panel from being halved.  Bisection runs level by level: all
+    pending panels of a level, over every piece, go to ``f`` together, in
+    calls of at most ``_BATCH_PANELS`` panels, so ``f`` must act pointwise
+    on a 1-D array.  Below the cap the accepted panels do not depend on the
+    visiting order or on the other pieces.  Each piece sums its accepted
+    panels by left edge.  Scalars give a complex value and a float error,
+    arrays one of each per piece.
     """
-    if b <= a:
+    scalar = np.ndim(a) == 0
+    if scalar and b <= a:
         return QuadResult(0.0, 0.0, 0)
+    starts, ends, tols = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=np.float64))
+                                               for v in (a, b, tol)))
     x15, w15 = _gl(15)
     x7, w7 = _gl(7)
     unit = np.concatenate([x15, x7])
-    edges = np.linspace(a, b, pieces + 1)
-    spans = np.diff(edges)
-    piece_tol = tol / pieces
+    pieces = starts.size
+    spans = ends - starts
     piece = np.flatnonzero(spans > 0)
-    lo, hi = edges[piece], edges[piece + 1]
+    lo, hi = starts[piece], ends[piece]
     counted = np.zeros(pieces, dtype=np.int64)
-    kept = []
+    capped = np.zeros(pieces, dtype=bool)
+    # (piece, left edge, value, error) of the accepted panels, level by level;
+    # the empty first entry keeps an all-empty piece list summable
+    kept = [(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.complex128), np.empty(0))]
     evals = 0
     while lo.size:
         xm, hl = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -217,13 +235,14 @@ def _adaptive(
         evals += lo.size * unit.size
         width, span = hi - lo, spans[piece]
         err = np.abs(v15 - v7)
-        fail = (err > piece_tol * np.maximum(width / span, 1e-3)) & (width >= 1e-13 * span)
+        fail = (err > tols[piece] * np.maximum(width / span, 1e-3)) & (width >= 1e-13 * span)
         # a level keeps its panels grouped by piece: the halves queued by the
         # failing panels before this one, in its own piece
         before = np.cumsum(fail) - fail
         queued = 2 * (before - before[np.searchsorted(piece, piece)])
         counted += np.bincount(piece, minlength=pieces)
         split = fail & (counted[piece] + queued < max_panels)
+        capped[piece[fail & ~split]] = True
         kept.append((piece[~split], lo[~split], v15[~split], err[~split]))
         mid = xm[split]
         lo = np.stack([lo[split], mid], axis=1).ravel()
@@ -234,9 +253,12 @@ def _adaptive(
     values, errors = v15[order].tolist(), err[order].tolist()
     bounds = np.searchsorted(piece[order], np.arange(pieces + 1)).tolist()
     runs = list(zip(bounds[:-1], bounds[1:]))
-    total = sum(sum(values[i:j]) for i, j in runs)
-    errsum = sum(sum(errors[i:j]) for i, j in runs)
-    return QuadResult(complex(total), float(errsum), evals)
+    value = [sum(values[i:j]) for i, j in runs]
+    error = [sum(errors[i:j]) for i, j in runs]
+    hits = int(capped.sum())
+    if scalar:
+        return QuadResult(complex(sum(value)), float(sum(error)), evals, hits)
+    return QuadResult(np.array(value, dtype=np.complex128), np.array(error, dtype=np.float64), evals, hits)
 
 
 def _adaptive_oscillatory(
@@ -246,13 +268,17 @@ def _adaptive_oscillatory(
     tol: float,
     omega: float,
 ) -> QuadResult:
-    """Pre-split so each starting panel spans at most ~2 oscillation periods;
-    the pieces are bisected together by one :func:`_adaptive` call."""
+    """Integral over [a, b], cut into n equal pieces that each span at most
+    ~2 oscillation periods; the pieces are bisected together by one
+    :func:`_adaptive` call, at tolerance tol / n each, and their values and
+    errors add in order."""
     if omega == 0.0:
         return _adaptive(f, a, b, tol)
     max_len = 4.0 * math.pi / abs(omega)
     n_init = max(1, int(math.ceil((b - a) / max_len)))
-    return _adaptive(f, a, b, tol, pieces=n_init)
+    edges = np.linspace(a, b, n_init + 1)
+    r = _adaptive(f, edges[:-1], edges[1:], tol / n_init)
+    return QuadResult(complex(sum(r.value.tolist())), float(sum(r.error.tolist())), r.evaluations, r.capped)
 
 
 # ---------------------------------------------------------------------------

@@ -825,16 +825,68 @@ def _spectral_integrand(
     return integrand
 
 
-def _ik_boundary(
-    f: TestFunction, integrand: Callable[[np.ndarray], np.ndarray], eps: float, A: float, tol: float,
-) -> complex:
-    # integrand is the _spectral_integrand, which does not depend on the radius
-    K = min(A, _spectral_reach(f))
-    if K <= eps:
-        return 0.0 + 0.0j
-    left = _adaptive(integrand, -K, -eps, tol)
-    right = _adaptive(integrand, eps, K, tol)
-    return left.value + right.value
+def _ladder_bands(a: float, eps: float, K: float) -> list[tuple[float, float]]:
+    """The k-bands of the interior punctured range at radius eps and cutoff K.
+
+    Around each puncture +-a, the offsets |k -+ a| from eps outward are cut
+    at the powers of two above eps: a radius integrates its own band
+    [eps, 2^ceil(log2 eps)] and then the shared ladder bands [2^j, 2^(j+1)].
+    Away from k = 0 the ladder runs up to offset 1 and one band goes on to
+    |k| = K; toward k = 0 it runs up to offset a, where the ladders of the
+    two punctures meet.  Only the first band depends on eps, so the radii of
+    a sweep share the rest (the geometric grading toward a singularity of
+    hp-quadrature: Schwab, p- and hp-Finite Element Methods, 1998).  The
+    bands are listed by ascending k; empty ones are dropped.
+    """
+    first = math.ldexp(1.0, math.frexp(eps)[1])  # the least power of two above eps
+
+    def rungs(top: float, cap: float) -> list[float]:
+        # eps, then the powers of two in (eps, top) up to cap
+        out, r = [eps], first
+        while r < top and r <= cap:
+            out.append(r)
+            r *= 2.0
+        return out
+
+    outward = [a + t for t in rungs(K - a, 1.0)] + [K]
+    inward = [0.0] + [a - t for t in reversed(rungs(a, a))]
+    right = list(zip(inward[:-1], inward[1:])) + list(zip(outward[:-1], outward[1:]))
+    right = [(lo, hi) for lo, hi in right if hi > lo]
+    return [(-hi, -lo) for lo, hi in reversed(right)] + right
+
+
+def _spectral_integrals(
+    model: BoundaryModel | InteriorModel, f: TestFunction, integrand: Callable[[np.ndarray], np.ndarray],
+    radii: Sequence[float], cutoffs: Sequence[float], tol: float,
+) -> list[complex]:
+    """The spectral integral of every (radius, cutoff) of a sweep, as the
+    pieces of one :func:`_adaptive` call.
+
+    ``integrand`` is the :func:`_spectral_integrand` of f, which does not
+    depend on the radius; the range stops at K = min(cutoff, reach).  The
+    boundary family integrates (-K, -eps) and (eps, K) at ``tol`` each.  The
+    interior family integrates the :func:`_ladder_bands` of each radius,
+    each band at tol * width / (2 max(K, a)), so that one radius's bands
+    share less than ``tol``.  A piece is keyed by its edges and tolerance, so
+    a sweep computes each shared band once and a scalar call computes the
+    same pieces: each radius's value is bitwise the one of a one-radius
+    call.  Each radius adds its pieces by ascending k.
+    """
+    interior = isinstance(model, InteriorModel)
+    reach = _spectral_reach(f) + (3 * model.alpha + _INTERIOR_REACH_PAD if interior else 0.0)
+    keys: dict[tuple[float, float, float], int] = {}
+    per_radius = []
+    for eps, cut in zip(radii, cutoffs):
+        K = min(cut, reach)
+        if interior:
+            share = tol / (2 * max(K, model.alpha))
+            pieces = [(lo, hi, share * (hi - lo)) for lo, hi in _ladder_bands(model.alpha, eps, K)]
+        else:
+            pieces = [(-K, -eps, tol), (eps, K, tol)] if K > eps else []
+        per_radius.append([keys.setdefault(p, len(keys)) for p in pieces])
+    lo, hi, tols = np.array(list(keys), dtype=np.float64).reshape(-1, 3).T
+    values = _adaptive(integrand, lo, hi, tols).value.tolist()
+    return [sum((values[i] for i in idx[1:]), values[idx[0]]) if idx else 0.0 + 0.0j for idx in per_radius]
 
 
 def _sinc_band(model: BoundaryModel, f: TestFunction, moment: _Moment, eps: float, xp: float) -> complex:
@@ -951,21 +1003,6 @@ def _interior_transform(
     return transform, pair
 
 
-def _ik_interior(
-    model: InteriorModel, f: TestFunction, integrand: Callable[[np.ndarray], np.ndarray],
-    eps: float, A: float, tol: float,
-) -> complex:
-    # integrand is the _spectral_integrand of a localized f, which does not
-    # depend on the radius
-    a = model.alpha
-    K = min(A, _spectral_reach(f) + 3 * a + _INTERIOR_REACH_PAD)
-    total = 0.0 + 0.0j
-    for lo, hi in [(-K, -a - eps), (-a + eps, a - eps), (a + eps, K)]:
-        if hi > lo:
-            total += _adaptive(integrand, lo, hi, tol).value
-    return total
-
-
 def _pair_moments(model: InteriorModel, layout: tuple[float, float, int], nodes: np.ndarray,
                   values: np.ndarray, tail: OscRational | None, X: float) -> _Pair:
     """(mu array, xp) -> integral of f(x) psi0(x) e^{i mu (x - xp)} dx per mu.
@@ -1067,9 +1104,12 @@ def apply_scheme(
     scalar call at that (eps, A).  Whatever does not depend on the radius
     is built once per call: the spectral transform of f and the closed
     blocks, and for the interior family the pair moments with their tail
-    products.  An interior chain member (psi0 or psi1) is bilinearly
-    orthogonal to the continuum, so its spectral part is exactly zero: only
-    its pair moments and the singular blocks are built.
+    products.  The spectral integrals of all radii are the pieces of one
+    batched bisection (:func:`_spectral_integrals`), whose pieces do not
+    depend on the other radii of the call.  An interior chain member (psi0
+    or psi1) is bilinearly orthogonal to the continuum, so its spectral part
+    is exactly zero: only its pair moments and the singular blocks are
+    built.
     """
     radii, cutoffs = np.broadcast_arrays(np.asarray(eps, dtype=float), np.asarray(A, dtype=float))
     if radii.ndim > 1:
@@ -1097,11 +1137,9 @@ def apply_scheme(
         # test_chain_member_transforms_vanish)
         integrand = None if transform is None else _spectral_integrand(model, transform, xp)
 
-        def at(e: float, cut: float) -> complex:
+        def at(e: float, spectral: complex) -> complex:
             blocks = _interior_singular_terms(model, f, e, xp, kind, pair)
-            if integrand is None:
-                return blocks
-            return _ik_interior(model, f, integrand, e, cut, tol) + blocks
+            return blocks if integrand is None else spectral + blocks
 
     else:
         # boundary family: the spectral integral, the sinc kernel (its
@@ -1130,8 +1168,7 @@ def apply_scheme(
                 f"grow like e^(eps |Im z|) and leave the float range past that (Im z = {model.z.imag:g})"
             )
 
-        def at(e: float, cut: float) -> complex:
-            total = _ik_boundary(f, integrand, e, cut, tol)
+        def at(e: float, total: complex) -> complex:
             # a radius past a localized f's spectral reach needs a grid that
             # resolves it; the closed moments hold at every radius
             local = moment if e <= reach or not localized else _f_osc_moment(model, f, e)
@@ -1139,8 +1176,11 @@ def apply_scheme(
                 total += _sinc_band(model, f, moment, e, xp)
             return total + _apply_two_point(model, blocks, local, e, xp)
 
-    out = np.array([at(e, cut) for e, cut in zip(radii.ravel().tolist(), cutoffs.ravel().tolist())],
-                   dtype=np.complex128)
+    es, cuts = radii.ravel().tolist(), cutoffs.ravel().tolist()
+    spectral = [0.0 + 0.0j] * len(es)
+    if integrand is not None:
+        spectral = _spectral_integrals(model, f, integrand, es, cuts, tol)
+    out = np.array([at(e, s) for e, s in zip(es, spectral)], dtype=np.complex128)
     return complex(out[0]) if radii.ndim == 0 else out
 
 

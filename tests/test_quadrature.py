@@ -240,7 +240,10 @@ def _oracle_panel(f, a, b):
     vals = np.asarray(f(nodes), dtype=np.complex128)
     v15 = hl * np.sum(w15 * vals[:15])
     v7 = hl * np.sum(w7 * vals[15:])
-    return complex(v15), abs(v15 - v7), nodes.size
+    # the error through numpy's array abs, the kernel's loop: the scalar abs
+    # of a complex128 (libm hypot) differs from it in the last bit for about
+    # a third of all inputs
+    return complex(v15), float(np.abs(np.atleast_1d(v15 - v7))[0]), nodes.size
 
 
 def _oracle_adaptive(f, a, b, tol, max_panels=4000, slack=1.0):
@@ -365,6 +368,63 @@ def test_adaptive_cap_is_deterministic_and_counted():
     # levels past the batch cap take several calls, none over the node cap
     assert max(sizes) == 22 * quadrature._BATCH_PANELS
     assert sum(sizes) == full.evaluations
+    assert first.capped == full.capped == 1
+
+
+def _piece_split(a, b):
+    # disjoint pieces of [a, b] with their own tolerances, empty pieces mixed in
+    m = a + 0.37 * (b - a)
+    return [(a, m, 0.5), (m, m, 1.0), (m, b, 2.0), (b, a, 1.0), (b, b + 1.0, 0.25)]
+
+
+@pytest.mark.parametrize("name", sorted(_ADAPTIVE_CASES))
+def test_adaptive_pieces_match_the_oracle_per_piece_bitwise(name):
+    # every piece of an array call is the depth-first oracle on that piece
+    # alone: value, error and evaluations (the nodes inside its span), at
+    # its own tolerance, whatever the other pieces of the call
+    f, a, b, tol, _ = _ADAPTIVE_CASES[name]
+    pieces = _piece_split(a, b)
+    nodes = []
+
+    def recorded(x):
+        nodes.append(x.copy())
+        return f(x)
+
+    lo, hi, tols = (np.array(c) for c in zip(*pieces))
+    got = quadrature._adaptive(recorded, lo, hi, tol * tols)
+    seen = np.concatenate(nodes)
+    assert got.value.shape == got.error.shape == (len(pieces),)
+    assert got.evaluations == seen.size and got.capped == 0
+    for i, (p, q, share) in enumerate(pieces):
+        (value, error, evals), _ = _oracle_adaptive(f, p, q, tol * share)
+        inside = int(np.count_nonzero((seen > p) & (seen < q)))
+        assert (complex(got.value[i]), float(got.error[i]), inside) == (value, error, evals)
+
+
+def test_adaptive_all_empty_pieces_return_zeros():
+    def never(x):
+        raise AssertionError("an empty piece reached the integrand")
+
+    got = quadrature._adaptive(never, np.array([1.0, 3.0]), np.array([1.0, 2.0]), np.array([1e-9, 1e-9]))
+    assert got.value.tolist() == [0j, 0j] and got.error.tolist() == [0.0, 0.0]
+    assert (got.evaluations, got.capped) == (0, 0)
+    none = quadrature._adaptive(never, np.empty(0), np.empty(0), np.empty(0))
+    assert none.value.shape == none.error.shape == (0,) and none.evaluations == 0
+
+
+def test_adaptive_counts_the_capped_pieces():
+    # sin(1e8 x) ends on its panel cap next to a smooth piece that does not:
+    # the call counts one capped piece, and each piece's value is its own
+    # one-piece call's
+    def f(x):
+        return np.where(x < 1.0, np.sin(1e8 * x), np.exp(-x * x))
+
+    got = quadrature._adaptive(f, np.array([0.0, 1.0]), np.array([1.0, 3.0]), np.array([1e-12, 1e-12]),
+                               max_panels=50)
+    alone = [quadrature._adaptive(f, p, q, 1e-12, max_panels=50) for p, q in ((0.0, 1.0), (1.0, 3.0))]
+    assert got.capped == 1 and [r.capped for r in alone] == [1, 0]
+    assert got.value.tolist() == [r.value for r in alone]
+    assert got.evaluations == sum(r.evaluations for r in alone)
 
 
 # ---------------------------------------------------------------------------

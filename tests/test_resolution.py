@@ -542,24 +542,31 @@ _PSI1 = TestFunction.chain_interior(1)
 
 
 @pytest.mark.parametrize(
-    "sid model f radii".split(),
+    "sid model f radii coupling".split(),
     [
-        (SchemeId.RES11, InteriorModel(1.0, 1j), _PSI1, (0.4, 0.1)),
-        (SchemeId.RES11, InteriorModel(1.0, 1j), GAUSS, (0.4, 0.1)),
-        (SchemeId.RES12, InteriorModel(1.0, 1j), _PSI1, (0.4, 0.2, 0.1)),
-        (SchemeId.RES12, InteriorModel(1.5, 0.5 + 1.2j), GAUSS, (0.4, 0.2, 0.1)),
-        (SchemeId.RES13, InteriorModel(1.0, 1j), _PSI1, (0.4, 0.1)),
-        (SchemeId.RES13, InteriorModel(1.0, 1j), GAUSS, (0.4, 0.1)),
-        (SchemeId.RES3, BoundaryModel(2), GAUSS, (0.4, 0.2, 0.05)),
-        (SchemeId.RES5, BoundaryModel(1), TestFunction.gaussian(0.3, 1.1), (0.4, 0.1)),
-        (SchemeId.INT5, BoundaryModel(1), TestFunction.rational_decay(4), (0.4, 0.1)),
+        (SchemeId.RES11, InteriorModel(1.0, 1j), _PSI1, (0.4, 0.1), 50.0),
+        (SchemeId.RES11, InteriorModel(1.0, 1j), GAUSS, (0.4, 0.1), 50.0),
+        (SchemeId.RES12, InteriorModel(1.0, 1j), _PSI1, (0.4, 0.2, 0.1), 50.0),
+        (SchemeId.RES12, InteriorModel(1.5, 0.5 + 1.2j), GAUSS, (0.4, 0.2, 0.1), 50.0),
+        (SchemeId.RES13, InteriorModel(1.0, 1j), _PSI1, (0.4, 0.1), 50.0),
+        (SchemeId.RES13, InteriorModel(1.0, 1j), GAUSS, (0.4, 0.1), 50.0),
+        (SchemeId.RES3, BoundaryModel(2), GAUSS, (0.4, 0.2, 0.05), 50.0),
+        (SchemeId.RES5, BoundaryModel(1), TestFunction.gaussian(0.3, 1.1), (0.4, 0.1), 50.0),
+        (SchemeId.INT5, BoundaryModel(1), TestFunction.rational_decay(4), (0.4, 0.1), 50.0),
+        # a power-of-two grid, whose own bands are empty
+        (SchemeId.RES12, InteriorModel(1.0, 1j), GAUSS, (0.5, 0.25, 0.125), 50.0),
+        # cutoffs c/eps put K below the spectral reach (51 and 52.5 for these
+        # interior models, 22 in the boundary family) at all radii but one
+        (SchemeId.RES11, InteriorModel(1.0, 1j), GAUSS, (0.5, 0.25, 0.125), 2.0),
+        (SchemeId.RES12, InteriorModel(1.5, 0.5 + 1.2j), GAUSS, (0.4, 0.2, 0.1, 0.05), 3.0),
+        (SchemeId.RES3, BoundaryModel(2), GAUSS, (0.4, 0.2, 0.05), 2.0),
     ],
     ids=["res11-psi1", "res11-gauss", "res12-psi1", "res12-gauss", "res13-psi1", "res13-gauss",
-         "res3", "res5", "int5"],
+         "res3", "res5", "int5", "res12-gauss-pow2", "res11-gauss-cut", "res12-gauss-cut", "res3-cut"],
 )
-def test_radius_array_equals_scalar_calls_bitwise(sid, model, f, radii):
+def test_radius_array_equals_scalar_calls_bitwise(sid, model, f, radii, coupling):
     scheme = Scheme(sid, model)
-    cutoffs = [50.0 / e for e in radii]
+    cutoffs = [coupling / e for e in radii]
     got = apply_scheme(scheme, np.array(radii), cutoffs, f, XP)
     want = [apply_scheme(scheme, e, c, f, XP) for e, c in zip(radii, cutoffs)]
     assert isinstance(want[0], complex) and got.shape == (len(radii),)
@@ -611,6 +618,91 @@ def test_radius_sweep_builds_pair_tail_models_once(monkeypatch):
     for e in radii[:2]:
         apply_scheme(scheme, e, 50.0 / e, _PSI1, 0.7)
     assert sorted(built) == ["psi0", "psi0", "psi1", "psi1"]
+
+
+def _three_segment_oracle(model, f, integrand, eps, A, tol):
+    """Oracle: the interior spectral integral before the band ladder, the
+    segments (-K, -a-eps), (-a+eps, a-eps) and (a+eps, K), each one
+    ``_adaptive`` call at the whole tolerance."""
+    a = model.alpha
+    K = min(A, rs._spectral_reach(f) + 3 * a + rs._INTERIOR_REACH_PAD)
+    total = 0.0 + 0.0j
+    for lo, hi in [(-K, -a - eps), (-a + eps, a - eps), (a + eps, K)]:
+        if hi > lo:
+            total += quadrature._adaptive(integrand, lo, hi, tol).value
+    return total
+
+
+def _merged(bands):
+    # runs of bands that touch, joined
+    out = []
+    for lo, hi in bands:
+        if out and out[-1][1] == lo:
+            out[-1] = (out[-1][0], hi)
+        else:
+            out.append((lo, hi))
+    return out
+
+
+@pytest.mark.parametrize("alpha", [0.06, 0.3, 1.0, 2.0])
+def test_ladder_bands_tile_the_punctured_range(alpha):
+    # exact powers of two (whose own bands are empty), radii close to alpha,
+    # and cutoffs far out, within offset 1 of a puncture, inside its radius
+    # and below alpha
+    radii = [2.0**-j for j in range(0, 9) if 2.0**-j < alpha] + [0.37 * alpha, 0.999 * alpha, alpha * (1 - 1e-9)]
+    for eps, K in ((e, K) for e in radii for K in (51.0, alpha + 2.5, alpha + 0.5, alpha + 0.5 * e, 0.5 * alpha)):
+        bands = rs._ladder_bands(alpha, eps, K)
+        assert all(hi > lo for lo, hi in bands) and bands == sorted(bands)
+        segments = [(-K, -alpha - eps), (-alpha + eps, alpha - eps), (alpha + eps, K)]
+        assert _merged(bands) == [(lo, hi) for lo, hi in segments if hi > lo], (eps, K)
+        # only the bands at offset eps from a puncture depend on the radius:
+        # a smaller radius has every other band too
+        edges = {alpha + eps, alpha - eps, -alpha + eps, -alpha - eps}
+        own = [b for b in bands if edges & set(b)]
+        assert len(own) == 4 if K >= alpha + 2.5 else len(own) >= 2
+        for smaller in (e for e in radii if e < eps):
+            assert set(bands) - set(own) <= set(rs._ladder_bands(alpha, smaller, K))
+
+
+# (model, f, radii, cutoffs): alpha 0.3 to 2, Im z 0.5 to 2, radii close to
+# alpha, a power of two, and a cutoff between alpha and alpha + 1
+_LADDER_CASES = [
+    (InteriorModel(0.3, 0.5j), GAUSS, (0.27, 0.125, 0.03), (185.0, 400.0, 0.8)),
+    (InteriorModel(1.0, 1j), TestFunction.hermite_gaussian(2, 0.4, 1.1), (0.9, 0.4, 0.125, 0.1),
+     (55.0, 125.0, 1.7, 500.0)),
+    (InteriorModel(1.5, 0.5 + 1.2j), TestFunction.gaussian(0.2, 0.9), (1.4, 0.5, 0.15), (35.0, 100.0, 2.1)),
+    (InteriorModel(2.0, 2j), TestFunction.rational_decay(4), (1.9, 0.25, 0.2), (26.0, 200.0, 2.9)),
+]
+
+
+def _ladder_miss(model, f, radii, cutoffs):
+    transform = rs._interior_transform(model, f)[0]
+    integrand = rs._spectral_integrand(model, transform, XP)
+    got = rs._spectral_integrals(model, f, integrand, list(radii), list(cutoffs), 1e-9)
+    want = [_three_segment_oracle(model, f, integrand, e, A, 1e-12) for e, A in zip(radii, cutoffs)]
+    return np.abs(np.array(got) - np.array(want))
+
+
+@pytest.mark.parametrize("model f radii cutoffs".split(), _LADDER_CASES,
+                         ids=["a0.3-gauss", "a1-hermite2", "a1.5-gauss", "a2-rational4"])
+def test_ladder_bands_match_the_three_segment_oracle(model, f, radii, cutoffs):
+    # the banded sweep at the default tolerance against the three-segment
+    # oracle at tol 1e-12
+    assert np.max(_ladder_miss(model, f, radii, cutoffs)) < 1e-10
+
+
+def test_ladder_without_a_radius_own_band_is_caught(monkeypatch):
+    # mutation control: dropping each radius's first band outward of the
+    # right puncture leaves a gap in the integral
+    model, f, radii, cutoffs = _LADDER_CASES[1]
+    real = rs._ladder_bands
+
+    def dropped(a, eps, K):
+        return [b for b in real(a, eps, K) if b[0] != a + eps]
+
+    monkeypatch.setattr(rs, "_ladder_bands", dropped)
+    # at the power of two 0.125 the first band is the ladder's [a + 1/8, a + 1/4]
+    assert np.all(_ladder_miss(model, f, radii, cutoffs) > 1e-6)
 
 
 def _pair_moments_oracle(model, f, xp):
