@@ -31,6 +31,9 @@ _PROBES = ((0.7, -0.4), (1.3, 0.2))
 
 _MOMENT_SAMPLES = 256
 
+# rounding of the phase k*x past which a Green-function value is refused
+_PHASE_ROUNDING = 1e-8
+
 _OVERFLOW = (
     "the Green function overflows double precision at these inputs "
     "(coupling index, energy or displacement too large)"
@@ -60,16 +63,21 @@ def _k_upper(E: complex) -> complex:
 
 
 def _green_k(
-    model: BoundaryModel | InteriorModel, ks: np.ndarray, x: float, xp: float
+    model: BoundaryModel | InteriorModel,
+    ks: np.ndarray,
+    x: np.ndarray | float,
+    xp: np.ndarray | float,
 ) -> np.ndarray:
-    """Green function at an array of momenta: one evaluation per solution.
+    """Green function at arrays of momenta and coordinates, broadcast together.
 
-    The product of the scattering solutions at the larger coordinate (momentum
-    k) and the smaller one (momentum -k), weighted by pi*i/k.  The boundary
-    solution is built once and divided by k**n to undo its scaling.  A value
-    past the float range raises ``ValueError`` instead of returning inf or nan.
+    The product of the scattering solutions at the larger coordinate of each
+    pair (momentum k) and the smaller one (momentum -k), weighted by pi*i/k.
+    The boundary solution is built once and divided by k**n to undo its
+    scaling.  A value past the float range anywhere raises ``ValueError``
+    instead of returning inf or nan.
     """
-    hi, lo = (x, xp) if x >= xp else (xp, x)
+    upper = np.greater_equal(x, xp)
+    hi, lo = np.where(upper, x, xp), np.where(upper, xp, x)
     # the largest exact coefficient of bm_scatter is its m = n term (2n-1)!!
     # (the ratio of neighbours is (n+m+1)(n-m)/(2m+2) >= 1); past the float
     # range to_complex would refuse it only after the whole exact build
@@ -93,21 +101,36 @@ def _green_k(
 
 
 def green(
-    model: BoundaryModel | InteriorModel, x: float, xp: float, E: complex
-) -> complex:
+    model: BoundaryModel | InteriorModel, x: np.ndarray | float, xp: float, E: complex
+) -> np.ndarray | complex:
     """Green function at energy E, evaluated off (or on) the diagonal.
 
-    The spectral momentum is sqrt(E) with nonnegative imaginary part.  The
-    construction is symmetric in (x, x'); evaluation at the exceptional
-    momentum itself (the branch point for the inverse-square family, the
-    embedded resonance for the trigonometric one) is refused.
+    The spectral momentum is sqrt(E) with nonnegative imaginary part.  An
+    array ``x`` gives an array of the same shape in one evaluation of each
+    solution; a scalar gives a complex.  The construction is symmetric in
+    (x, x'); evaluation at the exceptional momentum itself (the branch point
+    for the inverse-square family, the embedded resonance for the
+    trigonometric one) is refused, and so are coordinates so large that the
+    phase k*x keeps no correct digit: its rounding |k| * max(|x|, |x'|) *
+    2**-53 must stay below 1e-8, with max(|k|, 2*alpha) in place of |k| for
+    the trigonometric family, whose W holds sin(2*alpha*x).
     """
     k = _k_upper(complex(E))
     if abs(k) < 1e-8:  # the pi*i/k weight: both families
         raise ValueError("Green function is singular at the spectral origin (|k| < 1e-8)")
     if isinstance(model, InteriorModel) and abs(k * k - model.alpha**2) < 1e-6:
         raise ValueError("Green function is singular at the embedded momentum")
-    return complex(_green_k(model, np.array([k]), x, xp)[0])
+    g = _green_k(model, np.array([k]), x, xp)
+    # after the evaluation, so that an overflow is reported as one
+    reach = abs(k) if isinstance(model, BoundaryModel) else max(abs(k), 2 * model.alpha)
+    far = float(np.max(np.abs(x), initial=abs(xp)))
+    if reach * far * 2.0**-53 > _PHASE_ROUNDING:
+        raise ValueError(
+            f"coordinate {far:.6g} (--x/--xp) is out of range: the phase's rounding, "
+            f"{reach:.6g} * |x| * 2**-53, passes {_PHASE_ROUNDING:g} from |x| = "
+            f"{_PHASE_ROUNDING * 2.0**53 / reach:.6g}"
+        )
+    return complex(g[0]) if np.ndim(x) == 0 else g
 
 
 def pole_order(
@@ -143,9 +166,10 @@ def pole_order(
     ks = complex(center) + offs
     dk = 1j * offs * (2 * math.pi / _MOMENT_SAMPLES)
 
+    # both probe pairs in one evaluation: a (probes, samples) array
+    x, xp = (np.array(col)[:, None] for col in zip(*_PROBES))
     orders = []
-    for x, xp in _PROBES:
-        g = _green_k(model, ks, x, xp)
+    for g in _green_k(model, ks, x, xp):
         moments = [np.sum(offs**j * g * dk) for j in range(max_order + 1)]
         mags = [abs(m) for m in moments]
         floor = 1e-9 * max(mags)

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -279,6 +280,55 @@ def test_verify_greens_past_the_resolvable_range_is_a_diagnostic(n, capsys):
     assert captured.out == ""
     assert captured.err.startswith("epresolve verify --suite greens: no result:")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--n", "160"], ["--model", "interior", "--alpha", "1.41421356"]],
+    ids="n160 embedded-momentum".split(),
+)
+def test_verify_greens_refusals_survive_the_array_stencil(args, capsys):
+    # an overflow at any of the 60 stencil points, or E = 2 within 1e-6 of
+    # alpha**2, still ends in a diagnostic with exit 1
+    assert run(["verify", *args, "--suite", "greens"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("epresolve verify --suite greens: no result:")
+
+
+@pytest.mark.parametrize("model", ["boundary", "interior"])
+def test_verify_greens_makes_one_green_call(model, monkeypatch, capsys):
+    # the jump's 60 stencil points (offset, bank, step) in one array call
+    calls = []
+
+    def counting(model, x, xp, E):
+        calls.append(np.shape(x))
+        return greens.green(model, x, xp, E)
+
+    monkeypatch.setattr(cli, "green", counting)
+    assert run(["verify", "--model", model, "--suite", "greens"]) == 0
+    assert calls == [(6, 2, 5)]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--n", "1", "--x", "1e300", "--xp", "0"],
+        ["--model", "interior", "--x", "1e300", "--xp", "0"],
+        ["--n", "3", "--x", "0.5", "--xp=-1e8"],
+        ["--model", "interior", "--alpha", "1e6", "--x", "1e3", "--xp", "0"],
+    ],
+    ids="boundary interior boundary-xp interior-alpha".split(),
+)
+def test_green_past_the_phase_rounding_is_usage_error(args, capsys):
+    # at |x| = 1e300 the phase k*x keeps no correct digit; these printed
+    # 0.476+0.371i (boundary) and 1.067+0.832i (interior) with exit 0
+    with pytest.raises(SystemExit) as exc:
+        run(["green", *args, "--energy", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "(--x/--xp) is out of range" in captured.err and "2**-53" in captured.err
 
 
 def test_interior_alpha_past_the_tail_order_cap_is_reported(capsys):

@@ -7,6 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import epresolve.greens as greens
+from epresolve import cli
 from epresolve.boundary import BoundaryModel, bm_potential, bm_scatter_ladder
 from epresolve.exact import el_mutate
 from epresolve.greens import (
@@ -47,18 +49,34 @@ def test_branch_choice_decays_below_the_spectrum():
     assert vals[0] > 5 * vals[1] > 100 * vals[2]
 
 
+# The scalar stencil: the oracle of cli._jump_extrapolated, which takes the
+# same 60 stencil points in one array call to green.
+
 def _side_deriv(model, x, xp, E, h):
+    """One-sided fourth-order derivative from five scalar green calls (oracle)."""
     c = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12 * h)
     return sum(ci * green(model, x + s * h, xp, E) for ci, s in zip(c, (-2, -1, 0, 1, 2)))
 
 
 def _neville_zero(ds, vs):
+    """Neville extrapolation of vs(ds) to d = 0 (oracle)."""
     t = list(vs)
     n = len(t)
     for lvl in range(1, n):
         for i in range(n - lvl):
             t[i] = t[i + 1] + (t[i + 1] - t[i]) * ds[i + lvl] / (ds[i] - ds[i + lvl])
     return t[0]
+
+
+_JUMP_OFFSETS = [0.08, 0.04, 0.02, 0.01, 0.005, 0.0025]
+
+
+def _oracle_jump(model, xp, E):
+    js = [
+        _side_deriv(model, xp + d, xp, E, d / 8) - _side_deriv(model, xp - d, xp, E, d / 8)
+        for d in _JUMP_OFFSETS
+    ]
+    return _neville_zero(_JUMP_OFFSETS, js)
 
 
 @pytest.mark.parametrize(
@@ -68,13 +86,97 @@ def _neville_zero(ds, vs):
 )
 def test_derivative_jump_is_minus_one(model):
     """Finite-difference probe of the delta normalization across the diagonal."""
-    xp, E = 0.3, 2.0
-    ds = [0.08, 0.04, 0.02, 0.01, 0.005, 0.0025]
-    js = [
-        _side_deriv(model, xp + d, xp, E, d / 8) - _side_deriv(model, xp - d, xp, E, d / 8)
-        for d in ds
-    ]
-    assert abs(_neville_zero(ds, js) + 1.0) < 1e-6
+    assert abs(_oracle_jump(model, 0.3, 2.0) + 1.0) < 1e-6
+
+
+def _stencil_points(xp):
+    # cli._jump_extrapolated's points: offset x bank (right, left) x step
+    return np.array([
+        [[x + s * (d / 8) for s in (-2, -1, 0, 1, 2)] for x in (xp + d, xp - d)]
+        for d in _JUMP_OFFSETS
+    ])
+
+
+# the jump checks' grid: both families at Im z 0.5..2 and Re z 0, 0.3
+_STENCIL_ZS = [complex(re, im) for im in (0.5, 1.0, 1.2, 1.6, 2.0) for re in (0.0, 0.3)]
+_STENCIL_MODELS = [BoundaryModel(n) for n in range(7)] + [
+    InteriorModel(a, 1j) for a in (0.5, 1.0, 1.5, 2.0)
+]
+_STENCIL_IDS = [f"n{n}" for n in range(7)] + ["a0.5", "a1", "a1.5", "a2"]
+
+
+def _at(model, z):
+    if isinstance(model, BoundaryModel):
+        return BoundaryModel(model.n, z)
+    return InteriorModel(model.alpha, z)
+
+
+@pytest.mark.parametrize("model", _STENCIL_MODELS, ids=_STENCIL_IDS)
+def test_array_stencil_matches_the_scalar_oracle(model):
+    for z in _STENCIL_ZS:
+        m = _at(model, z)
+        got = cli._jump_extrapolated(m, 0.3, 2.0)
+        want = _oracle_jump(m, 0.3, 2.0)
+        assert abs(got - want) < 1e-9, (z, got, want)
+        # the report's verdict: the same on both paths
+        assert (abs(got + 1.0) < 1e-6) == (abs(want + 1.0) < 1e-6), (z, got, want)
+
+
+@pytest.mark.parametrize("model", _STENCIL_MODELS, ids=_STENCIL_IDS)
+def test_array_green_equals_scalar_calls(model):
+    """Both banks (x > x' and x < x') and the diagonal itself.
+
+    The interior family matches bitwise.  The boundary family's one
+    difference is numpy's array reciprocal for the (x-z)**-1 term, one ulp
+    of one term, which cancellation in the Laurent sum grows with n: within
+    1e-15 relative up to n = 2, and 4.8e-15 at worst on this grid.
+    """
+    for z in _STENCIL_ZS:
+        m = _at(model, z)
+        xs = np.append(_stencil_points(0.3), 0.3)
+        got = green(m, xs, 0.3, 2.0)
+        assert got.shape == xs.shape
+        scalars = [green(m, float(x), 0.3, 2.0) for x in xs]
+        assert all(type(w) is complex for w in scalars)
+        want = np.array(scalars)
+        if isinstance(m, InteriorModel):
+            assert np.array_equal(got, want), z
+        else:
+            rtol = 1e-15 if m.n <= 2 else 1e-14
+            np.testing.assert_allclose(got, want, rtol=rtol, atol=0)
+
+
+def test_array_stencil_mutation_control(monkeypatch):
+    # the left-bank points shifted by 1e-3 must fail both the oracle
+    # agreement and the jump's own tolerance
+    def shifted(model, x, xp, E):
+        return green(model, np.where(x < xp, x + 1e-3, x), xp, E)
+
+    monkeypatch.setattr(cli, "green", shifted)
+    for model in (BoundaryModel(2), INTERIOR):
+        got = cli._jump_extrapolated(model, 0.3, 2.0)
+        assert abs(got - _oracle_jump(model, 0.3, 2.0)) > 1e-3
+        assert abs(got + 1.0) > 1e-6
+
+
+@pytest.mark.parametrize(
+    "model",
+    [BoundaryModel(1), InteriorModel(1.0, 1j), InteriorModel(0.01, 1j), InteriorModel(30.0, 1j)],
+    ids="boundary1 interior-a1 interior-a0.01 interior-a30".split(),
+)
+def test_green_refuses_coordinates_past_the_phase_rounding(model):
+    # the phase k*x keeps no correct digit once |k| |x| 2**-53 passes 1e-8;
+    # the interior family's W holds sin(2 alpha x), so 2 alpha counts too
+    k = math.sqrt(2.0)
+    reach = k if isinstance(model, BoundaryModel) else max(k, 2 * model.alpha)
+    edge = 1e-8 * 2.0**53 / reach
+    for x, xp in ((0.999 * edge, 0.0), (0.0, -0.999 * edge)):
+        assert cmath.isfinite(green(model, x, xp, 2.0))
+    for x, xp in ((1.001 * edge, 0.0), (0.0, -1.001 * edge), (1e300, 0.0)):
+        with pytest.raises(ValueError, match="--x/--xp"):
+            green(model, x, xp, 2.0)
+    with pytest.raises(ValueError, match="--x/--xp"):
+        green(model, np.array([0.3, 1.001 * edge]), 0.0, 2.0)
 
 
 @pytest.mark.parametrize(
@@ -119,6 +221,31 @@ def test_boundary_pole_orders(n, expected):
 def test_interior_pole_order():
     assert pole_order(INTERIOR, 1.0 + 0j, 0.25) == 2
     assert pole_order(INTERIOR, 1.0 + 0j, 0.125) == 2
+
+
+@pytest.mark.parametrize("im", [0.5, 1.0, 2.0], ids="z0.5i z1i z2i".split())
+def test_pole_orders_of_the_batched_probes(im, monkeypatch):
+    # both probe pairs go to _green_k in one call per radius; the orders are
+    # those of one call per pair: 2n+1 for the boundary family, 2 at alpha
+    calls = []
+    measure = greens._green_k
+
+    def counting(model, ks, x, xp):
+        calls.append(np.broadcast(ks, x, xp).shape)
+        return measure(model, ks, x, xp)
+
+    monkeypatch.setattr(greens, "_green_k", counting)
+    shape = (len(_PROBES), _MOMENT_SAMPLES)
+    for n in range(13):
+        for radius in (0.5, 0.25):
+            calls.clear()
+            assert pole_order(BoundaryModel(n, complex(0, im)), 0j, radius) == 2 * n + 1
+            assert calls == [shape]
+    for alpha in (0.5, 1.0, 1.5):
+        for radius in (0.25, 0.125):
+            calls.clear()
+            assert pole_order(InteriorModel(alpha, complex(0, im)), complex(alpha), radius) == 2
+            assert calls == [shape]
 
 
 def _contour(center, radius):
