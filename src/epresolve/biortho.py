@@ -2,9 +2,13 @@
 
 Every function returns a :class:`~epresolve.report.VerificationReport`.  The
 verification strategy is uniform: smear distribution-valued pairings against
-a Gaussian packet *first* (in closed form where possible), so every actual
-quadrature runs over an absolutely convergent integrand; slowly decaying
-pieces are finished with exact oscillatory tails.
+a Gaussian packet *first*, so every actual quadrature runs over an
+absolutely convergent integrand; slowly decaying pieces are finished with
+exact oscillatory tails.  Both families smear in closed form from the
+packet's plane-wave moments: the boundary continuum through
+:func:`~epresolve.quadrature.quad_packet`, the interior one through
+:func:`smear_interior_scatter`, and the continuum diagonals' targets are
+sums of :func:`~epresolve.quadrature.packet_product_moment`.
 """
 
 from __future__ import annotations
@@ -17,14 +21,11 @@ import numpy as np
 
 from .boundary import BoundaryModel, bm_assoc, bm_scatter
 from .exact import el_mutate, i_power
-from .interior import PAIR_WINDOW, InteriorModel, im_member, im_tail_model
-from .kernels import interior_psi_grid
+from .interior import PAIR_WINDOW, InteriorModel, im_member, im_tail_model, im_w_bundle
 from .quadrature import (
     GaussianPacket,
     OscRational,
-    _adaptive,
     _adaptive_oscillatory,
-    composite_gauss,
     packet_product_moment,
     quad_packet,
 )
@@ -193,21 +194,24 @@ def scatter_norm(
 def smear_interior_scatter(
     model: InteriorModel, g: GaussianPacket, negate_k: bool = False
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """x -> ∫ g(k) (k^2 - a^2) psi(x; +-k) dk with a fixed spectral grid.
+    """x -> ∫ g(k) (k^2 - a^2) psi(x; s k) dk in closed form, s = -1 if ``negate_k`` else 1.
 
-    The pole-free multiple is entire in k, so a composite Gauss grid over the
-    packet support converges spectrally; the result decays like a Gaussian in
-    x because the smooth k-dependence is Fourier-transformed against g.
+    The pole-free multiple is (k^2 - a^2 + (i s k W' - W''/2) / W) e^{i s k x}
+    / sqrt(2 pi), a polynomial of degree two in k times a plane wave, so the
+    smearing is [P2 - a^2 P0 + (i s W' P1 - W'' P0 / 2) / W] / sqrt(2 pi)
+    with P_m = ∫ k^m g(k) e^{i k s x} dk, the packet's
+    :meth:`~epresolve.quadrature.GaussianPacket.plane_moments` at y = s x:
+    the interior twin of :func:`~epresolve.quadrature.quad_packet`.  It
+    decays like a Gaussian in x.
     """
-    half = g.support_radius(1e-20)
-    nodes, weights = composite_gauss(g.center - half, g.center + half, max(12, int(4 * half)), 16)
-    gw = np.asarray(g.eval(nodes)) * weights
-    knodes = (-nodes if negate_k else nodes).astype(np.complex128)
+    s = -1.0 if negate_k else 1.0
+    a2 = model.alpha**2
 
     def smeared(x: np.ndarray) -> np.ndarray:
         xa = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        grid = interior_psi_grid(knodes, xa, model.alpha, model.z, True)
-        return gw @ grid
+        p0, p1, p2 = g.plane_moments(2, s * xa)
+        W, W1, W2 = im_w_bundle(model, xa)
+        return (p2 - a2 * p0 + (1j * s * W1 * p1 - 0.5 * W2 * p0) / W) / math.sqrt(2 * math.pi)
 
     return smeared
 
@@ -272,13 +276,9 @@ def interior_biortho(
             return np.asarray(phi1(x)) * np.asarray(phi2(x))
 
         r = _adaptive_oscillatory(integrand, -R, R, 1e-11, 2 * abs(g.center))
+        # (k^2 - a^2)^2 = k^4 - 2 a^2 k^2 + a^4, moment by moment
         a2 = model.alpha**2
-
-        def diag(k: np.ndarray) -> np.ndarray:
-            return np.asarray(g.eval(k)) ** 2 * (k * k - a2) ** 2
-
-        half = g.support_radius(1e-20)
-        target = _adaptive(diag, g.center - half, g.center + half, 1e-12).value
+        target = sum(c * packet_product_moment(g, g, m) for m, c in ((4, 1.0), (2, -2 * a2), (0, a2 * a2)))
         residual = abs(r.value - target) / (abs(target) + g.norm_l2() ** 2)
         tol = 1e-5
         trace = (f"target {target:.6e}", f"value {r.value:.6e}", f"window {R}")

@@ -318,26 +318,22 @@ def quad_contour(
 ) -> QuadResult:
     """Integrate along the deformed contour described by ``spec``.
 
-    The integrand must accept complex arrays.  Straight segments use the
-    adaptive rule; each semicircular detour uses fixed 40-node (with embedded
-    20-node error check) Gauss-Legendre in the angle.
+    The integrand must accept complex arrays.  The straight segments are the
+    pieces of one adaptive call, whose ``capped`` count the result carries;
+    each semicircular detour uses fixed 40-node (with embedded 20-node error
+    check) Gauss-Legendre in the angle.
     """
     eps, A = spec.epsilon, spec.cutoff
+    # straight segments between detours
+    starts = [-A] + [c + eps for c in spec.centers]
+    ends = [c - eps for c in spec.centers] + [A]
+    r = _adaptive(lambda t: np.asarray(f(t.astype(np.complex128))), np.array(starts), np.array(ends), tol)
     value = 0.0 + 0.0j
     err = 0.0
-    evals = 0
-    # straight segments between detours
-    edges: list[tuple[float, float]] = []
-    left = -A
-    for c in spec.centers:
-        edges.append((left, c - eps))
-        left = c + eps
-    edges.append((left, A))
-    for a, b in edges:
-        r = _adaptive(lambda t: np.asarray(f(t.astype(np.complex128))), a, b, tol)
-        value += r.value
-        err += r.error
-        evals += r.evaluations
+    for v, e in zip(r.value.tolist(), r.error.tolist()):
+        value += v
+        err += e
+    evals = r.evaluations
     # semicircular detours
     sgn = 1.0 if spec.direction == "up" else -1.0
     x40, w40 = _gl(40)
@@ -356,7 +352,7 @@ def quad_contour(
         # parametrization above runs from c+eps to c-eps, so flip the sign
         value += -hi
         evals += 60
-    return QuadResult(value, err, evals)
+    return QuadResult(value, err, evals, r.capped)
 
 
 # ---------------------------------------------------------------------------
@@ -727,7 +723,7 @@ class OscRational:
         freqs = [abs(mu) for (mu, _) in self.terms]
         omega = max(freqs) if freqs else 0.0
         core = _adaptive_oscillatory(self.eval, -X, X, tol, omega)
-        return QuadResult(core.value + self.integral_tails(X), core.error, core.evaluations)
+        return QuadResult(core.value + self.integral_tails(X), core.error, core.evaluations, core.capped)
 
 
 # ---------------------------------------------------------------------------
@@ -800,11 +796,6 @@ class GaussianPacket:
         if np.ndim(k) == 0:
             return complex(out)
         return out
-
-    def support_radius(self, drop: float = 1e-18) -> float:
-        """Half-width beyond which the envelope is below ``drop`` relatively."""
-        r = self.width * math.sqrt(-math.log(drop))
-        return r + 0.5 * self.width * len(self.poly)
 
     def deriv_at(self, k: float, order: int) -> complex:
         """Exact derivative d^order g / dk^order at a point (Leibniz + Hermite)."""

@@ -932,6 +932,30 @@ def _sinc_applied(model: InteriorModel, f: TestFunction, eps: float, xp: float, 
     return _adaptive_oscillatory(integrand, -W, W, 1e-11, eps + alpha + 1.0).value
 
 
+def _partner_cross(model: InteriorModel, f: TestFunction, eps: float, xp: float) -> complex:
+    """-(1/pi) integral of f(x) (psi0(x) psi1(xp) + psi1(x) psi0(xp)) J(x - xp) dx,
+    the partner cross terms of res13, with the band integral
+    J(D) = Ci((2a+eps)|D|) - Ci((2a-eps)|D|), evaluated once per node.
+
+    Ci comes from scipy, imported here, the package's only scipy call, so
+    that the other commands load without it; ROADMAP item 4 retires this
+    window and the import with it."""
+    from scipy.special import sici
+
+    a = model.alpha
+    p0_xp, p1_xp = im_psi0(model, xp), im_psi1(model, xp)
+    ev_f = f.make_eval(model)
+    W = f.window() if not f.is_chain else 400.0
+    flat = math.log((2 * a + eps) / (2 * a - eps))
+
+    def integrand(x: np.ndarray) -> np.ndarray:
+        d = np.abs(np.asarray(x) - xp)
+        j = np.where(d < 1e-12, flat, sici((2 * a + eps) * d)[1] - sici((2 * a - eps) * d)[1])
+        return ev_f(x) * (im_psi0(model, x) * p1_xp + im_psi1(model, x) * p0_xp) * j
+
+    return -(1.0 / math.pi) * _adaptive_oscillatory(integrand, -W, W, 1e-11, 2 * a + eps).value
+
+
 def _apply_two_point(model: BoundaryModel, terms: dict, moment: _Moment, eps: float, xp: float) -> complex:
     """A two-point term dict (times 2*pi) applied as a kernel in x to f, at x'.
 
@@ -966,29 +990,20 @@ def _interior_transform(
     :func:`_pair_moments` of f.  An interior chain member has no transform
     to build: the Jordan chain is bilinearly orthogonal to the continuum, so
     it vanishes at every real k != +-alpha, and ``transform`` is None.  Its
-    grid still spans TRANSFORM_WINDOW, with exact tails beyond, for the pair
-    moments.
+    pair moments are :func:`_chain_pair`'s at TRANSFORM_WINDOW.
     """
-    a, X = model.alpha, TRANSFORM_WINDOW
-    if f.kind in ("gaussian", "hermite_gaussian", "rational_decay"):
-        # the transform inherits an exp(-|k| Im x0) tail from the complex
-        # zeros of the denominator, so the k-range outlives the packet's own
-        # bandwidth; _INTERIOR_REACH_PAD pushes that tail below 1e-10
-        layout = _panels_for(f, _spectral_reach(f) + 2 * a + _INTERIOR_REACH_PAD, model)
-        member_tail = None
-    elif f.kind == "chain":
-        # members settle to O(1) oscillation: the pair moments' grid spans
-        # [-X, X] and resolves phases up to the spectral reach plus the
-        # potential's harmonics, and exact large-x models take the rest
-        layout = _panels_for(f, _spectral_reach(f) + 8 * a, model, X)
-        member_tail = im_tail_model(model, f.ref[0], X)
-    else:
+    a = model.alpha
+    if f.kind == "chain":
+        return None, _chain_pair(model, f.ref[0], TRANSFORM_WINDOW)
+    if f.kind not in ("gaussian", "hermite_gaussian", "rational_decay"):
         raise ValueError(f"unsupported test function kind {f.kind!r}")
+    # the transform inherits an exp(-|k| Im x0) tail from the complex zeros
+    # of the denominator, so the k-range outlives the packet's own
+    # bandwidth; _INTERIOR_REACH_PAD pushes that tail below 1e-10
+    layout = _panels_for(f, _spectral_reach(f) + 2 * a + _INTERIOR_REACH_PAD, model)
     nodes, _ = composite_gauss(*layout, 16)
     fv = f.make_eval(model)(nodes)
-    pair = _pair_moments(model, layout, nodes, fv, member_tail, X)
-    if f.is_chain:
-        return None, pair
+    pair = _pair_moments(model, layout, nodes, fv, None, TRANSFORM_WINDOW)
     # plane-wave transforms of f, f W'/W and f W''/W on the 16-point
     # composite grid, one stacked panel-separable phase sum per k array,
     # assembled with the explicit pole factor 1/(k^2 - a^2)
@@ -1001,6 +1016,21 @@ def _interior_transform(
         return (g0 + (1j * karr * g1 - 0.5 * g2) / (karr * karr - a * a)) / math.sqrt(2 * math.pi)
 
     return transform, pair
+
+
+def _chain_pair(model: InteriorModel, member: str, X: float) -> _Pair:
+    """The :func:`_pair_moments` of the chain member ``member`` ("psi0" or
+    "psi1"), split at the window X.
+
+    Members settle to O(1) oscillation: the grid spans [-X, X] and resolves
+    phases up to the spectral reach plus the potential's harmonics, and the
+    member's exact large-x model takes the rest.
+    """
+    f = TestFunction(kind="chain", ref=(member,))
+    layout = _panels_for(f, _spectral_reach(f) + 8 * model.alpha, model, X)
+    nodes, _ = composite_gauss(*layout, 16)
+    values = f.make_eval(model)(nodes)
+    return _pair_moments(model, layout, nodes, values, im_tail_model(model, member, X), X)
 
 
 def _pair_moments(model: InteriorModel, layout: tuple[float, float, int], nodes: np.ndarray,
@@ -1051,30 +1081,7 @@ def _interior_singular_terms(
     total = -(1.0 / (math.pi * a)) * bracket * p0_xp
     if kind == SchemeId.RES13:
         total += _sinc_applied(model, f, eps, xp, a)
-        p1_xp = im_psi1(model, xp)
-        # partner cross term with the band integral J(D).  Its Ci comes from
-        # scipy, imported here, the package's only scipy call, so that the
-        # other commands load without it; ROADMAP item 4 retires this
-        # window and the import with it
-        from scipy.special import sici
-
-        ev_f = f.make_eval(model)
-        W = f.window() if not f.is_chain else 400.0
-
-        def j_of(x: np.ndarray) -> np.ndarray:
-            d = np.abs(np.asarray(x) - xp)
-            hi = sici((2 * a + eps) * d)[1]
-            lo = sici((2 * a - eps) * d)[1]
-            out = hi - lo
-            flat = math.log((2 * a + eps) / (2 * a - eps))
-            return np.where(d < 1e-12, flat, out)
-
-        for member, other in (("psi0", p1_xp), ("psi1", p0_xp)):
-            def integrand(x: np.ndarray) -> np.ndarray:
-                return ev_f(x) * im_member(model, member, x) * j_of(x)
-
-            val = _adaptive_oscillatory(integrand, -W, W, 1e-11, 2 * a + eps).value
-            total += -(1.0 / math.pi) * val * other
+        total += _partner_cross(model, f, eps, xp)
     return total
 
 
@@ -1252,11 +1259,7 @@ def reproduce_psi0_term(model: InteriorModel, eps: float, xp: float = 0.0) -> co
     if not (0 < eps < a):
         raise ValueError("puncture radius must lie in (0, resonance momentum)")
     # PAIR_WINDOW, wider than the transforms', keeps alpha down to about 0.037
-    f, X = TestFunction.chain_interior(0), PAIR_WINDOW
-    layout = _panels_for(f, _spectral_reach(f) + 8 * a, model, X)
-    nodes, _ = composite_gauss(*layout, 16)
-    pair = _pair_moments(model, layout, nodes, im_psi0(model, nodes), im_tail_model(model, "psi0", X), X)
-    m0, mp, mm = pair(np.array([0.0, eps, -eps]), xp)
+    m0, mp, mm = _chain_pair(model, "psi0", PAIR_WINDOW)(np.array([0.0, eps, -eps]), xp)
     return complex((2.0 / (math.pi * eps * a)) * (0.5 * m0 - 0.25 * (mp + mm)))
 
 

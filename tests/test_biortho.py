@@ -8,16 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epresolve import biortho
 from epresolve.biortho import (
     interior_biortho,
     overlap_chain_scatter,
     overlap_growing,
     overlap_zero,
     scatter_norm,
+    smear_interior_scatter,
 )
 from epresolve.boundary import BoundaryModel
-from epresolve.interior import InteriorModel
-from epresolve.quadrature import GaussianPacket, _adaptive, packet_product_moment
+from epresolve.interior import InteriorModel, im_scatter
+from epresolve.quadrature import GaussianPacket, _adaptive, composite_gauss, packet_product_moment
 
 UNIT = GaussianPacket(0.0, 1.0)
 
@@ -183,19 +185,110 @@ def test_interior_unknown_relation_rejected(interior):
         interior_biortho(interior, "mystery")
 
 
+def _packet_half_width(g):
+    # half-width beyond which g's envelope is below 1e-20 of its peak
+    return g.width * math.sqrt(-math.log(1e-20)) + 0.5 * g.width * len(g.poly)
+
+
 def test_interior_diagonal_matches_moment_formula(interior):
-    # independent oracle: (k^2-a^2)^2 = k^4 - 2 a^2 k^2 + a^4 moment by moment
-    g = GaussianPacket(interior.alpha + 0.55, 0.25)
+    # oracle: the former target, adaptive quadrature of g^2 (k^2-a^2)^2 over
+    # the packet's truncated support; the report's target is the closed
+    # moment sum k^4 - 2 a^2 k^2 + a^4
     a2 = interior.alpha**2
-    target = (
-        packet_product_moment(g, g, 4)
-        - 2 * a2 * packet_product_moment(g, g, 2)
-        + a2 * a2 * packet_product_moment(g, g, 0)
-    )
-    rep = interior_biortho(interior, "scatter_scatter", g)
-    # the report checks against its own quadrature target; cross-check that
-    # target against the closed-form moments through the pairing value
-    assert rep.residual * (abs(target) + g.norm_l2() ** 2) < 1e-7
+    for g in (GaussianPacket(interior.alpha + 0.55, 0.25), GaussianPacket(0.4, 0.3),
+              GaussianPacket(1.2, 1.0, (0.3, 1.0))):
+        half = _packet_half_width(g)
+        oracle = _adaptive(lambda k: np.asarray(g.eval(k)) ** 2 * (k * k - a2) ** 2,
+                           g.center - half, g.center + half, 1e-12).value
+        moments = (
+            packet_product_moment(g, g, 4)
+            - 2 * a2 * packet_product_moment(g, g, 2)
+            + a2 * a2 * packet_product_moment(g, g, 0)
+        )
+        scale = abs(oracle) + g.norm_l2() ** 2
+        assert abs(moments - oracle) < 1e-12 * scale
+        rep = interior_biortho(interior, "scatter_scatter", g)
+        assert rep.residual < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the smeared interior continuum in closed form
+# ---------------------------------------------------------------------------
+
+SMEAR_ALPHAS = (0.5, 1.0, 1.5, 3.0)
+SMEAR_ZS = (1j, 0.3 + 0.7j, 0.5j, -0.4 + 1.5j)
+
+
+def _grid_smear_oracle(model, g, negate_k=False, density=4):
+    """Oracle: the former smearing, a composite 16-point Gauss grid in k over
+    the packet's truncated support, max(12, int(density * half)) panels,
+    applied to the pole-free multiple of the scattering solution.  At
+    density 4 (the former rule) its panels are too wide for the phase kx
+    far out; a finer density resolves |x| <= 80."""
+    half = _packet_half_width(g)
+    nodes, weights = composite_gauss(g.center - half, g.center + half, max(12, int(density * half)), 16)
+    gw = np.asarray(g.eval(nodes)) * weights
+    knodes = (-nodes if negate_k else nodes).astype(np.complex128)
+
+    def smeared(x):
+        xa = np.atleast_1d(np.asarray(x, dtype=np.float64))
+        return gw @ im_scatter(model, knodes[:, None], xa[None, :], True)
+
+    return smeared
+
+
+@pytest.mark.parametrize("alpha", SMEAR_ALPHAS)
+def test_closed_form_smearing_matches_a_fine_grid(alpha):
+    x = np.linspace(-80.0, 80.0, 161)
+    for z in SMEAR_ZS:
+        model = InteriorModel(alpha, z)
+        for width in (0.25, 0.5, 1.0):
+            for g in (GaussianPacket(alpha + 0.55, width), GaussianPacket(0.4, width, (0.3, 1.0))):
+                for negate_k in (False, True):
+                    fine = _grid_smear_oracle(model, g, negate_k, density=16)(x)
+                    got = smear_interior_scatter(model, g, negate_k)(x)
+                    assert np.max(np.abs(got - fine)) < 1e-13 * np.max(np.abs(fine)), (z, width, negate_k)
+
+
+def test_former_grid_smearing_misses_far_out():
+    # the width-1 packet at x = 60: the former 4-panels-per-unit rule misses
+    # by about 2e-8, the closed form agrees with the fine grid
+    model, g = InteriorModel(1.0, 1j), GaussianPacket(1.55, 1.0)
+    x = np.array([60.0])
+    fine = _grid_smear_oracle(model, g, density=16)(x)
+    peak = np.max(np.abs(_grid_smear_oracle(model, g, density=16)(np.linspace(-5, 5, 101))))
+    assert abs(_grid_smear_oracle(model, g)(x) - fine)[0] > 1e-9
+    assert abs(smear_interior_scatter(model, g)(x) - fine)[0] < 1e-13 * peak
+
+
+@pytest.mark.parametrize("alpha", SMEAR_ALPHAS)
+@pytest.mark.parametrize("z", SMEAR_ZS)
+def test_interior_scatter_pairings_on_the_grid(alpha, z):
+    # ort11s, ort11ps and ort12 pass at both cutoff scales, and doubling the
+    # window leaves each residual within its tolerance
+    model = InteriorModel(alpha, z)
+    for which in ("zero_scatter", "one_scatter", "scatter_scatter"):
+        base = interior_biortho(model, which)
+        doubled = interior_biortho(model, which, cutoff_scale=2.0)
+        assert base.passed and doubled.passed, (which, base.residual, doubled.residual)
+        assert abs(base.residual - doubled.residual) <= base.tolerance
+
+
+def test_interior_smearing_mutation_control(monkeypatch):
+    # W's linear coefficient 2 -> 2.001 in the smeared continuum only: the
+    # chain members keep the true W, so ort11s and ort12 must fail
+    def mutated(model, x):
+        a = model.alpha
+        xa = np.asarray(x, dtype=np.float64)
+        s = np.sin(2 * a * xa)
+        return s + 2.001 * a * (xa - model.z), 2 * a * np.cos(2 * a * xa) + 2.001 * a + 0j, -4 * a * a * s + 0j
+
+    models = [InteriorModel(1.5, 0.3 + 0.7j), InteriorModel(3.0, 0.3 + 0.7j)]
+    assert all(interior_biortho(m, w).passed for m in models for w in ("zero_scatter", "scatter_scatter"))
+    monkeypatch.setattr(biortho, "im_w_bundle", mutated)
+    for m in models:
+        for which in ("zero_scatter", "scatter_scatter"):
+            assert not interior_biortho(m, which).passed, (m, which)
 
 
 def test_interior_packet_below_resonance_still_orthogonal(interior):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import epresolve.quadrature as quadrature
-from epresolve.boundary import BoundaryModel, bm_scatter
+from epresolve.boundary import BoundaryModel, bm_assoc, bm_scatter
 from epresolve.exact import ExpLaurent
 from epresolve.interior import InteriorModel, im_tail_model
 from epresolve.quadrature import (
@@ -469,6 +469,64 @@ def test_contour_multiple_centers():
     # residues at -1 and +1 are -1/2 and +1/2: the detour contributions cancel,
     # so both contours agree and equal the (finite) two-sided principal value
     assert abs(up.value - down.value) < 1e-9
+
+
+def _segment_loop_contour_oracle(f, spec, tol):
+    """Oracle: quad_contour with one _adaptive call per straight segment,
+    summed in order, and the same detour rule."""
+    eps, A = spec.epsilon, spec.cutoff
+    value, err, evals = 0.0 + 0.0j, 0.0, 0
+    edges, left = [], -A
+    for c in spec.centers:
+        edges.append((left, c - eps))
+        left = c + eps
+    edges.append((left, A))
+    for a, b in edges:
+        r = quadrature._adaptive(lambda t: np.asarray(f(t.astype(np.complex128))), a, b, tol)
+        value, err, evals = value + r.value, err + r.error, evals + r.evaluations
+    sgn = 1.0 if spec.direction == "up" else -1.0
+    for c in spec.centers:
+        arcs = []
+        for nodes, weights in (quadrature._gl(40), quadrature._gl(20)):
+            phi = 0.5 * math.pi * (nodes + 1.0)
+            k = c + eps * np.exp(1j * sgn * phi)
+            dk = 1j * sgn * eps * np.exp(1j * sgn * phi) * (0.5 * math.pi)
+            arcs.append(complex(np.sum(np.asarray(f(k), dtype=np.complex128) * dk * weights)))
+        err += abs(arcs[0] - arcs[1])
+        value += -arcs[0]
+        evals += 60
+    return quadrature.QuadResult(value, err, evals)
+
+
+_CONTOUR_CASES = [
+    (lambda k: 1.0 / k, ContourSpec(4.0, 0.5, "up")),
+    (lambda k: np.exp(-(k**2)), ContourSpec(3.0, 0.4, "down")),
+    (lambda k: 1.0 / (k * k - 1.0 + 0j), ContourSpec(6.0, 0.3, "up", centers=(-1.0, 1.0))),
+    (lambda k: np.exp(2.5j * k) / (k * k - 1.0 + 0j), ContourSpec(30.0, 0.2, "down", centers=(-1.0, 1.0))),
+]
+
+
+@pytest.mark.parametrize("f,spec", _CONTOUR_CASES)
+def test_contour_segments_match_the_per_segment_oracle_bitwise(f, spec):
+    got, want = quad_contour(f, spec, tol=1e-10), _segment_loop_contour_oracle(f, spec, 1e-10)
+    assert (got.value, got.error, got.evaluations) == (want.value, want.error, want.evaluations)
+    assert got.capped == 0
+
+
+def test_contour_and_line_carry_the_cap_count():
+    # tol 0: every straight segment bisects to the panel cap
+    for f, spec in _CONTOUR_CASES[1:3]:
+        assert quad_contour(f, spec, tol=0.0).capped == len(spec.centers) + 1
+    # ort1's integrand at n = 5, z = i: a monomial c (x - z)^-10 with
+    # c = 945^2 / (2 pi)^k, whose core reaches the cap at tol 1e-12
+    m = BoundaryModel(5)
+    f = bm_assoc(m, 0) * bm_assoc(m, 0)
+    ((_, p),) = f.terms.keys()
+    c = next(iter(f.terms.values())).to_complex() * (2.0 * math.pi) ** (-0.5 * f.unit_pow)
+    line = OscRational(m.z, [(0.0, -p, c)]).integral_line(X=50.0, tol=1e-12)
+    assert line.capped == 1
+    converged = OscRational(0.3 + 0.8j, [(0.9, 2, 1.0), (-0.9, 2, 0.5)]).integral_line(X=40.0, tol=1e-11)
+    assert converged.capped == 0
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from scipy.integrate import quad
 
 from epresolve.boundary import BoundaryModel, bm_apply_h, bm_assoc, bm_scatter
 from epresolve.exact import i_power
-from epresolve.interior import InteriorModel, im_member, im_psi0, im_tail_model
+from epresolve.interior import InteriorModel, im_member, im_psi0, im_psi1, im_tail_model
 from epresolve import interior, kernels, quadrature
 from epresolve import resolution as rs
 from epresolve.resolution import (
@@ -934,6 +934,117 @@ def test_chain_sweeps_match_the_oracle_path(alpha):
 
 def test_res13_chain_sweep_matches_the_oracle_path():
     assert _chain_path_miss(InteriorModel(1.0, 1j), (SchemeId.RES13,), _CHAIN_RADII[:2]) <= 1e-10
+
+
+def _inline_chain_pair_oracle(model, member, X):
+    """Oracle: a chain member's pair moments as _interior_transform and
+    reproduce_psi0_term each built them in place before they shared
+    _chain_pair: layout, nodes, member values and tail model."""
+    f = TestFunction(kind="chain", ref=(member,))
+    layout = rs._panels_for(f, rs._spectral_reach(f) + 8 * model.alpha, model, X)
+    nodes, _ = quadrature.composite_gauss(*layout, 16)
+    values = im_member(model, member, nodes)
+    return rs._pair_moments(model, layout, nodes, values, im_tail_model(model, member, X), X)
+
+
+@pytest.mark.parametrize("X", [interior.TRANSFORM_WINDOW, interior.PAIR_WINDOW])
+def test_chain_pair_equals_the_inline_build_bitwise(X):
+    mus = np.array([0.0, 0.05, -0.05, 2.1, -1.9, 0.4])
+    for model in (InteriorModel(1.0, 1j), InteriorModel(0.5, 0.3 + 0.7j)):
+        for member in ("psi0", "psi1"):
+            got = rs._chain_pair(model, member, X)(mus, 0.7)
+            assert got.tolist() == _inline_chain_pair_oracle(model, member, X)(mus, 0.7).tolist()
+
+
+def test_chain_pair_serves_both_callers(monkeypatch):
+    model, mus = InteriorModel(1.0, 1j), np.array([0.0, 0.2, -0.2])
+    direct = (reproduce_psi0_term(model, 0.1, 0.3), rs._interior_transform(model, _PSI1)[1](mus, 0.7))
+    windows = []
+
+    def spy(model, member, X):
+        windows.append((member, X))
+        return _inline_chain_pair_oracle(model, member, X)
+
+    monkeypatch.setattr(rs, "_chain_pair", spy)
+    inline = (reproduce_psi0_term(model, 0.1, 0.3), rs._interior_transform(model, _PSI1)[1](mus, 0.7))
+    assert windows == [("psi0", interior.PAIR_WINDOW), ("psi1", interior.TRANSFORM_WINDOW)]
+    assert direct[0] == inline[0] and direct[1].tolist() == inline[1].tolist()
+
+
+def _two_pass_cross_oracle(model, f, eps, xp):
+    """Oracle: res13's partner cross terms as two member passes, one
+    integral of f member J over the window per member, each evaluating J
+    at its own nodes."""
+    from scipy.special import sici
+
+    a = model.alpha
+    ev_f = f.make_eval(model)
+    W = f.window() if not f.is_chain else 400.0
+
+    def j_of(x):
+        d = np.abs(np.asarray(x) - xp)
+        out = sici((2 * a + eps) * d)[1] - sici((2 * a - eps) * d)[1]
+        return np.where(d < 1e-12, math.log((2 * a + eps) / (2 * a - eps)), out)
+
+    total = 0.0 + 0.0j
+    for member, other in (("psi0", im_psi1(model, xp)), ("psi1", im_psi0(model, xp))):
+        def integrand(x, member=member):
+            return ev_f(x) * im_member(model, member, x) * j_of(x)
+
+        val = quadrature._adaptive_oscillatory(integrand, -W, W, 1e-11, 2 * a + eps).value
+        total += -(1.0 / math.pi) * val * other
+    return total
+
+
+_CROSS_FUNCTIONS = _CHAIN + (GAUSS, TestFunction.rational_decay(2), TestFunction.hermite_gaussian(3))
+
+
+@pytest.mark.parametrize("alpha,z", [(1.0, 1j), (0.5, 0.3 + 0.7j)])
+def test_partner_cross_matches_the_two_pass_oracle(alpha, z):
+    model = InteriorModel(alpha, z)
+    for f in _CROSS_FUNCTIONS:
+        for eps in _CHAIN_RADII:
+            got, want = rs._partner_cross(model, f, eps, 0.7), _two_pass_cross_oracle(model, f, eps, 0.7)
+            assert abs(got - want) <= 1e-14, (f, eps)
+
+
+def test_partner_cross_oracle_mutation_control(monkeypatch):
+    # without the partner's own pass the single integral misses the oracle
+    model = InteriorModel(1.0, 1j)
+    monkeypatch.setattr(rs, "im_psi1", lambda m, x: 0.0 * im_psi1(m, x))
+    assert abs(rs._partner_cross(model, _PSI1, 0.2, 0.7) - _two_pass_cross_oracle(model, _PSI1, 0.2, 0.7)) > 1e-4
+
+
+def test_res13_sweep_takes_its_cross_terms_from_one_pass(monkeypatch):
+    # the psi1 sweep with the two-pass oracle in place of the single pass
+    model = InteriorModel(1.0, 1j)
+    args = (Scheme(SchemeId.RES13, model), list(_CHAIN_RADII), 250.0, _PSI1, 0.7)
+    got = apply_scheme(*args)
+    monkeypatch.setattr(rs, "_partner_cross", _two_pass_cross_oracle)
+    want = apply_scheme(*args)
+    assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+
+
+def test_res13_evaluates_j_once_per_node(monkeypatch):
+    import scipy.special
+
+    points, evals = [], []
+    real_sici, real_osc = scipy.special.sici, rs._adaptive_oscillatory
+
+    def counting_sici(x):
+        points.append(np.size(x))
+        return real_sici(x)
+
+    def counting_osc(*args):
+        r = real_osc(*args)
+        evals.append(r.evaluations)
+        return r
+
+    monkeypatch.setattr(scipy.special, "sici", counting_sici)
+    monkeypatch.setattr(rs, "_adaptive_oscillatory", counting_osc)
+    rs._partner_cross(InteriorModel(1.0, 1j), _PSI1, 0.2, 0.7)
+    # J = Ci((2a+eps)|D|) - Ci((2a-eps)|D|): two Ci per node, one integral
+    assert len(evals) == 1 and sum(points) == 2 * evals[0]
 
 
 def test_base_resolution_refuses_interior_chain_members():
