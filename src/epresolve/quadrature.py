@@ -44,7 +44,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .exact import ExpLaurent, add_terms, mul_terms
+from .exact import ExpLaurent, add_terms
 
 __all__ = [
     "QuadResult",
@@ -155,6 +155,10 @@ def composite_phase_sums(
     instead of a dense K x N phase matrix.  The k array is taken in chunks
     whose tables hold about ``_PHASE_ENTRIES`` entries.  The result has shape
     ``rows.shape[:-1] + (K,)``.
+
+    Each k's sums are bitwise those of a call with that k alone, so a batch
+    of wave numbers (a radius sweep's closed blocks) returns exactly what
+    its members would one by one: see :func:`_panel_product`.
     """
     xg, wg = _gl(order)
     mid, half = _panel_layout(lo, hi, n_panels)
@@ -168,10 +172,33 @@ def composite_phase_sums(
     chunk = max(1, _PHASE_ENTRIES // max(n_panels, wv.shape[1]))
     for s in range(0, karr.size, chunk):
         kc = karr[s:s + chunk]
-        sums = (_centre_phases(kc, mid[0], 2 * h, n_panels) @ wv).reshape(kc.size, -1, order)
+        sums = _panel_product(_centre_phases(kc, mid[0], 2 * h, n_panels), wv).reshape(kc.size, -1, order)
         local = np.exp(1j * kc[:, None] * (h * xg))
         out[s:s + chunk] = np.einsum("krj,kj->kr", sums, local)
     return out.T.reshape(lead + (karr.size,))
+
+
+def _panel_product(phases: np.ndarray, wv: np.ndarray) -> np.ndarray:
+    """phases @ wv, each row summed the same way whatever the row count.
+
+    numpy sends a one-row product to the BLAS matrix-vector kernel, which
+    rounds differently from the matrix product: a lone row goes in twice.
+    OpenBLAS sums the inner dimension of a complex product in blocks of 128
+    and splits a remainder between 128 and 256 in two halves that differ
+    by one between its serial and threaded drivers, and whether a product
+    runs threaded depends on its row count.  So the panels are contracted
+    in two products, the largest multiple of 128 panels and the rest, whose
+    blocks are the same in both drivers.
+    """
+    rows = phases.shape[0]
+    if rows == 1:
+        phases = np.concatenate([phases, phases])
+    cut = wv.shape[0] // 128 * 128
+    if 0 < cut < wv.shape[0]:
+        out = phases[:, :cut] @ wv[:cut] + phases[:, cut:] @ wv[cut:]
+    else:
+        out = phases @ wv
+    return out[:rows]
 
 
 _BATCH_PANELS = 256  # panels per integrand call: at most 256 * 22 = 5632 nodes
@@ -558,7 +585,8 @@ def _right_tails(
     q >= 1 as e^{i nu X} (X-z)^(1-q) g_q(-i nu (X-z)), the plain oscillation
     seeds the Abel-regularized recurrence in q <= 0, and each group collects
     its coefficients order by order.  Zero frequencies take the closed form
-    (q >= 2 only, as in the oracle).
+    (q >= 2 only, as in the oracle) and stay out of the table, whose
+    elements do not depend on each other.
     """
     qs, groups, cs = terms
     zero = nu == 0.0
@@ -576,7 +604,9 @@ def _right_tails(
 
     qmin, qmax = int(qs.min()), int(qs.max())
     if qmax >= 1:
-        g = _scaled_expn(-iw * d, qmax)
+        g = np.zeros((qmax,) + nu.shape, dtype=np.complex128)
+        if not zero.all():
+            g[:, ~zero] = _scaled_expn(-iw[~zero] * d, qmax)
         for q in range(1, qmax + 1):
             collect(q, ph * g[q - 1], d ** (1 - q))
     if qmin <= 0:
@@ -594,9 +624,28 @@ def _right_tails(
     return out
 
 
-def _add_osc_keys(a: tuple[float, int], b: tuple[float, int]) -> tuple[float, int]:
-    # frequencies are rounded to 12 decimals, as in the constructor
-    return (round(a[0] + b[0], 12), a[1] + b[1])
+def _osc_product(a: dict, b: dict) -> dict:
+    """The product of two OscRational term dicts, every pair of terms in
+    order, as :func:`~epresolve.exact.mul_terms` takes them.
+
+    A product frequency is rounded to 12 decimals, as in the constructor,
+    once per pair of frequencies rather than once per pair of terms: a tail
+    model holds a dozen frequencies over some fifty terms.  A zero sum is
+    rounded again on every pair, since its sign follows the signs of the
+    operands' zeros, which the memo's keys do not tell apart.
+    """
+    rows: dict[float, dict[float, float]] = {}
+
+    def products() -> Iterable[tuple[tuple[float, int], complex]]:
+        for (mu_a, qa), ca in a.items():
+            row = rows.setdefault(mu_a, {})
+            for (mu_b, qb), cb in b.items():
+                mu = row.get(mu_b)
+                if not mu:
+                    mu = row[mu_b] = round(mu_a + mu_b, 12)
+                yield (mu, qa + qb), ca * cb
+
+    return add_terms({}, products())
 
 
 class OscRational:
@@ -605,9 +654,9 @@ class OscRational:
     The exact integration rules above make whole-line and one-sided tail
     integrals of these sums closed-form, which is what renders the slowly
     decaying oscillatory pairings in this package tractable.  Terms are kept
-    in a dict keyed by (rounded frequency, power) and combined by the term
-    core of :mod:`epresolve.exact` (:func:`~epresolve.exact.add_terms`,
-    :func:`~epresolve.exact.mul_terms`).  Positive powers of (x-z) use
+    in a dict keyed by (rounded frequency, power) and accumulated by the
+    term core of :mod:`epresolve.exact` (:func:`~epresolve.exact.add_terms`;
+    products through :func:`_osc_product`).  Positive powers of (x-z) use
     negative q.
     """
 
@@ -658,7 +707,7 @@ class OscRational:
         if isinstance(other, OscRational):
             self._require_same_center(other)
             out = OscRational(self.z)
-            out.terms = mul_terms(self.terms, other.terms, _add_osc_keys)
+            out.terms = _osc_product(self.terms, other.terms)
             return out
         return OscRational(
             self.z, [(mu, q, c * complex(other)) for (mu, q), c in self.terms.items()]

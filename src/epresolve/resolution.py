@@ -664,6 +664,30 @@ _Moment = Callable[[np.ndarray | complex, Sequence[int]], np.ndarray]
 _Pair = Callable[[np.ndarray, float], np.ndarray]
 
 
+def _tabulated(
+    values: Callable[[np.ndarray], np.ndarray], points: Iterable[float],
+) -> Callable[[np.ndarray | float], np.ndarray]:
+    """``values`` of the distinct ``points``, in first-seen order, from one
+    call; the returned function reads any array of them off that table,
+    along its last axis.
+
+    A radius sweep's closed blocks read their moments this way, so that
+    they cost one moment call per sweep instead of one per radius and wave.
+    Each point's value is the one a call with that point alone would give
+    (the moments' phase sums and tails are batch-invariant), so a sweep
+    stays bitwise equal to its one-radius calls.
+    """
+    keys = list(dict.fromkeys(points))
+    table = values(np.array(keys, dtype=np.float64))
+    at = {w: i for i, w in enumerate(keys)}
+
+    def read(w: np.ndarray | float) -> np.ndarray:
+        got = table[..., [at[x] for x in np.ravel(w).tolist()]]
+        return got.reshape(table.shape[:-1] + np.shape(w))
+
+    return read
+
+
 def _pf_decompose(centers: Sequence[tuple[complex, int]]) -> list[tuple[complex, int, complex]]:
     """Partial fractions of prod (x-c)^(-p) over distinct centers.
 
@@ -889,6 +913,21 @@ def _spectral_integrals(
     return [sum((values[i] for i in idx[1:]), values[idx[0]]) if idx else 0.0 + 0.0j for idx in per_radius]
 
 
+def _sinc_grid(
+    model: BoundaryModel, f: TestFunction, eps: float, xp: float,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The kappa nodes and weights of :func:`_sinc_band` at radius eps, or
+    None where the block is f(x') itself."""
+    if f.is_chain and 2 * f.ref[1] >= model.n:
+        return None
+    if f.kind in ("gaussian", "hermite_gaussian"):
+        band, extent = min(eps, _spectral_reach(f)), f.window()
+    else:
+        band, extent = eps, abs(model.z) + 1.0
+    per_half = max(1, math.ceil(band * (extent + abs(xp)) / 8.0))
+    return composite_gauss(-band, band, 2 * per_half, 16)
+
+
 def _sinc_band(model: BoundaryModel, f: TestFunction, moment: _Moment, eps: float, xp: float) -> complex:
     """The sinc kernel sin(eps(x-x'))/(pi(x-x')) applied to f, at x'.
 
@@ -896,24 +935,20 @@ def _sinc_band(model: BoundaryModel, f: TestFunction, moment: _Moment, eps: floa
     so the block is (1/2pi) integral of e^{-i kappa x'} moment(kappa, 0) over
     the band, with ``moment`` the :func:`_f_osc_moment` of f.  The closed
     chain and rational moments kink at kappa = 0 and are analytic on each
-    half, so the band takes 16-node Gauss-Legendre on [-eps, 0] and on
-    [0, eps] separately, on equal panels that keep the phase of
-    e^{i kappa (x - x')} below 8 per panel, with x over f's window or, for
-    the closed moments, the poles (one panel per half at the radii of the
-    default sweeps).  A localized f's transform is negligible past its
-    spectral reach, where the spectral integral stops too, so its band stops
-    there: the cost holds still as eps grows.  A chain member (x-z)^p with
-    p >= 0 has a moment supported at kappa = 0, inside every band, and the
-    kernel reproduces it: the block is f(x').
+    half, so the band (:func:`_sinc_grid`) takes 16-node Gauss-Legendre on
+    [-eps, 0] and on [0, eps] separately, on equal panels that keep the
+    phase of e^{i kappa (x - x')} below 8 per panel, with x over f's window
+    or, for the closed moments, the poles (one panel per half at the radii
+    of the default sweeps).  A localized f's transform is negligible past
+    its spectral reach, where the spectral integral stops too, so its band
+    stops there: the cost holds still as eps grows.  A chain member
+    (x-z)^p with p >= 0 has a moment supported at kappa = 0, inside every
+    band, and the kernel reproduces it: the block is f(x').
     """
-    if f.is_chain and 2 * f.ref[1] >= model.n:
+    grid = _sinc_grid(model, f, eps, xp)
+    if grid is None:
         return complex(f.make_eval(model)(np.array([xp]))[0])
-    if f.kind in ("gaussian", "hermite_gaussian"):
-        band, extent = min(eps, _spectral_reach(f)), f.window()
-    else:
-        band, extent = eps, abs(model.z) + 1.0
-    per_half = max(1, math.ceil(band * (extent + abs(xp)) / 8.0))
-    kappa, weights = composite_gauss(-band, band, 2 * per_half, 16)
+    kappa, weights = grid
     (m0,) = moment(kappa, (0,))
     return complex(np.sum(weights * np.exp(-1j * kappa * xp) * m0)) / (2 * math.pi)
 
@@ -956,21 +991,29 @@ def _partner_cross(model: InteriorModel, f: TestFunction, eps: float, xp: float)
     return -(1.0 / math.pi) * _adaptive_oscillatory(integrand, -W, W, 1e-11, 2 * a + eps).value
 
 
+def _two_point_waves(terms: dict, eps: float) -> dict[tuple[int, int], float]:
+    """(hx, a) -> mu = (hx/2) eps, the frequency of each distinct moment of
+    a two-point term dict at radius eps."""
+    return {(hx, a): hx / 2 * eps for hx, _, a, _, _ in terms}
+
+
 def _apply_two_point(model: BoundaryModel, terms: dict, moment: _Moment, eps: float, xp: float) -> complex:
     """A two-point term dict (times 2*pi) applied as a kernel in x to f, at x'.
 
     The term c * e^{i(hx/2)eps(x-z)} e^{i(hxp/2)eps(x'-z)} (x-z)^a (x'-z)^b eps^e
     contributes c eps^e (x'-z)^b e^{i(hxp/2)eps(x'-z)} e^{-i mu z} times
     ``moment``, the :func:`_f_osc_moment` of f, at frequency mu = (hx/2) eps
-    and q = -a.  Each distinct moment is computed once.
+    and q = -a (:func:`_two_point_waves`).  :func:`apply_scheme` hands in
+    the moments of a whole radius sweep from one call, so each distinct
+    moment is computed once per sweep.
     """
     z = model.z
-    moments: dict[tuple[int, int], complex] = {}
+    moments = {
+        (hx, a): cmath.exp(-1j * mu * z) * complex(moment(mu, (-a,))[0])
+        for (hx, a), mu in _two_point_waves(terms, eps).items()
+    }
     total = 0.0 + 0.0j
     for (hx, hxp, a, b, e), c in terms.items():
-        if (hx, a) not in moments:
-            mu = hx / 2 * eps
-            moments[hx, a] = cmath.exp(-1j * mu * z) * complex(moment(mu, (-a,))[0])
         wave = cmath.exp(0.5j * hxp * eps * (xp - z))
         total += c.to_complex() * eps**e * (xp - z) ** b * wave * moments[hx, a]
     return total / (2 * math.pi)
@@ -1055,6 +1098,22 @@ def _pair_moments(model: InteriorModel, layout: tuple[float, float, int], nodes:
     return pair
 
 
+def _bracket_waves(a: float, eps: float, kind: SchemeId) -> dict[float, float]:
+    """mu -> c_mu, the waves of an interior scheme's bracket at radius eps.
+
+    res12 and int04 take the constant 1/eps; res11 takes (1/eps) cos(eps D),
+    which res13 extends by
+    -(eps cos(2a D) cos(eps D) + 2a sin(2a D) sin(eps D)) / (4a^2 - eps^2).
+    """
+    if kind in (SchemeId.RES12, SchemeId.INT04):
+        return {0.0: 1.0 / eps}
+    waves = {eps: 0.5 / eps, -eps: 0.5 / eps}
+    if kind == SchemeId.RES13:
+        for s1, s2 in itertools.product((1, -1), repeat=2):
+            waves[s1 * 2 * a + s2 * eps] = 0.25 * (s1 * s2 * 2 * a - eps) / (4 * a * a - eps * eps)
+    return waves
+
+
 def _interior_singular_terms(
     model: InteriorModel, f: TestFunction, eps: float, xp: float, kind: SchemeId,
     pair: _Pair,
@@ -1063,19 +1122,13 @@ def _interior_singular_terms(
 
     Each scheme pairs f with the bounded state in a bracket of waves,
     -(1/(pi a)) psi0(x') sum_mu c_mu P(mu), where P(mu) is the integral of
-    f psi0 e^{i mu (x - x')}: ``pair``, the second half of
-    :func:`_interior_transform`, takes every mu of the bracket in one call.
-    res13 adds its sinc and partner cross terms."""
+    f psi0 e^{i mu (x - x')} and the c_mu are :func:`_bracket_waves`:
+    ``pair``, the second half of :func:`_interior_transform`, takes every mu
+    of the bracket in one call, and :func:`apply_scheme` hands in the pair
+    moments of a whole radius sweep from one call.  res13 adds its sinc and
+    partner cross terms."""
     a = model.alpha
-    if kind in (SchemeId.RES12, SchemeId.INT04):
-        waves = {0.0: 1.0 / eps}
-    else:
-        # (1/eps) cos(eps D), which res13 extends by
-        # -(eps cos(2a D) cos(eps D) + 2a sin(2a D) sin(eps D)) / (4a^2 - eps^2)
-        waves = {eps: 0.5 / eps, -eps: 0.5 / eps}
-        if kind == SchemeId.RES13:
-            for s1, s2 in itertools.product((1, -1), repeat=2):
-                waves[s1 * 2 * a + s2 * eps] = 0.25 * (s1 * s2 * 2 * a - eps) / (4 * a * a - eps * eps)
+    waves = _bracket_waves(a, eps, kind)
     bracket = complex(np.dot(list(waves.values()), pair(np.array(list(waves)), xp)))
     p0_xp = im_psi0(model, xp)
     total = -(1.0 / (math.pi * a)) * bracket * p0_xp
@@ -1113,7 +1166,13 @@ def apply_scheme(
     blocks, and for the interior family the pair moments with their tail
     products.  The spectral integrals of all radii are the pieces of one
     batched bisection (:func:`_spectral_integrals`), whose pieces do not
-    depend on the other radii of the call.  An interior chain member (psi0
+    depend on the other radii of the call.  The closed blocks' moments are
+    one call per sweep too (:func:`_tabulated`): every radius's bracket
+    waves in one pair call for the interior family; every radius's
+    two-point waves and sinc-band nodes in one :func:`_f_osc_moment` call
+    for the boundary family, except at a radius past a localized f's
+    spectral reach, which takes one call on a grid of its own.  The moments
+    do not depend on the batch they come in.  An interior chain member (psi0
     or psi1) is bilinearly orthogonal to the continuum, so its spectral part
     is exactly zero: only its pair moments and the singular blocks are
     built.
@@ -1126,6 +1185,7 @@ def apply_scheme(
         raise ValueError("regulators must be positive and finite (a cutoff A may be inf: none)")
     kind, model = scheme.kind, scheme.model
     f.check_model(model)
+    es, cuts = radii.ravel().tolist(), cutoffs.ravel().tolist()
     if kind in _INTERIOR_IDS:
         # the spectral integral reaches k = +-(alpha - eps), where
         # |k^2 - alpha^2| = eps (2 alpha - eps) must not fall below POLE_GUARD
@@ -1143,9 +1203,11 @@ def apply_scheme(
         # exactly zero (tests/test_resolution.py certifies it in
         # test_chain_member_transforms_vanish)
         integrand = None if transform is None else _spectral_integrand(model, transform, xp)
+        # every radius's bracket reads its waves off one pair call
+        shared = _tabulated(lambda mu: pair(mu, xp), (mu for e in es for mu in _bracket_waves(a, e, kind)))
 
         def at(e: float, spectral: complex) -> complex:
-            blocks = _interior_singular_terms(model, f, e, xp, kind, pair)
+            blocks = _interior_singular_terms(model, f, e, xp, kind, lambda mu, _: shared(mu))
             return blocks if integrand is None else spectral + blocks
 
     else:
@@ -1174,16 +1236,28 @@ def apply_scheme(
                 f"scheme {kind.value} needs eps * |Im z| <= {_MAX_BLOCK_GROWTH / rate:g}: its closed blocks "
                 f"grow like e^(eps |Im z|) and leave the float range past that (Im z = {model.z.imag:g})"
             )
+        # a radius past a localized f's spectral reach needs a grid that
+        # resolves it; the closed moments hold at every radius
+        own = {e for e in es if e > reach and localized}
+        sinc = kind in (SchemeId.RES3, SchemeId.RES9)
+        grids = [g for g in (_sinc_grid(model, f, e, xp) for e in es if sinc) if g is not None]
+        qs = tuple(dict.fromkeys([-a for _, _, a, _, _ in blocks] + ([0] if grids else [])))
+
+        def one_call(m: _Moment, omegas: Iterable[float]) -> _Moment:
+            table = _tabulated(lambda omega: m(omega, qs), omegas)
+            return lambda omega, want: table(omega)[[qs.index(q) for q in want]]
+
+        waves = (mu for e in es if e not in own for mu in _two_point_waves(blocks, e).values())
+        closed = one_call(moment, itertools.chain(waves, *(kappa.tolist() for kappa, _ in grids)))
 
         def at(e: float, total: complex) -> complex:
-            # a radius past a localized f's spectral reach needs a grid that
-            # resolves it; the closed moments hold at every radius
-            local = moment if e <= reach or not localized else _f_osc_moment(model, f, e)
-            if kind in (SchemeId.RES3, SchemeId.RES9):
-                total += _sinc_band(model, f, moment, e, xp)
+            if sinc:
+                total += _sinc_band(model, f, closed, e, xp)
+            local = closed
+            if e in own:
+                local = one_call(_f_osc_moment(model, f, e), _two_point_waves(blocks, e).values())
             return total + _apply_two_point(model, blocks, local, e, xp)
 
-    es, cuts = radii.ravel().tolist(), cutoffs.ravel().tolist()
     spectral = [0.0 + 0.0j] * len(es)
     if integrand is not None:
         spectral = _spectral_integrals(model, f, integrand, es, cuts, tol)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from scipy import integrate
 
 import epresolve.quadrature as quadrature
 from epresolve.boundary import BoundaryModel, bm_assoc, bm_scatter
-from epresolve.exact import ExpLaurent
+from epresolve.exact import ExpLaurent, add_terms, mul_terms
 from epresolve.interior import InteriorModel, im_tail_model
 from epresolve.quadrature import (
     ContourSpec,
@@ -191,6 +192,52 @@ def test_phase_sums_across_chunk_boundaries(monkeypatch):
     bound = _phase_rounding_bound(nodes, weights, rows, k)[:, None]
     assert np.all(np.abs(chunked - whole) <= bound)
     assert np.all(np.abs(chunked - _dense_phase_sums(nodes, weights, rows, k)) <= bound)
+
+
+def _batch_and_single_phase_sums(n_panels, lead, ks):
+    # a batch of wave numbers and each of them in a call of its own
+    lo, hi = -30.0, 25.0
+    rows = _stacked_rows(composite_gauss(lo, hi, n_panels, 16)[0], lead)
+    k = np.asarray(ks, dtype=np.complex128)
+    batch = quadrature.composite_phase_sums(lo, hi, n_panels, 16, rows, k)
+    single = [quadrature.composite_phase_sums(lo, hi, n_panels, 16, rows, k[i:i + 1]) for i in range(k.size)]
+    return batch, np.concatenate(single, axis=-1)
+
+
+@given(
+    # any panel count up to 3000, and counts next to multiples of 128, where
+    # the BLAS blocks the inner dimension of a product
+    n_panels=st.one_of(st.integers(1, 3000), st.builds(lambda m, d: 128 * m + d, st.integers(1, 23),
+                                                        st.integers(-2, 2))),
+    lead=st.sampled_from([(), (3,)]),
+    ks=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=40),
+    entries=st.sampled_from([None, 2 * 48, 7 * 48, 4000]),
+)
+@settings(max_examples=40, deadline=None)
+# full chunks of 63 and 36 wave numbers at 260 and 445 panels, where a
+# threaded BLAS splits the inner dimension unlike a serial one; 6 wave
+# numbers in chunks of 5 at 3000 panels, which leaves a chunk of one
+@example(n_panels=260, lead=(), ks=list(np.linspace(-40.0, 40.0, 63)), entries=None)
+@example(n_panels=445, lead=(), ks=list(np.linspace(-3.0, 3.0, 36)), entries=None)
+@example(n_panels=3000, lead=(), ks=[0.5, -0.5, 2.5, -1.5, 1.5, -2.5], entries=None)
+def test_phase_sums_of_a_batch_equal_single_wave_number_calls_bitwise(n_panels, lead, ks, entries):
+    # every k of a batch, in chunks of any size (tables of 96 and 336 entries
+    # take one to seven wave numbers at a time), equals its own call bitwise
+    with mock.patch.object(quadrature, "_PHASE_ENTRIES", entries or quadrature._PHASE_ENTRIES):
+        batch, single = _batch_and_single_phase_sums(n_panels, lead, ks)
+    assert np.array_equal(batch, single)
+
+
+def test_phase_sums_batch_invariance_mutation_control(monkeypatch):
+    # the plain product sends a lone wave number through the matrix-vector
+    # kernel, which rounds differently from the matrix product
+    ks = np.linspace(-7.0, 9.0, 8)
+    batch, single = _batch_and_single_phase_sums(44, (3,), ks)
+    assert np.array_equal(batch, single)
+    monkeypatch.setattr(quadrature, "_panel_product", lambda phases, wv: phases @ wv)
+    batch, single = _batch_and_single_phase_sums(44, (3,), ks)
+    assert not np.array_equal(batch, single)
+    assert np.max(np.abs(batch - single)) < 1e-13 * np.max(np.abs(batch))
 
 
 def _two_level_table(k, c0, step, n_panels, coarse_stride, fine_shift):
@@ -697,6 +744,123 @@ def test_oscrational_product_matches_constructor_accumulation():
     want = OscRational(model.z, items).terms
     got = (f * g).terms
     assert got == want and list(got) == list(want)
+
+
+_coefficients = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+
+def _add_osc_keys_oracle(a, b):
+    """Oracle: the key sum that OscRational products used before each
+    frequency pair was rounded once, round(mu_a + mu_b, 12) per pair of terms."""
+    return (round(a[0] + b[0], 12), a[1] + b[1])
+
+
+def _signed_items(terms):
+    # keys with the sign of a zero frequency spelled out, which == ignores
+    return [(math.copysign(1.0, mu), mu, q, c) for (mu, q), c in terms.items()]
+
+
+def _assert_product_matches_mul_terms(a, b):
+    want = mul_terms(a.terms, b.terms, _add_osc_keys_oracle)
+    got = (a * b).terms
+    assert _signed_items(got) == _signed_items(want)
+
+
+def test_oscrational_product_matches_the_mul_terms_oracle_on_tail_models():
+    # the psi1 psi0 tail product of the chain pair moments, 50 x 42 terms
+    # over 12 frequencies each, and the 1/W model the orthogonality oracle uses
+    model = InteriorModel(1.0, 0.2 + 1j)
+    models = [im_tail_model(model, kind, 40.0) for kind in ("psi1", "psi0", "inv_w")]
+    for a, b in itertools.permutations(models, 2):
+        _assert_product_matches_mul_terms(a, b)
+
+
+@given(
+    a=st.lists(st.tuples(st.sampled_from([0.0, -0.0, 0.1, 0.2, -0.3, 0.3, 1e-13, -1e-13, 2.5]),
+                         st.integers(-2, 3), _coefficients), max_size=8),
+    b=st.lists(st.tuples(st.sampled_from([0.0, -0.0, -0.1, -0.2, 0.3, -0.3, -1e-13, 1e-13, -2.5]),
+                         st.integers(-2, 3), _coefficients), max_size=8),
+)
+@settings(max_examples=150, deadline=None)
+def test_oscrational_product_matches_the_mul_terms_oracle(a, b):
+    # keys, their order, the sign of a zero frequency and the coefficients:
+    # sums that cancel to zero, to +-1e-13 and to the rounding of 0.1 + 0.2
+    z = 0.3 + 0.9j
+    fa, fb = OscRational(z), OscRational(z)
+    # term dicts as a product leaves them, a zero of either sign beside the other
+    fa.terms = add_terms({}, (((mu, q), complex(c)) for mu, q, c in a))
+    fb.terms = add_terms({}, (((mu, q), complex(c)) for mu, q, c in b))
+    _assert_product_matches_mul_terms(fa, fb)
+
+
+def _full_table_right_tails_oracle(nu, z, terms, X):
+    """Oracle: _right_tails as it was before zero frequencies left the table,
+    with a placeholder 1 at each zero, whose entries the closed form then
+    overwrites."""
+    qs, groups, cs = terms
+    zero = nu == 0.0
+    zero_groups = zero.any(axis=1)
+    d = X - z
+    iw = 1j * np.where(zero, 1.0, nu)
+    ph = np.exp(iw * X)
+    out = np.zeros(nu.shape, dtype=np.complex128)
+
+    def collect(q, val, scale=1.0):
+        at = qs == q
+        out[groups[at]] += (scale * cs[at])[:, None] * val[groups[at]]
+
+    qmin, qmax = int(qs.min()), int(qs.max())
+    if qmax >= 1:
+        g = quadrature._scaled_expn(-iw * d, qmax)
+        for q in range(1, qmax + 1):
+            collect(q, ph * g[q - 1], d ** (1 - q))
+    if qmin <= 0:
+        val = -ph / iw
+        for j in range(0, 1 - qmin):
+            if j >= 1:
+                val = -ph * d**j / iw - (j / iw) * val
+            collect(-j, val)
+    if zero_groups.any():
+        closed = np.zeros(len(nu), dtype=np.complex128)
+        for q, g, c in zip(qs.tolist(), groups.tolist(), cs.tolist()):
+            if zero_groups[g]:
+                closed[g] += c * d ** (1 - q) / (q - 1)
+        out[zero] = closed[np.nonzero(zero)[0]]
+    return out
+
+
+@given(
+    terms=st.lists(st.tuples(st.sampled_from([0.0, 0.5, -0.5, 1.25]), st.integers(2, 6),
+                             _coefficients), min_size=1, max_size=8),
+    ks=st.lists(st.sampled_from([0.0, -0.5, 0.5, -1.25, 0.75]), min_size=1, max_size=5),
+    X=st.floats(3.0, 40.0),
+)
+@settings(max_examples=80, deadline=None)
+def test_zero_frequency_tails_equal_the_full_table_oracle_bitwise(terms, ks, X):
+    # zero frequencies (mu + k == 0, q >= 2) no longer enter the E_n table;
+    # every other element reads the same value as from the whole table
+    f = OscRational(0.2 + 0.9j, terms)
+    with mock.patch.object(quadrature, "_right_tails", _full_table_right_tails_oracle):
+        want = f.integral_tails(X, np.array(ks))
+    assert np.array_equal(f.integral_tails(X, np.array(ks)), want)
+
+
+def test_zero_frequency_tails_build_no_table(monkeypatch):
+    # the one-term tail of ort1's overlap (q = 2 at zero frequency) is closed;
+    # a mixed call tabulates only its nonzero frequencies
+    sizes = []
+    table = quadrature._scaled_expn
+
+    def counting(w, qmax):
+        sizes.append(np.size(w))
+        return table(w, qmax)
+
+    monkeypatch.setattr(quadrature, "_scaled_expn", counting)
+    z, X = 0.0 + 1j, 20.0
+    one = OscRational(z, [(0.0, 2, 1.0)]).integral_tails(X)
+    assert sizes == [] and abs(one - ((X - z) ** -1 + (X + z) ** -1)) <= 1e-16
+    OscRational(z, [(0.0, 2, 1.0), (0.5, 3, 1.0)]).integral_tails(X, np.array([0.0, 0.25]))
+    assert sizes == [3, 3]  # per side: (0.0 + 0.25, 0.5 + 0.0, 0.5 + 0.25)
 
 
 def _osc_sums(coeffs):

@@ -538,7 +538,7 @@ def test_apply_scheme_rejects_non_finite_regulators(sid, model):
     assert apply_scheme(s, 0.4, math.inf, GAUSS, XP) == apply_scheme(s, 0.4, 1e6, GAUSS, XP)
 
 
-_PSI1 = TestFunction.chain_interior(1)
+_PSI0, _PSI1 = TestFunction.chain_interior(0), TestFunction.chain_interior(1)
 
 
 @pytest.mark.parametrize(
@@ -560,9 +560,18 @@ _PSI1 = TestFunction.chain_interior(1)
         (SchemeId.RES11, InteriorModel(1.0, 1j), GAUSS, (0.5, 0.25, 0.125), 2.0),
         (SchemeId.RES12, InteriorModel(1.5, 0.5 + 1.2j), GAUSS, (0.4, 0.2, 0.1, 0.05), 3.0),
         (SchemeId.RES3, BoundaryModel(2), GAUSS, (0.4, 0.2, 0.05), 2.0),
+        # the closed blocks of a sweep read their moments off one call
+        (SchemeId.RES11, InteriorModel(1.0, 1j), _PSI0, (0.4, 0.2, 0.1), 50.0),
+        (SchemeId.INT04, InteriorModel(1.0, 1j), _PSI0, (0.4, 0.2, 0.1, 0.05), 50.0),
+        (SchemeId.RES9, BoundaryModel(2), TestFunction.gaussian(0.5, 1.2), (0.4, 0.2, 0.1, 0.05), 50.0),
+        # 2926 grid panels take wave numbers in chunks of five: a radius's six
+        # res13 waves leave a chunk of one, as do the sweep's six res11 waves
+        (SchemeId.RES13, InteriorModel(0.5, 0.3 + 0.7j), TestFunction.rational_decay(2), (0.4, 0.2), 50.0),
+        (SchemeId.RES11, InteriorModel(0.5, 0.3 + 0.7j), TestFunction.rational_decay(2), (0.4, 0.2, 0.1), 50.0),
     ],
     ids=["res11-psi1", "res11-gauss", "res12-psi1", "res12-gauss", "res13-psi1", "res13-gauss",
-         "res3", "res5", "int5", "res12-gauss-pow2", "res11-gauss-cut", "res12-gauss-cut", "res3-cut"],
+         "res3", "res5", "int5", "res12-gauss-pow2", "res11-gauss-cut", "res12-gauss-cut", "res3-cut",
+         "res11-psi0", "int04-psi0", "res9", "res13-rational2-chunk-of-one", "res11-rational2-chunk-of-one"],
 )
 def test_radius_array_equals_scalar_calls_bitwise(sid, model, f, radii, coupling):
     scheme = Scheme(sid, model)
@@ -571,6 +580,103 @@ def test_radius_array_equals_scalar_calls_bitwise(sid, model, f, radii, coupling
     want = [apply_scheme(scheme, e, c, f, XP) for e, c in zip(radii, cutoffs)]
     assert isinstance(want[0], complex) and got.shape == (len(radii),)
     assert got.tolist() == want
+
+
+def _per_radius_blocks_oracle(model, f, eps, xp, kind, pair):
+    """Oracle: the interior singular blocks as each radius built them before a
+    sweep read every bracket off one pair call: the radius's own waves and
+    its own call of ``pair``."""
+    a = model.alpha
+    if kind in (SchemeId.RES12, SchemeId.INT04):
+        waves = {0.0: 1.0 / eps}
+    else:
+        waves = {eps: 0.5 / eps, -eps: 0.5 / eps}
+        if kind == SchemeId.RES13:
+            for s1, s2 in itertools.product((1, -1), repeat=2):
+                waves[s1 * 2 * a + s2 * eps] = 0.25 * (s1 * s2 * 2 * a - eps) / (4 * a * a - eps * eps)
+    bracket = complex(np.dot(list(waves.values()), pair(np.array(list(waves)), xp)))
+    total = -(1.0 / (math.pi * a)) * bracket * im_psi0(model, xp)
+    if kind == SchemeId.RES13:
+        total += rs._sinc_applied(model, f, eps, xp, a) + rs._partner_cross(model, f, eps, xp)
+    return total
+
+
+@pytest.mark.parametrize("kind", [SchemeId.RES11, SchemeId.RES12, SchemeId.INT04, SchemeId.RES13],
+                         ids=lambda k: k.value)
+def test_sweep_blocks_match_the_per_radius_oracle(kind):
+    # one pair call over the union of a sweep's waves, against a pair call per
+    # radius; a Gaussian adds the spectral integral both ways
+    model, xp = InteriorModel(1.0, 1j), 0.7
+    radii = (0.4, 0.1) if kind == SchemeId.RES13 else (0.4, 0.2, 0.1, 0.05)
+    cutoffs = [50.0 / e for e in radii]
+    for f in (_PSI0, _PSI1, GAUSS):
+        transform, pair = rs._interior_transform(model, f)
+        spectral = [0.0] * len(radii)
+        if transform is not None:
+            integrand = rs._spectral_integrand(model, transform, xp)
+            spectral = rs._spectral_integrals(model, f, integrand, radii, cutoffs, 1e-9)
+        got = apply_scheme(Scheme(kind, model), radii, cutoffs, f, xp)
+        want = [_per_radius_blocks_oracle(model, f, e, xp, kind, pair) + s for e, s in zip(radii, spectral)]
+        assert np.max(np.abs(got - np.array(want))) <= 1e-14, f
+
+
+@pytest.mark.parametrize("kind, waves", [(SchemeId.RES12, 1), (SchemeId.INT04, 1), (SchemeId.RES11, 8),
+                                         (SchemeId.RES13, 24)], ids=lambda v: getattr(v, "value", v))
+def test_interior_sweep_makes_one_pair_call_and_one_tails_pass(kind, waves, monkeypatch):
+    # four radii read the union of their waves (+-eps, and +-2a +-eps for
+    # res13) off one pair call, whose exact tails are one integral_tails pass
+    pairs, tails = [], []
+    real_transform, real_tails = rs._interior_transform, quadrature.OscRational.integral_tails
+
+    def counting_transform(model, f):
+        transform, pair = real_transform(model, f)
+
+        def counting_pair(mu, xp):
+            pairs.append(np.size(mu))
+            return pair(mu, xp)
+
+        return transform, counting_pair
+
+    def counting_tails(self, X, k=None):
+        tails.append(np.size(k))
+        return real_tails(self, X, k)
+
+    monkeypatch.setattr(rs, "_interior_transform", counting_transform)
+    monkeypatch.setattr(quadrature.OscRational, "integral_tails", counting_tails)
+    radii = [0.4, 0.2, 0.1, 0.05]
+    apply_scheme(Scheme(kind, InteriorModel(1.0, 1j)), radii, [50.0 / e for e in radii], _PSI1, 0.7)
+    assert pairs == [waves] and tails == [waves]
+
+
+def test_boundary_sweep_makes_one_closed_moment_call(monkeypatch):
+    # the two-point blocks (hx = +-2 at each radius) and the four sinc bands
+    # (two 16-node panels each) of a res3 sweep read one moment call; a
+    # radius past the packet's spectral reach keeps a moment of its own
+    made, calls = [], []
+    real = rs._f_osc_moment
+
+    def counting(model, f, reach=0.0):
+        made.append(reach)
+        moment = real(model, f, reach)
+
+        def wrapped(omega, qs):
+            calls.append((reach, np.size(omega), tuple(qs)))
+            return moment(omega, qs)
+
+        return wrapped
+
+    monkeypatch.setattr(rs, "_f_osc_moment", counting)
+    # no spectral integral: its transform reads the same moment function
+    monkeypatch.setattr(rs, "_spectral_integrals", lambda model, f, integrand, es, cuts, tol: [0j] * len(es))
+    scheme = Scheme(SchemeId.RES3, BoundaryModel(2))
+    radii = [0.4, 0.2, 0.1, 0.05]
+    apply_scheme(scheme, radii, [50.0 / e for e in radii], GAUSS, XP)
+    assert made == [0.0] and calls == [(0.0, 4 * 2 + 4 * 32, (1, 2, 0))]
+    made.clear(), calls.clear()
+    far = 30.0  # past the spectral reach of 22
+    apply_scheme(scheme, [0.4, far], [125.0, 2 * far], GAUSS, XP)
+    assert made == [0.0, far]
+    assert [c[0] for c in calls] == [0.0, far] and calls[1][1] == 2
 
 
 def test_radius_array_broadcasts_a_scalar_cutoff():
@@ -809,7 +915,7 @@ def test_partner_sweep_matches_tails_at_the_order_cap(monkeypatch, alpha):
 # the interior chain members' spectral part is zero
 # ---------------------------------------------------------------------------
 
-_CHAIN = (TestFunction.chain_interior(0), _PSI1)
+_CHAIN = (_PSI0, _PSI1)
 
 
 def _chain_transform_oracle(model, f, tails=True):
