@@ -250,7 +250,7 @@ def interior_biortho(
             return im_member(model, "psi0", x) * im_member(model, second, x)
 
         core = _adaptive_oscillatory(integrand, -X, X, 1e-12, 2 * model.alpha)
-        tail_model = im_tail_model(model, "psi0", X) * im_tail_model(model, second, X)
+        tail_model = im_tail_model(model, f"psi0*{second}", X)
         value = core.value + tail_model.integral_tails(X)
         residual = abs(value)
         tol = 1e-6

@@ -19,11 +19,15 @@ x-derivatives in a separate coding, so that the eigen-equation and Jordan
 residuals are checked without finite differencing.
 
 Large-|x| asymptotics come as exact :class:`~epresolve.quadrature.OscRational`
-tail models from a geometric expansion of 1/W, which keeps slowly decaying
-pairings cheap.  Beyond the window X that its caller integrates past
-(TRANSFORM_WINDOW or PAIR_WINDOW), every such model keeps the fewest orders
-N with (2 a min|+-X - z|)^-(N+1) <= _TAIL_BUDGET; a window that needs more
-than _TAIL_ORDER_CAP orders is refused as out of range.
+tail models, which keep slowly decaying pairings cheap.  1/W, each chain
+member and the chain pairs psi0 psi0 and psi0 psi1 (:func:`im_tail_model`)
+are each a short numerator times one closed series, the negative-binomial
+expansion of W^-m (m = 1 or 2) in s = sin(2ax)/(2a(x-z)) with sin^j by the
+binomial theorem.  Beyond the window X that its caller integrates past
+(TRANSFORM_WINDOW or PAIR_WINDOW), N is the fewest orders with
+(2 a min|+-X - z|)^-(N+1) <= _TAIL_BUDGET, and W^-m is summed to s^(N+m-1);
+a window that needs more than _TAIL_ORDER_CAP orders is refused as out of
+range.
 """
 
 from __future__ import annotations
@@ -268,7 +272,7 @@ POLE_GUARD = 1e-6
 
 
 def _tail_order(model: InteriorModel, X: float) -> int:
-    """Fewest orders of the 1/W expansion that meet the budget for |x| >= X."""
+    """Fewest orders N of the 1/W expansion that meet the budget for |x| >= X."""
     reach = 2 * model.alpha * min(abs(X - model.z), abs(-X - model.z))
     for order in range(_TAIL_ORDER_CAP + 1):
         if reach ** (order + 1) * _TAIL_BUDGET >= 1:
@@ -278,37 +282,54 @@ def _tail_order(model: InteriorModel, X: float) -> int:
                      f"expansion at alpha = {model.alpha:g}; alpha must be at least {least:.3g}")
 
 
-def _inv_w_model(model: InteriorModel, order: int) -> OscRational:
-    """Truncated geometric expansion of 1/W in inverse powers of (x-z).
+def _w_series(model: InteriorModel, m: int, order: int) -> OscRational:
+    """W^-m as the negative-binomial series in s = sin(2ax)/(2a(x-z)), to s^order.
 
-    1/W = 1/(2a(x-z)) * sum_j (-s)^j with s = sin(2ax)/(2a(x-z)); the
-    remainder after ``order`` terms is O((x-z)^(-order-2)).
+    W^-m = (2a(x-z))^-m sum_j C(j+m-1, j) (-s)^j, and sin^j(2ax) expands by
+    the binomial theorem into the waves e^{i(2l-j)2ax}, l = 0..j, so every
+    term is closed-form; the remainder after ``order`` is
+    O((x-z)^(-m-order-1)).
     """
-    a, z = model.alpha, model.z
-    s = OscRational(z, [(2 * a, 1, 1.0 / (4j * a)), (-2 * a, 1, -1.0 / (4j * a))])
-    total = OscRational.constant(z, 0.0)
-    power = OscRational.constant(z, 1.0)
+    a = model.alpha
+    terms = []
     for j in range(order + 1):
-        total = total + ((-1.0) ** j) * power
-        power = power * s
-    return (1.0 / (2 * a)) * total.shift_power(1)
+        # C(j+m-1, j) (-1)^j (2a)^(-m-j) times the (2i)^-j of sin^j
+        c = math.comb(j + m - 1, j) * (-1.0) ** j * (2 * a) ** (-m - j) * (-0.5j) ** j
+        for l in range(j + 1):
+            terms.append(((2 * l - j) * 2 * a, m + j, c * math.comb(j, l) * (-1.0) ** (j - l)))
+    return OscRational(model.z, terms)
 
 
 def im_tail_model(model: InteriorModel, kind: str, X: float) -> OscRational:
     """Exact large-|x| model of an interior-model function, as an OscRational.
 
-    ``kind`` is one of ``"inv_w"``, ``"psi0"``, ``"psi1"``.  ``X`` is the
-    window the caller integrates beyond; the order of the 1/W expansion
-    follows from it by the rule of the module docstring.
+    ``kind`` is one of ``"inv_w"``, ``"psi0"``, ``"psi1"`` (numerator times
+    W^-1) or one of the chain pairs ``"psi0*psi0"``, ``"psi0*psi1"``
+    (numerator times W^-2):
+
+    * psi0 psi0 = (2a)^3 cos^2(ax) W^-2;
+    * psi0 psi1 = 2a (a(x-z) sin(2ax) + cos^2(ax)) W^-2.
+
+    ``X`` is the window the caller integrates beyond.  W^-m is summed to
+    s^J with J = N + m - 1, N the order that the rule of the module
+    docstring gives for X: a pair model keeps the accuracy of the product of
+    two single models at order N.
     """
     a, z = model.alpha, model.z
-    inv_w = _inv_w_model(model, _tail_order(model, X))
     if kind == "inv_w":
-        return inv_w
-    if kind == "psi0":
-        return (2 * a) ** 1.5 * (OscRational.cosine(z, a) * inv_w)
-    if kind == "psi1":
+        m, num = 1, OscRational.constant(z, 1.0)
+    elif kind == "psi0":
+        m, num = 1, OscRational.cosine(z, a, (2 * a) ** 1.5)
+    elif kind == "psi1":
         num = (2 * a) * (OscRational.centered_poly(z, [0.0, 1.0]) * OscRational.sine(z, a))
-        num = num + OscRational.cosine(z, a)
-        return (1.0 / math.sqrt(2 * a)) * (num * inv_w)
-    raise ValueError(f"unknown tail-model kind {kind!r}")
+        m, num = 1, (1.0 / math.sqrt(2 * a)) * (num + OscRational.cosine(z, a))
+    elif kind in ("psi0*psi0", "psi0*psi1"):
+        # cos^2(ax) = (1 + cos(2ax))/2
+        cos_sq = OscRational.constant(z, 0.5) + OscRational.cosine(z, 2 * a, 0.5)
+        if kind == "psi0*psi0":
+            m, num = 2, (2 * a) ** 3 * cos_sq
+        else:
+            m, num = 2, (2 * a) * (cos_sq + OscRational.centered_poly(z, [0.0, a]) * OscRational.sine(z, 2 * a))
+    else:
+        raise ValueError(f"unknown tail-model kind {kind!r}")
+    return num * _w_series(model, m, _tail_order(model, X) + m - 1)

@@ -1067,13 +1067,13 @@ def _chain_pair(model: InteriorModel, member: str, X: float) -> _Pair:
 
     Members settle to O(1) oscillation: the grid spans [-X, X] and resolves
     phases up to the spectral reach plus the potential's harmonics, and the
-    member's exact large-x model takes the rest.
+    exact large-x model of the product psi0 member takes the rest.
     """
     f = TestFunction(kind="chain", ref=(member,))
     layout = _panels_for(f, _spectral_reach(f) + 8 * model.alpha, model, X)
     nodes, _ = composite_gauss(*layout, 16)
     values = f.make_eval(model)(nodes)
-    return _pair_moments(model, layout, nodes, values, im_tail_model(model, member, X), X)
+    return _pair_moments(model, layout, nodes, values, im_tail_model(model, f"psi0*{member}", X), X)
 
 
 def _pair_moments(model: InteriorModel, layout: tuple[float, float, int], nodes: np.ndarray,
@@ -1082,17 +1082,16 @@ def _pair_moments(model: InteriorModel, layout: tuple[float, float, int], nodes:
 
     One :func:`composite_phase_sums` of the row f psi0 on the grid
     ``layout``, whose ``nodes`` carry f's ``values``; a chain f adds the
-    exact tails beyond X of its large-x model ``tail`` times psi0's, in one
+    exact tails beyond X of ``tail``, the large-x model of f psi0, in one
     ``integral_tails`` call over the mu array.
     """
     row = (values * im_psi0(model, nodes))[None]
-    product = None if tail is None else tail * im_tail_model(model, "psi0", X)
 
     def pair(mu: np.ndarray, xp: float) -> np.ndarray:
         mu = np.asarray(mu, dtype=np.float64)
         out = composite_phase_sums(*layout, 16, row, mu)[0]
-        if product is not None:
-            out = out + product.integral_tails(X, k=mu)
+        if tail is not None:
+            out = out + tail.integral_tails(X, k=mu)
         return out * np.exp(-1j * mu * xp)
 
     return pair

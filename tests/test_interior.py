@@ -19,6 +19,7 @@ from epresolve.interior import (
     im_w_bundle,
 )
 from epresolve.kernels import interior_psi_grid
+from epresolve.quadrature import OscRational
 
 
 @pytest.fixture(scope="module")
@@ -271,7 +272,10 @@ _EXACT = {
     "psi0": im_psi0,
     "psi1": im_psi1,
     "inv_w": lambda model, x: 1.0 / im_W(model, x),
+    "psi0*psi0": lambda model, x: im_psi0(model, x) ** 2,
+    "psi0*psi1": lambda model, x: im_psi0(model, x) * im_psi1(model, x),
 }
+_PAIR_KINDS = ("psi0*psi0", "psi0*psi1")
 
 
 def _tail_misses(kind):
@@ -288,7 +292,7 @@ def _tail_misses(kind):
     return misses
 
 
-@pytest.mark.parametrize("kind", ["psi0", "psi1", "inv_w"])
+@pytest.mark.parametrize("kind", list(_EXACT))
 def test_tail_models_match_exact_functions(kind):
     assert _tail_misses(kind) == []
 
@@ -306,3 +310,104 @@ def test_tail_order_one_lower_misses_the_budget(monkeypatch):
     real = interior._tail_order
     monkeypatch.setattr(interior, "_tail_order", lambda model, X: real(model, X) - 1)
     assert any(_tail_misses(kind) for kind in _EXACT)
+
+
+def _product_tail_oracle(model, kind, X):
+    """Labelled oracle: the tail model of ``kind`` as the package built it
+    before the closed W^-m series, by OscRational products of truncated
+    expansions.  1/W = (1/(2a(x-z))) sum_j (-s)^j with s = sin(2ax)/(2a(x-z)),
+    summed to s^N by repeated products; a member is its numerator times that,
+    and a pair ``"psi0*member"`` the product of the two member models."""
+    a, z = model.alpha, model.z
+    s = OscRational(z, [(2 * a, 1, 1.0 / (4j * a)), (-2 * a, 1, -1.0 / (4j * a))])
+    total, power = OscRational.constant(z, 0.0), OscRational.constant(z, 1.0)
+    for j in range(interior._tail_order(model, X) + 1):
+        total = total + ((-1.0) ** j) * power
+        power = power * s
+    inv_w = (1.0 / (2 * a)) * total.shift_power(1)
+
+    def member(name):
+        if name == "inv_w":
+            return inv_w
+        if name == "psi0":
+            return (2 * a) ** 1.5 * (OscRational.cosine(z, a) * inv_w)
+        num = (2 * a) * (OscRational.centered_poly(z, [0.0, 1.0]) * OscRational.sine(z, a))
+        return (1.0 / math.sqrt(2 * a)) * ((num + OscRational.cosine(z, a)) * inv_w)
+
+    if "*" in kind:
+        first, second = kind.split("*")
+        return member(first) * member(second)
+    return member(kind)
+
+
+def _pair_waves(alpha):
+    # the interior brackets' waves at a wide and a narrow radius: 0, +-eps and
+    # +-2 alpha +- eps, clear of the divergent tails at -+2 alpha
+    radii = (0.4 * alpha, 0.0125 * alpha)
+    return np.array(sorted({0.0} | {s * e for e in radii for s in (1, -1)}
+                           | {s1 * 2 * alpha + s2 * e for e in radii for s1 in (1, -1) for s2 in (1, -1)}))
+
+
+# alpha x Im z x Re z x X of the pair-series checks
+_SERIES_GRID = list(itertools.product((0.06, 0.5, 1.0, 1.5, 3.0), (0.1, 0.5, 1.0, 2.0), (0.0, 0.3), (40.0, 60.0)))
+
+
+def _series_tail_misses(monkeypatch, *builds):
+    """Largest |integral_tails| difference per tail-model function in
+    ``builds``, over _SERIES_GRID, the pair kinds and the bracket waves,
+    between its pair model at window X and the package's series summed 8
+    orders further."""
+    real = interior._tail_order
+    misses = [0.0] * len(builds)
+    for alpha, im_z, re_z, X in _SERIES_GRID:
+        model, k = InteriorModel(alpha, complex(re_z, im_z)), _pair_waves(alpha)
+        for kind in _PAIR_KINDS:
+            with monkeypatch.context() as m:
+                m.setattr(interior, "_tail_order", lambda model, X: real(model, X) + 8)
+                deep = im_tail_model(model, kind, X).integral_tails(X, k)
+            for i, build in enumerate(builds):
+                misses[i] = max(misses[i], float(np.max(np.abs(build(model, kind, X).integral_tails(X, k) - deep))))
+    return misses
+
+
+def test_pair_series_tails_meet_a_deeper_series(monkeypatch):
+    # a pair model sums W^-2 to N + 1 orders, within 1e-12 of 8 more (4.0e-13
+    # at most), where the former products of two order-N models stay within
+    # 6.8e-13
+    series, product = _series_tail_misses(monkeypatch, im_tail_model, _product_tail_oracle)
+    assert series < 1e-12 and product < 1e-12
+
+
+def test_pair_series_mutation_controls(monkeypatch):
+    real = interior._w_series
+    # the pair kinds at order N, as the single models: 3.1e-12 off
+    with monkeypatch.context() as m:
+        m.setattr(interior, "_w_series", lambda model, mm, order: real(model, mm, order - mm + 1))
+        assert _series_tail_misses(monkeypatch, im_tail_model)[0] > 1e-12
+
+    # the negative binomial's (-1)^j flipped: every odd power of s changes sign
+    def flipped(model, mm, order):
+        out = real(model, mm, order)
+        return OscRational(model.z, [(mu, q, c * (-1.0) ** (q - mm)) for (mu, q), c in out.terms.items()])
+
+    with monkeypatch.context() as m:
+        m.setattr(interior, "_w_series", flipped)
+        assert all(_tail_misses(kind) for kind in _EXACT)
+
+
+def test_series_models_match_the_product_oracle():
+    # the single models keep order N, the pair models take N + 1: each is
+    # within the budget of the product it replaces, pointwise at |x| = X, 2X
+    for alpha, im_z, re_z, X in _SERIES_GRID:
+        model = InteriorModel(alpha, complex(re_z, im_z))
+        for kind in _EXACT:
+            xs = np.array([X, -X, 2 * X, -2 * X])
+            got, want = im_tail_model(model, kind, X).eval(xs), _product_tail_oracle(model, kind, X).eval(xs)
+            assert np.all(np.abs(got - want) <= interior._TAIL_BUDGET * (1 + np.abs(want))), (alpha, im_z, re_z, X, kind)
+    # a single model is numerator times one series of the same order: the
+    # same keys as the product
+    model = InteriorModel(1.0, 0.2 + 1j)
+    for kind in ("inv_w", "psi0", "psi1"):
+        assert set(im_tail_model(model, kind, 40.0).terms) == set(_product_tail_oracle(model, kind, 40.0).terms)
+    # psi0 psi1 at alpha 1, X = 40: 71 terms against the product's 157
+    assert len(im_tail_model(model, "psi0*psi1", 40.0).terms) < len(_product_tail_oracle(model, "psi0*psi1", 40.0).terms)

@@ -767,8 +767,9 @@ def _assert_product_matches_mul_terms(a, b):
 
 
 def test_oscrational_product_matches_the_mul_terms_oracle_on_tail_models():
-    # the psi1 psi0 tail product of the chain pair moments, 50 x 42 terms
-    # over 12 frequencies each, and the 1/W model the orthogonality oracle uses
+    # the psi1 psi0 product of the product-tail oracle (test_interior.py),
+    # 50 x 42 terms over 12 frequencies each, and the 1/W model the
+    # orthogonality oracle uses
     model = InteriorModel(1.0, 0.2 + 1j)
     models = [im_tail_model(model, kind, 40.0) for kind in ("psi1", "psi0", "inv_w")]
     for a, b in itertools.permutations(models, 2):

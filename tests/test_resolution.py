@@ -35,6 +35,7 @@ from epresolve.resolution import (
     reproduce_psi0_term,
     reproduce_psi20_terms,
 )
+from test_interior import _product_tail_oracle
 
 
 def quad_c(f, a, b, **kw):
@@ -703,8 +704,8 @@ def test_radius_array_validation():
 
 
 def test_radius_sweep_builds_pair_tail_models_once(monkeypatch):
-    # res12 pairs f with psi0 on every radius: the tail models beyond the
-    # transform window, of f and of psi0, are built once per call rather
+    # res12 pairs f with psi0 on every radius: the tail model beyond the
+    # transform window, of the product f psi0, is built once per call rather
     # than per radius (a chain member has no transform, so no 1/W model)
     built = []
     real = rs.im_tail_model
@@ -718,12 +719,12 @@ def test_radius_sweep_builds_pair_tail_models_once(monkeypatch):
     scheme = Scheme(SchemeId.RES12, InteriorModel(1.0, 1j))
     radii = [0.4, 0.2, 0.1, 0.05]
     apply_scheme(scheme, radii, [50.0 / e for e in radii], _PSI1, 0.7)
-    assert sorted(built) == ["psi0", "psi1"]
-    # control: scalar calls rebuild them on every radius
+    assert built == ["psi0*psi1"]
+    # control: scalar calls rebuild it on every radius
     built.clear()
     for e in radii[:2]:
         apply_scheme(scheme, e, 50.0 / e, _PSI1, 0.7)
-    assert sorted(built) == ["psi0", "psi0", "psi1", "psi1"]
+    assert built == ["psi0*psi1", "psi0*psi1"]
 
 
 def _three_segment_oracle(model, f, integrand, eps, A, tol):
@@ -1042,15 +1043,16 @@ def test_res13_chain_sweep_matches_the_oracle_path():
     assert _chain_path_miss(InteriorModel(1.0, 1j), (SchemeId.RES13,), _CHAIN_RADII[:2]) <= 1e-10
 
 
-def _inline_chain_pair_oracle(model, member, X):
+def _inline_chain_pair_oracle(model, member, X, tail=im_tail_model):
     """Oracle: a chain member's pair moments as _interior_transform and
     reproduce_psi0_term each built them in place before they shared
-    _chain_pair: layout, nodes, member values and tail model."""
+    _chain_pair: layout, nodes, member values and the tail model of the
+    product psi0 member, from ``tail``."""
     f = TestFunction(kind="chain", ref=(member,))
     layout = rs._panels_for(f, rs._spectral_reach(f) + 8 * model.alpha, model, X)
     nodes, _ = quadrature.composite_gauss(*layout, 16)
     values = im_member(model, member, nodes)
-    return rs._pair_moments(model, layout, nodes, values, im_tail_model(model, member, X), X)
+    return rs._pair_moments(model, layout, nodes, values, tail(model, f"psi0*{member}", X), X)
 
 
 @pytest.mark.parametrize("X", [interior.TRANSFORM_WINDOW, interior.PAIR_WINDOW])
@@ -1060,6 +1062,19 @@ def test_chain_pair_equals_the_inline_build_bitwise(X):
         for member in ("psi0", "psi1"):
             got = rs._chain_pair(model, member, X)(mus, 0.7)
             assert got.tolist() == _inline_chain_pair_oracle(model, member, X)(mus, 0.7).tolist()
+
+
+@pytest.mark.parametrize("X", [interior.TRANSFORM_WINDOW, interior.PAIR_WINDOW])
+def test_chain_pair_matches_the_product_tail_oracle(X):
+    # the pair moments with the closed-series pair model against those with
+    # the former product of two truncated member models
+    for alpha, z in itertools.product((0.06, 0.5, 1.0, 3.0), (1j, 0.3 + 0.7j, 0.1j)):
+        model = InteriorModel(alpha, z)
+        mus = _pair_mus(alpha)
+        for member in ("psi0", "psi1"):
+            got = rs._chain_pair(model, member, X)(mus, 0.7)
+            want = _inline_chain_pair_oracle(model, member, X, _product_tail_oracle)(mus, 0.7)
+            assert np.max(np.abs(got - want)) < 1e-12, (alpha, z, member)
 
 
 def test_chain_pair_serves_both_callers(monkeypatch):
