@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -485,9 +486,27 @@ _HANDLERS = {
 }
 
 
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """Glue an option and a value that starts with a minus sign into one
+    ``--opt=value`` token.
+
+    argparse reads a token that starts with '-' as an option unless it is
+    a plain negative number, so ``--z -0.4,0.2`` and ``--xp -1e-3`` would be
+    usage errors.  No option here starts with '-' and a digit or a point,
+    so such a token after ``--opt`` can only be its value.
+    """
+    out: list[str] = []
+    for token in argv:
+        if re.match(r"-\.?\d", token) and out and out[-1].startswith("--") and "=" not in out[-1]:
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = make_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     return _HANDLERS[args.command](args, parser)
 
 

@@ -3,17 +3,20 @@
 Three layers, all deterministic (fixed panel subdivision and summation
 order, no randomness):
 
-* Adaptive Gauss-Legendre with error estimates from embedded lower-order
-  rules, on intervals (``_adaptive``) and on deformed contours
-  (:func:`quad_contour`).  ``_adaptive`` takes one interval or a list of
-  pieces, each with its own tolerance (the equal pieces of an
+* Adaptive Gauss-Kronrod bisection, on intervals (``_adaptive``) and on
+  deformed contours (:func:`quad_contour`).  A panel is QUADPACK's embedded
+  G10/K21 pair: 21 evaluations give a degree-31 value and, from the 10
+  Gauss nodes among them, a degree-19 error estimate, with no evaluation
+  spent on the estimate alone.  ``_adaptive`` takes one interval or a list
+  of pieces, each with its own tolerance (the equal pieces of an
   ``_adaptive_oscillatory`` pre-split, or every spectral band of a radius
-  sweep), and bisects them level by level: the GL15 and GL7 nodes of every
-  pending panel of a level, over all pieces, go to the integrand in one call
-  of at most ``_BATCH_PANELS`` panels (5632 nodes), which bounds the memory
-  of a level that runs into the panel cap.  :func:`composite_gauss` owns the
-  fixed equal-panel layout; :func:`composite_phase_sums` takes plane-wave
-  moments on it with phases separated per panel.
+  sweep), and bisects them level by level: the 21 nodes of every pending
+  panel of a level, over all pieces, go to the integrand in one call of at
+  most ``_BATCH_PANELS`` panels (5376 nodes), which bounds the memory of a
+  level that runs into the panel cap.
+  :func:`composite_gauss` owns the fixed equal-panel layout;
+  :func:`composite_phase_sums` takes plane-wave moments on it with phases
+  separated per panel.
 * :class:`OscRational` -- finite sums ``sum_t c_t exp(i mu_t x) (x-z)^(-q_t)``
   with one complex pole center.  These admit *exact* full-line values (residue
   evaluation, half-line Abel regularization where classical convergence
@@ -125,7 +128,7 @@ def composite_gauss(lo: float, hi: float, n_panels: int, order: int) -> tuple[np
 _PHASE_BLOCK = 16
 # entries of the (wave number x panel) phase table and of the (wave number x
 # row x order) panel sums that one chunk of wave numbers may hold.  A level
-# of a radius sweep's bisection sends up to 5632 wave numbers at once; 2^14
+# of a radius sweep's bisection sends up to 5376 wave numbers at once; 2^14
 # entries (256 KB per table) keep its peak memory that of a single radius
 _PHASE_ENTRIES = 2**14
 
@@ -201,7 +204,58 @@ def _panel_product(phases: np.ndarray, wv: np.ndarray) -> np.ndarray:
     return out[:rows]
 
 
-_BATCH_PANELS = 256  # panels per integrand call: at most 256 * 22 = 5632 nodes
+# QUADPACK's qk21 rule on [-1, 1] (Piessens et al., 1983): the abscissae of
+# the 21-point Kronrod extension of the 10-point Gauss rule, from the
+# outermost to the centre, with the Gauss ones at the odd indices; their K21
+# weights; and the G10 weights of the odd-indexed abscissae
+_XK21 = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.000000000000000000000000000000000,
+])
+_WK21 = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077600525873600, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_WG10 = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+])
+
+
+def _kronrod_panel() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The qk21 literals unfolded onto [-1, 1]: the 21 nodes in ascending
+    order, their K21 weights, and the G10 weights of the odd-indexed nodes,
+    which are the Gauss nodes.  K21 is exact to degree 31 and G10 to 19.
+
+    Example
+    -------
+    >>> import numpy as np
+    >>> from epresolve.quadrature import _kronrod_panel
+    >>> x, wk, wg = _kronrod_panel()
+    >>> x.size, wg.size, bool(np.all(np.diff(x) > 0))
+    (21, 10, True)
+    >>> def miss(nodes, weights, degree):
+    ...     return abs(np.sum(weights * nodes**degree) - 2 / (degree + 1))
+    >>> bool(miss(x, wk, 30) < 1e-15 and miss(x[1::2], wg, 18) < 1e-15)
+    True
+    >>> bool(miss(x, wk, 32) > 1e-12 and miss(x[1::2], wg, 20) > 1e-6)
+    True
+    """
+    return (np.concatenate([-_XK21[:-1], _XK21[::-1]]),
+            np.concatenate([_WK21, _WK21[-2::-1]]),
+            np.concatenate([_WG10, _WG10[::-1]]))
+
+
+_BATCH_PANELS = 256  # panels per integrand call: at most 256 * 21 = 5376 nodes
 
 
 def _adaptive(
@@ -216,29 +270,30 @@ def _adaptive(
     ``a``, ``b`` and ``tol`` are scalars, or equal-length 1-D arrays of
     pieces [a_i, b_i], each bisected over its own span with its own
     tolerance tol_i and its own cap of ``max_panels`` panels; an empty piece
-    (b_i <= a_i) integrates to 0.  A panel's GL15 value is accepted when it
-    lies within tol * max(width / span, 1e-3) of its embedded GL7 value, or
-    when the panel is narrower than 1e-13 * span; otherwise it is halved,
-    while the panels its piece has evaluated plus the halves already queued
-    stay below ``max_panels``.  A piece that reaches the cap evaluates
-    between ``max_panels`` and ``max_panels + 1`` panels, and its value is
-    not to be trusted: ``capped`` counts the pieces where the cap kept a
-    failing panel from being halved.  Bisection runs level by level: all
-    pending panels of a level, over every piece, go to ``f`` together, in
-    calls of at most ``_BATCH_PANELS`` panels, so ``f`` must act pointwise
-    on a 1-D array.  Below the cap the accepted panels do not depend on the
-    visiting order or on the other pieces.  Each piece sums its accepted
-    panels by left edge.  Scalars give a complex value and a float error,
-    arrays one of each per piece.
+    (b_i <= a_i) integrates to 0.  A panel is QUADPACK's embedded
+    Gauss-Kronrod pair (:func:`_kronrod_panel`): 21 evaluations give the
+    K21 value, of degree 31, and its 10 Gauss nodes the G10 value, of degree
+    19.  The K21 value is accepted when it lies within
+    tol * max(width / span, 1e-3) of G10, or when the panel is narrower than
+    1e-13 * span; otherwise the panel is halved, while the panels its piece
+    has evaluated plus the halves already queued stay below ``max_panels``.
+    A piece that reaches the cap evaluates between ``max_panels`` and
+    ``max_panels + 1`` panels, and its value is not to be trusted:
+    ``capped`` counts the pieces where the cap kept a failing panel from
+    being halved.  Bisection runs level by level: all pending panels of a
+    level, over every piece, go to ``f`` together, in calls of at most
+    ``_BATCH_PANELS`` panels, so ``f`` must act pointwise on a 1-D array.
+    Below the cap the accepted panels do not depend on the visiting order or
+    on the other pieces.  Each piece sums its accepted panels by left edge.
+    Scalars give a complex value and a float error, arrays one of each per
+    piece.
     """
     scalar = np.ndim(a) == 0
     if scalar and b <= a:
         return QuadResult(0.0, 0.0, 0)
     starts, ends, tols = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=np.float64))
                                                for v in (a, b, tol)))
-    x15, w15 = _gl(15)
-    x7, w7 = _gl(7)
-    unit = np.concatenate([x15, x7])
+    unit, wk, wg = _kronrod_panel()
     pieces = starts.size
     spans = ends - starts
     piece = np.flatnonzero(spans > 0)
@@ -251,17 +306,17 @@ def _adaptive(
     evals = 0
     while lo.size:
         xm, hl = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        v15 = np.empty(lo.size, dtype=np.complex128)
-        v7 = np.empty(lo.size, dtype=np.complex128)
+        vk = np.empty(lo.size, dtype=np.complex128)
+        vg = np.empty(lo.size, dtype=np.complex128)
         for s in range(0, lo.size, _BATCH_PANELS):
             c = slice(s, s + _BATCH_PANELS)
             nodes = (xm[c, None] + hl[c, None] * unit).ravel()
             vals = np.asarray(f(nodes), dtype=np.complex128).reshape(-1, unit.size)
-            v15[c] = hl[c] * np.sum(w15 * vals[:, :15], axis=1)
-            v7[c] = hl[c] * np.sum(w7 * vals[:, 15:], axis=1)
+            vk[c] = hl[c] * np.sum(wk * vals, axis=1)
+            vg[c] = hl[c] * np.sum(wg * vals[:, 1::2], axis=1)
         evals += lo.size * unit.size
         width, span = hi - lo, spans[piece]
-        err = np.abs(v15 - v7)
+        err = np.abs(vk - vg)
         fail = (err > tols[piece] * np.maximum(width / span, 1e-3)) & (width >= 1e-13 * span)
         # a level keeps its panels grouped by piece: the halves queued by the
         # failing panels before this one, in its own piece
@@ -270,14 +325,14 @@ def _adaptive(
         counted += np.bincount(piece, minlength=pieces)
         split = fail & (counted[piece] + queued < max_panels)
         capped[piece[fail & ~split]] = True
-        kept.append((piece[~split], lo[~split], v15[~split], err[~split]))
+        kept.append((piece[~split], lo[~split], vk[~split], err[~split]))
         mid = xm[split]
         lo = np.stack([lo[split], mid], axis=1).ravel()
         hi = np.stack([mid, hi[split]], axis=1).ravel()
         piece = np.repeat(piece[split], 2)
-    piece, lo, v15, err = (np.concatenate(part) for part in zip(*kept))
+    piece, lo, vk, err = (np.concatenate(part) for part in zip(*kept))
     order = np.lexsort((lo, piece))
-    values, errors = v15[order].tolist(), err[order].tolist()
+    values, errors = vk[order].tolist(), err[order].tolist()
     bounds = np.searchsorted(piece[order], np.arange(pieces + 1)).tolist()
     runs = list(zip(bounds[:-1], bounds[1:]))
     value = [sum(values[i:j]) for i, j in runs]

@@ -630,6 +630,46 @@ def test_non_finite_numbers_are_usage_errors(args, capsys):
 
 
 @pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--n", "1", "--suite", "algebra"],
+        ["verify", "--model", "interior", "--suite", "algebra"],
+        ["sweep", "--n", "1", "--scheme", "res3", "--eps-grid", "0.4"],
+        ["indexes", "--n", "1"],
+        ["susy", "--n", "2", "--chain", "growing", "--length", "1"],
+        ["green", "--n", "1", "--x", "0.7", "--xp", "-0.4", "--energy", "2.0"],
+    ],
+    ids=["verify", "verify-interior", "sweep", "indexes", "susy", "green"],
+)
+def test_negative_re_z_spaced_and_joined_forms_agree(args, capsys):
+    # "--z -0.4,0.6" is not a plain negative number, which argparse would take
+    # for an option: both forms must give the same result
+    outputs = []
+    for z in (["--z", "-0.4,0.6"], ["--z=-0.4,0.6"], ["--z", "-.4,.6"]):
+        assert run([*args, *z]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1] == outputs[2] != ""
+
+
+def test_signed_values_attach_only_to_a_preceding_option(capsys):
+    # a negative number in exponent form after --xp, as --xp=-1e-3 gives it
+    outputs = []
+    for xp in (["--xp", "-1e-3"], ["--xp=-1e-3"]):
+        assert run(["sweep", "--n", "1", "--scheme", "res3", "--eps-grid", "0.4", *xp]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and ",-0.001," in outputs[0]
+    assert cli._attach_signed_values(["sweep", "--z", "-0.4,0.6", "-1"]) == ["sweep", "--z=-0.4,0.6", "-1"]
+    assert cli._attach_signed_values(["green", "--x", "0.7", "-2"]) == ["green", "--x", "0.7", "-2"]
+    assert cli._attach_signed_values(["--out", "-", "--z", "--n"]) == ["--out", "-", "--z", "--n"]
+    # a flag that takes no value stays a usage error, with or without the sign
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--n", "1", "--suite", "algebra", "--mutate", "-1"])
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
     "args, flag",
     [
         (["verify", "--model", "interior", "--n", "3", "--suite", "algebra"], "--n"),

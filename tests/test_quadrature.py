@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import epresolve.quadrature as quadrature
+from epresolve import resolution
 from epresolve.boundary import BoundaryModel, bm_assoc, bm_scatter
 from epresolve.exact import ExpLaurent, add_terms, mul_terms
 from epresolve.interior import InteriorModel, im_tail_model
@@ -26,6 +28,7 @@ from epresolve.quadrature import (
     quad_contour,
     quad_packet,
 )
+from epresolve.resolution import Scheme, SchemeId, TestFunction, apply_scheme
 
 
 # ---------------------------------------------------------------------------
@@ -279,18 +282,75 @@ def test_two_level_phase_table_mutation_controls(coarse_stride, fine_shift, monk
 # ---------------------------------------------------------------------------
 
 def _oracle_panel(f, a, b):
-    """One embedded GL15/GL7 panel: (value, error, evaluations)."""
+    """One embedded G10/K21 panel: (value, error, evaluations)."""
     xm, hl = 0.5 * (a + b), 0.5 * (b - a)
-    x15, w15 = quadrature._gl(15)
-    x7, w7 = quadrature._gl(7)
-    nodes = np.concatenate([xm + hl * x15, xm + hl * x7])
+    unit, wk, wg = quadrature._kronrod_panel()
+    nodes = xm + hl * unit
     vals = np.asarray(f(nodes), dtype=np.complex128)
-    v15 = hl * np.sum(w15 * vals[:15])
-    v7 = hl * np.sum(w7 * vals[15:])
+    vk = hl * np.sum(wk * vals)
+    vg = hl * np.sum(wg * vals[1::2])
     # the error through numpy's array abs, the kernel's loop: the scalar abs
     # of a complex128 (libm hypot) differs from it in the last bit for about
     # a third of all inputs
-    return complex(v15), float(np.abs(np.atleast_1d(v15 - v7))[0]), nodes.size
+    return complex(vk), float(np.abs(np.atleast_1d(vk - vg))[0]), nodes.size
+
+
+def _gl15_gl7_adaptive_oracle(f, a, b, tol, max_panels=4000):
+    """Oracle: ``_adaptive`` with the panel it had before the G10/K21 pair,
+    a GL15 value accepted on its distance to a separate GL7 value (22
+    evaluations, a degree-13 error estimate); level batching, cap and
+    summation order as in the kernel."""
+    scalar = np.ndim(a) == 0
+    if scalar and b <= a:
+        return quadrature.QuadResult(0.0, 0.0, 0)
+    starts, ends, tols = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=np.float64))
+                                               for v in (a, b, tol)))
+    x15, w15 = quadrature._gl(15)
+    x7, w7 = quadrature._gl(7)
+    unit = np.concatenate([x15, x7])
+    pieces = starts.size
+    spans = ends - starts
+    piece = np.flatnonzero(spans > 0)
+    lo, hi = starts[piece], ends[piece]
+    counted = np.zeros(pieces, dtype=np.int64)
+    capped = np.zeros(pieces, dtype=bool)
+    kept = [(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.complex128), np.empty(0))]
+    evals = 0
+    while lo.size:
+        xm, hl = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        v15 = np.empty(lo.size, dtype=np.complex128)
+        v7 = np.empty(lo.size, dtype=np.complex128)
+        for s in range(0, lo.size, quadrature._BATCH_PANELS):
+            c = slice(s, s + quadrature._BATCH_PANELS)
+            nodes = (xm[c, None] + hl[c, None] * unit).ravel()
+            vals = np.asarray(f(nodes), dtype=np.complex128).reshape(-1, unit.size)
+            v15[c] = hl[c] * np.sum(w15 * vals[:, :15], axis=1)
+            v7[c] = hl[c] * np.sum(w7 * vals[:, 15:], axis=1)
+        evals += lo.size * unit.size
+        width, span = hi - lo, spans[piece]
+        err = np.abs(v15 - v7)
+        fail = (err > tols[piece] * np.maximum(width / span, 1e-3)) & (width >= 1e-13 * span)
+        before = np.cumsum(fail) - fail
+        queued = 2 * (before - before[np.searchsorted(piece, piece)])
+        counted += np.bincount(piece, minlength=pieces)
+        split = fail & (counted[piece] + queued < max_panels)
+        capped[piece[fail & ~split]] = True
+        kept.append((piece[~split], lo[~split], v15[~split], err[~split]))
+        mid = xm[split]
+        lo = np.stack([lo[split], mid], axis=1).ravel()
+        hi = np.stack([mid, hi[split]], axis=1).ravel()
+        piece = np.repeat(piece[split], 2)
+    piece, lo, v15, err = (np.concatenate(part) for part in zip(*kept))
+    order = np.lexsort((lo, piece))
+    values, errors = v15[order].tolist(), err[order].tolist()
+    bounds = np.searchsorted(piece[order], np.arange(pieces + 1)).tolist()
+    runs = list(zip(bounds[:-1], bounds[1:]))
+    value = [sum(values[i:j]) for i, j in runs]
+    error = [sum(errors[i:j]) for i, j in runs]
+    hits = int(capped.sum())
+    if scalar:
+        return quadrature.QuadResult(complex(sum(value)), float(sum(error)), evals, hits)
+    return quadrature.QuadResult(np.array(value, dtype=np.complex128), np.array(error, dtype=np.float64), evals, hits)
 
 
 def _oracle_adaptive(f, a, b, tol, max_panels=4000, slack=1.0):
@@ -344,13 +404,13 @@ _POLE = 0.3 + 0.7j
 _ADAPTIVE_CASES = {
     # (integrand, a, b, tol, omega of the pre-split or None).  Each tolerance
     # leaves some panel's error between tol and 2 tol, so that the mutation
-    # control bites: a smooth panel's error drops by orders of magnitude per
-    # halving, and at many tolerances doubling changes no panel
-    "gaussian": (lambda x: np.exp(-x * x), -8.0, 8.0, 1e-11, None),
-    "oscillatory-pole": (lambda x: np.exp(2.5j * x) / (x - _POLE) ** 3, -20.0, 30.0, 1e-12, None),
+    # control bites: a smooth panel's K21 - G10 error drops by about 2^20 per
+    # halving, and at most tolerances doubling changes no panel
+    "gaussian": (lambda x: np.exp(-x * x), -8.0, 8.0, 2e-12, None),
+    "oscillatory-pole": (lambda x: np.exp(2.5j * x) / (x - _POLE) ** 3, -20.0, 30.0, 2e-14, None),
     "near-pole": (lambda x: 1.0 / (x - (0.2 + 1e-3j)), -1.0, 1.0, 1e-10, None),
     # omega 5 cuts [-20, 30] into 20 pieces
-    "presplit-20": (lambda x: np.exp(2.5j * x) / (x - _POLE) ** 3, -20.0, 30.0, 1e-11, 5.0),
+    "presplit-20": (lambda x: np.exp(2.5j * x) / (x - _POLE) ** 3, -20.0, 30.0, 1e-12, 5.0),
 }
 
 
@@ -382,7 +442,7 @@ def test_adaptive_levels_match_the_depth_first_oracle_bitwise(name):
     assert (got.value, got.error, got.evaluations) == want
     # one call per bisection level, each within the node cap
     assert max(levels) <= quadrature._BATCH_PANELS
-    assert sizes == [22 * n for n in levels]
+    assert sizes == [21 * n for n in levels]
     if name == "presplit-20":
         assert levels[0] == 20
 
@@ -397,8 +457,8 @@ def test_adaptive_oracle_mutation_control(name):
 
 
 def test_adaptive_cap_is_deterministic_and_counted():
-    # sin(1e8 x) is never resolved: every piece ends on its panel cap.  The
-    # benchmark counts a cap hit as evaluations >= 22 * max_panels
+    # sin(1e8 x) is never resolved: every piece ends on its panel cap, with
+    # 21 evaluations per panel, and ``capped`` counts it
     sizes = []
 
     def f(x):
@@ -408,14 +468,129 @@ def test_adaptive_cap_is_deterministic_and_counted():
     first = quadrature._adaptive(f, 0.0, 1.0, 1e-12, max_panels=50)
     again = quadrature._adaptive(f, 0.0, 1.0, 1e-12, max_panels=50)
     assert first == again
-    assert 22 * 50 <= first.evaluations <= 22 * 51
+    assert 21 * 50 <= first.evaluations <= 21 * 51
     sizes.clear()
     full = quadrature._adaptive(f, 0.0, 1.0, 1e-12)
-    assert 22 * 4000 <= full.evaluations <= 22 * 4001
+    assert 21 * 4000 <= full.evaluations <= 21 * 4001
     # levels past the batch cap take several calls, none over the node cap
-    assert max(sizes) == 22 * quadrature._BATCH_PANELS
+    assert max(sizes) == 21 * quadrature._BATCH_PANELS
     assert sum(sizes) == full.evaluations
     assert first.capped == full.capped == 1
+
+
+@pytest.mark.parametrize("name", sorted(_ADAPTIVE_CASES))
+def test_k21_panel_agrees_with_the_gl15_gl7_oracle(name):
+    # the same integrals within their tolerance, in fewer evaluations
+    f, _, _, tol, _ = _ADAPTIVE_CASES[name]
+    got = _batched(name, f)
+    with mock.patch.object(quadrature, "_adaptive", _gl15_gl7_adaptive_oracle):
+        want = _batched(name, f)
+    assert abs(got.value - want.value) <= tol
+    assert got.evaluations < want.evaluations and got.capped == want.capped == 0
+
+
+@pytest.mark.parametrize(
+    "scheme", [Scheme(SchemeId.RES3, BoundaryModel(2)), Scheme(SchemeId.RES12, InteriorModel(1.0, 1j))],
+    ids=["res3", "res12"],
+)
+def test_k21_sweeps_agree_with_the_gl15_gl7_oracle(scheme):
+    # a Gaussian radius sweep's spectral integrals, every band a piece of one
+    # bisection: each radius within the sweep tolerance of the former panel
+    eps, tol = np.array([0.4, 0.2, 0.1, 0.05]), 1e-9
+    f = TestFunction.gaussian(0.0, 1.0)
+    got = apply_scheme(scheme, eps, 50.0 / eps, f, 0.3, tol=tol)
+    with mock.patch.object(resolution, "_adaptive", _gl15_gl7_adaptive_oracle):
+        want = apply_scheme(scheme, eps, 50.0 / eps, f, 0.3, tol=tol)
+    assert np.all(np.abs(got - want) <= tol)
+
+
+def _legendre_coeffs(n):
+    # P_n(x) = 2^-n sum_k (-1)^k C(n, k) C(2n - 2k, n) x^(n - 2k), by power
+    out = [Fraction(0)] * (n + 1)
+    for k in range(n // 2 + 1):
+        out[n - 2 * k] = Fraction((-1) ** k * math.comb(n, k) * math.comb(2 * n - 2 * k, n), 2**n)
+    return out
+
+
+def _mpmath_gauss_kronrod(dps=50):
+    """Oracle: the G10/K21 rule rebuilt in ``dps``-digit mpmath, in QUADPACK's
+    layout (the abscissae from the outermost to the centre with their K21
+    weights, and the G10 weights of the odd-indexed ones).
+
+    The Kronrod abscissae are the roots of the Stieltjes polynomial E11,
+    which is odd and orthogonal to P10 x^k for k < 11: its coefficients solve
+    a 5 x 5 system of exact rational moments, and its roots come from the
+    quintic E11(x)/x in x^2.  The Gauss abscissae are the roots of P10 by
+    Newton's method; the K21 weights make the rule exact on P_0 .. P_20, and
+    the G10 weights are 2 (1 - x^2) / (10 P9(x))^2."""
+    import mpmath as mp
+
+    p10 = _legendre_coeffs(10)
+
+    def moment(m):  # the integral of P10(x) x^m over [-1, 1]
+        return sum(c * Fraction(2, j + m + 1) for j, c in enumerate(p10) if (j + m) % 2 == 0)
+
+    odd = (1, 3, 5, 7, 9)
+    rows = [[moment(i + k) for i in odd] + [-moment(11 + k)] for k in odd]
+    for col in range(5):  # Gauss-Jordan in exact arithmetic
+        pivot = next(r for r in range(col, 5) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(5):
+            if r != col and rows[r][col] != 0:
+                ratio = rows[r][col] / rows[col][col]
+                rows[r] = [u - ratio * v for u, v in zip(rows[r], rows[col])]
+    coeffs = [rows[i][5] / rows[i][i] for i in range(5)]  # of x^1, x^3, .., x^9
+    with mp.workdps(dps):
+        quintic = [mp.mpf(1)] + [mp.mpf(c.numerator) / c.denominator for c in reversed(coeffs)]
+        kronrod = [mp.sqrt(mp.re(y)) for y in mp.polyroots(quintic, maxsteps=200, extraprec=200)]
+        gauss = [mp.findroot(lambda x: mp.legendre(10, x), math.cos(math.pi * (i - 0.25) / 10.5))
+                 for i in range(1, 6)]
+        xk = sorted(kronrod + gauss, reverse=True) + [mp.mpf(0)]
+        system, rhs = mp.matrix(11, 11), mp.matrix(11, 1)
+        for r in range(11):
+            for i, x in enumerate(xk):
+                system[r, i] = (1 if i == 10 else 2) * mp.legendre(2 * r, x)
+        rhs[0] = 2
+        wk = list(mp.lu_solve(system, rhs))
+        wg = [2 * (1 - x * x) / (10 * mp.legendre(9, x)) ** 2 for x in xk[1:10:2]]
+    return xk, wk, wg
+
+
+def _kronrod_rule_misses(xk, wk, wg):
+    """What keeps QUADPACK-layout literals from being the G10/K21 rule: a
+    literal more than 1e-15 from the 50-digit rebuild, or a rule unfolded
+    from them (as the kernel unfolds its own) whose K21 misses a monomial of
+    degree <= 31, or G10 one of degree <= 19, by more than 1e-15, summed in
+    50-digit arithmetic.  Degree 32 (K21) and 20 (G10) must miss: the
+    exactness check would otherwise see nothing."""
+    import mpmath as mp
+
+    misses = []
+    for label, got, want in zip(("xk", "wk", "wg"), (xk, wk, wg), _mpmath_gauss_kronrod()):
+        misses += [(label, i) for i, (g, w) in enumerate(zip(got, want)) if abs(mp.mpf(float(g)) - w) > 1e-15]
+    with mock.patch.multiple(quadrature, _XK21=np.asarray(xk), _WK21=np.asarray(wk), _WG10=np.asarray(wg)):
+        x, wkx, wgx = quadrature._kronrod_panel()
+    with mp.workdps(50):
+        for label, nodes, weights, top in (("K21", x, wkx, 31), ("G10", x[1::2], wgx, 19)):
+            for d in range(top + 2):
+                miss = abs(mp.fsum(mp.mpf(float(w)) * mp.mpf(float(t)) ** d for t, w in zip(nodes, weights))
+                           - mp.mpf(1 + (-1) ** d) / (d + 1))
+                if (miss > 1e-15) != (d == top + 1):
+                    misses.append((label, d))
+    return misses
+
+
+def test_kronrod_literals_against_a_50_digit_rebuild():
+    assert _kronrod_rule_misses(quadrature._XK21, quadrature._WK21, quadrature._WG10) == []
+
+
+@pytest.mark.parametrize("which, index", [("wk", 0), ("wk", 10), ("wg", 2)])
+def test_kronrod_literals_mutation_control(which, index):
+    # one weight off by 1e-12 relative: the literal and degree 0 at least miss
+    rule = {"xk": quadrature._XK21.copy(), "wk": quadrature._WK21.copy(), "wg": quadrature._WG10.copy()}
+    rule[which][index] *= 1.0 + 1e-12
+    misses = _kronrod_rule_misses(rule["xk"], rule["wk"], rule["wg"])
+    assert (which, index) in misses and ("K21" if which == "wk" else "G10", 0) in misses
 
 
 def _piece_split(a, b):
@@ -561,12 +736,14 @@ def test_contour_segments_match_the_per_segment_oracle_bitwise(f, spec):
 
 
 def test_contour_and_line_carry_the_cap_count():
-    # tol 0: every straight segment bisects to the panel cap
-    for f, spec in _CONTOUR_CASES[1:3]:
-        assert quad_contour(f, spec, tol=0.0).capped == len(spec.centers) + 1
-    # ort1's integrand at n = 5, z = i: a monomial c (x - z)^-10 with
-    # c = 945^2 / (2 pi)^k, whose core reaches the cap at tol 1e-12
-    m = BoundaryModel(5)
+    # e^{1e8 ik} is never resolved: every straight segment bisects to the
+    # panel cap, while it decays on the detours above the axis
+    f = lambda k: np.exp(1e8j * k)
+    for spec in (ContourSpec(3.0, 0.4, "up"), ContourSpec(6.0, 0.3, "up", centers=(-1.0, 1.0))):
+        assert quad_contour(f, spec, tol=1e-10).capped == len(spec.centers) + 1
+    # ort1's integrand at n = 6, z = i: a monomial c (x - z)^-12, whose core
+    # reaches the cap at tol 1e-12 (at n = 5 it converges)
+    m = BoundaryModel(6)
     f = bm_assoc(m, 0) * bm_assoc(m, 0)
     ((_, p),) = f.terms.keys()
     c = next(iter(f.terms.values())).to_complex() * (2.0 * math.pi) ** (-0.5 * f.unit_pow)
