@@ -23,7 +23,7 @@ from .boundary import BoundaryModel, ChainClass, bm_classify, bm_scatter
 from .exact import dfact
 from .interior import InteriorModel, im_scatter
 
-__all__ = ["IndexTriple", "green", "pole_order", "indexes"]
+__all__ = ["IndexTriple", "check_phase_range", "green", "pole_order", "indexes"]
 
 # off-diagonal probe pairs; the second witness guards against an accidental
 # zero of the solution at a single probe point
@@ -123,14 +123,22 @@ def green(
     g = _green_k(model, np.array([k]), x, xp)
     # after the evaluation, so that an overflow is reported as one
     reach = abs(k) if isinstance(model, BoundaryModel) else max(abs(k), 2 * model.alpha)
-    far = float(np.max(np.abs(x), initial=abs(xp)))
-    if reach * far * 2.0**-53 > _PHASE_ROUNDING:
-        raise ValueError(
-            f"coordinate {far:.6g} (--x/--xp) is out of range: the phase's rounding, "
-            f"{reach:.6g} * |x| * 2**-53, passes {_PHASE_ROUNDING:g} from |x| = "
-            f"{_PHASE_ROUNDING * 2.0**53 / reach:.6g}"
-        )
+    check_phase_range(reach, float(np.max(np.abs(x), initial=abs(xp))), "--x/--xp")
     return complex(g[0]) if np.ndim(x) == 0 else g
+
+
+def check_phase_range(rate: float, far: float, flags: str) -> None:
+    """Refuse a coordinate |x| = ``far`` at which a phase rate * x keeps no
+    correct digit: its rounding, rate * |x| * 2**-53, must stay below
+    1e-8.  ``rate`` is the largest phase rate read at the coordinate, and
+    ``flags`` names the options that set it.  ValueError otherwise.
+    """
+    if rate * far * 2.0**-53 > _PHASE_ROUNDING:
+        raise ValueError(
+            f"coordinate {far:.6g} ({flags}) is out of range: the phase's rounding, "
+            f"{rate:.6g} * |x| * 2**-53, passes {_PHASE_ROUNDING:g} from |x| = "
+            f"{_PHASE_ROUNDING * 2.0**53 / rate:.6g}"
+        )
 
 
 def pole_order(

@@ -24,9 +24,9 @@ order, no randomness):
   integral, so slowly decaying oscillatory integrands never need giant grids.
   :meth:`OscRational.integral_tails` evaluates the tails of ``e * e^{ikx}``
   for a whole array of wave numbers k in one pass: the terms are grouped by
-  frequency mu, and per side one table of g_q(w) = e^w E_q(w) over the
-  (group x k) frequencies mu + k gives every power q >= 1 that the
-  coefficients read.  The table (``_scaled_expn``) seeds each element at a
+  frequency mu, and one table of g_q(w) = e^w E_q(w) over the nonzero
+  (group x k) frequencies mu + k of both sides gives every power q >= 1
+  that the coefficients read.  The table (``_scaled_expn``) seeds each element at a
   pivot order P = clip(floor|w|, 1, max(qmax, 16)), by a power series near
   the branch cut and for small |w| and by a continued fraction elsewhere,
   and runs the recurrence in q away from P, downward below it and upward
@@ -628,20 +628,42 @@ def osc_power_tail(mu: float, z: complex, q: int, X: float, side: int = 1) -> co
     return complex(cmath.exp(1j * mu * X) * d ** (1 - q) * g)
 
 
+def _tail_tables(sides: Sequence[tuple[np.ndarray, complex]], X: float, qmax: int) -> list[np.ndarray]:
+    """The :func:`_scaled_expn` rows g_q(w), q = 1..qmax, of the nonzero
+    frequencies of each tail side (nu, z), at w = -i nu (X - z), in the
+    order of ``nu[nu != 0]``.
+
+    One table serves every side: its elements do not depend on each other
+    up to ``_TABLE_TOP`` orders, and the sides share qmax, so each side's
+    rows are bitwise those of a table of its own.  Zero frequencies take
+    the closed form in :func:`_right_tails`; a call without a nonzero
+    frequency or without a power q >= 1 builds no table.
+    """
+    args = []
+    for nu, z in sides:
+        zero = nu == 0.0
+        iw = 1j * np.where(zero, 1.0, nu)
+        args.append(-iw[~zero] * (X - z))
+    ends = np.cumsum([w.size for w in args])
+    if qmax < 1 or ends[-1] == 0:
+        return [np.zeros((max(qmax, 0), w.size), dtype=np.complex128) for w in args]
+    return np.split(_scaled_expn(np.concatenate(args), qmax), ends[:-1], axis=1)
+
+
 def _right_tails(
     nu: np.ndarray, z: complex, terms: tuple[np.ndarray, np.ndarray, np.ndarray], X: float,
+    table: np.ndarray,
 ) -> np.ndarray:
     """Right tails of grouped terms over a (group x k) frequency array.
 
-    ``nu`` holds one row of frequencies per group, and ``terms`` the flat
-    arrays (power q, group, coefficient) of every term.  Returns the
-    (group, k) partial sums sum_q c * osc_power_tail(nu, z, q, X) of every
-    group: one :func:`_scaled_expn` table over the whole ``nu`` gives every
-    q >= 1 as e^{i nu X} (X-z)^(1-q) g_q(-i nu (X-z)), the plain oscillation
-    seeds the Abel-regularized recurrence in q <= 0, and each group collects
-    its coefficients order by order.  Zero frequencies take the closed form
-    (q >= 2 only, as in the oracle) and stay out of the table, whose
-    elements do not depend on each other.
+    ``nu`` holds one row of frequencies per group, ``terms`` the flat
+    arrays (power q, group, coefficient) of every term, and ``table`` the
+    :func:`_tail_tables` rows of the nonzero ``nu``.  Returns the (group, k)
+    partial sums sum_q c * osc_power_tail(nu, z, q, X) of every group: the
+    table gives every q >= 1 as e^{i nu X} (X-z)^(1-q) g_q(-i nu (X-z)), the
+    plain oscillation seeds the Abel-regularized recurrence in q <= 0, and
+    each group collects its coefficients order by order.  Zero frequencies
+    take the closed form (q >= 2 only, as in the oracle).
     """
     qs, groups, cs = terms
     zero = nu == 0.0
@@ -660,8 +682,7 @@ def _right_tails(
     qmin, qmax = int(qs.min()), int(qs.max())
     if qmax >= 1:
         g = np.zeros((qmax,) + nu.shape, dtype=np.complex128)
-        if not zero.all():
-            g[:, ~zero] = _scaled_expn(-iw[~zero] * d, qmax)
+        g[:, ~zero] = table
         for q in range(1, qmax + 1):
             collect(q, ph * g[q - 1], d ** (1 - q))
     if qmin <= 0:
@@ -800,10 +821,11 @@ class OscRational:
         real array ``k`` returns an array of the same shape, one tail per wave
         number.  The terms are grouped by frequency mu; one
         :func:`_right_tails` pass per side over the (group x k) array of
-        frequencies mu + k (rounded like the keys) seeds each frequency once,
-        and the groups are summed in ascending mu, the right tail before the
-        left.  Raises ``ValueError`` where mu + k vanishes under a power
-        q <= 1, whose tail diverges.
+        frequencies mu + k (rounded like the keys) reads its powers q >= 1
+        off one :func:`_tail_tables` call for both sides, which seeds each
+        nonzero frequency of each side once, and the groups are summed in
+        ascending mu, the right tail before the left.  Raises ``ValueError``
+        where mu + k vanishes under a power q <= 1, whose tail diverges.
         """
         kv = np.asarray(np.zeros(1) if k is None else k, dtype=np.float64)
         total = np.zeros(kv.size, dtype=np.complex128)
@@ -813,10 +835,12 @@ class OscRational:
             flat = [(q, group[mu], c) for (mu, q), c in self.terms.items()]
             qs, groups = (np.array([t[i] for t in flat], dtype=int) for i in range(2))
             right = (qs, groups, np.array([t[2] for t in flat], dtype=np.complex128))
-            # t -> -t maps the left tail onto a right tail with reflected data
             left = (qs, groups, np.array([(-1.0) ** t[0] * t[2] for t in flat], dtype=np.complex128))
             nu = np.round(np.array(mus)[:, None] + kv.ravel(), 12)
-            sides = (_right_tails(nu, self.z, right, X), _right_tails(-nu, -self.z, left, X))
+            # t -> -t maps the left tail onto a right tail with reflected data
+            args = ((nu, self.z, right), (-nu, -self.z, left))
+            tables = _tail_tables([(v, zc) for v, zc, _ in args], X, int(qs.max()))
+            sides = [_right_tails(*side, X, table) for side, table in zip(args, tables)]
             for g in range(len(mus)):
                 for side in sides:
                     total += side[g]

@@ -51,6 +51,7 @@ import numpy as np
 
 from .boundary import BoundaryModel, bm_assoc, bm_scatter
 from .exact import ExpLaurent, RationalComplex, add_terms, i_power, mul_terms
+from .greens import check_phase_range
 from .interior import (
     PAIR_WINDOW,
     POLE_GUARD,
@@ -622,8 +623,14 @@ def _panels_for(f: TestFunction, k_max: float, model: InteriorModel | None = Non
                 f"Im z = {model.z.imag:g} (--z) is out of range: W's complex zeros come within {gap:.3g} of the "
                 f"real axis, and panels that narrow need {n_panels} over [-{W:g}, {W:g}], more than {_MAX_PANELS}"
             )
-        what = f"rational:{f.exponent}" if f.kind == "rational_decay" else (
-            f"{f.kind} at center {f.center!r} with width {f.width!r}")
+        if f.is_chain:
+            name = f"chain:{f.ref[1]}" if f.ref[0] == "assoc" else f.ref[0]
+            at = "" if model is None else f" at alpha {model.alpha:g}"
+            what = f"{name}{at} over the window [-{W:g}, {W:g}]"
+        elif f.kind == "rational_decay":
+            what = f"rational:{f.exponent}"
+        else:
+            what = f"{f.kind} at center {f.center!r} with width {f.width!r}"
         raise ValueError(f"test function {what} needs {n_panels} grid panels, more than {_MAX_PANELS}")
     return -W, W, n_panels
 
@@ -633,7 +640,10 @@ def _spectral_reach(f: TestFunction) -> float:
         return 6.0 + 16.0 / f.width + 1.2 * f.order
     if f.kind == "rational_decay":
         return 45.0
-    return 42.0  # chain transforms decay like k^m e^{-k Im z}
+    # boundary chain members only, whose transforms decay like k^m e^{-k Im z};
+    # an interior member has no transform, and its pair grid is sized by the
+    # waves it serves (_chain_pair)
+    return 42.0
 
 
 # extra k-range for interior transforms of localized packets, whose decay is
@@ -879,6 +889,15 @@ def _ladder_bands(a: float, eps: float, K: float) -> list[tuple[float, float]]:
     return [(-hi, -lo) for lo, hi in reversed(right)] + right
 
 
+def _spectral_range(model: BoundaryModel | InteriorModel, f: TestFunction) -> float:
+    """The k-range of f's spectral integral below any cutoff A: its spectral
+    reach, for the interior family plus the potential's harmonics and
+    :data:`_INTERIOR_REACH_PAD`."""
+    if isinstance(model, InteriorModel):
+        return _spectral_reach(f) + 3 * model.alpha + _INTERIOR_REACH_PAD
+    return _spectral_reach(f)
+
+
 def _spectral_integrals(
     model: BoundaryModel | InteriorModel, f: TestFunction, integrand: Callable[[np.ndarray], np.ndarray],
     radii: Sequence[float], cutoffs: Sequence[float], tol: float,
@@ -897,7 +916,7 @@ def _spectral_integrals(
     call.  Each radius adds its pieces by ascending k.
     """
     interior = isinstance(model, InteriorModel)
-    reach = _spectral_reach(f) + (3 * model.alpha + _INTERIOR_REACH_PAD if interior else 0.0)
+    reach = _spectral_range(model, f)
     keys: dict[tuple[float, float, float], int] = {}
     per_radius = []
     for eps, cut in zip(radii, cutoffs):
@@ -1065,12 +1084,19 @@ def _chain_pair(model: InteriorModel, member: str, X: float) -> _Pair:
     """The :func:`_pair_moments` of the chain member ``member`` ("psi0" or
     "psi1"), split at the window X.
 
-    Members settle to O(1) oscillation: the grid spans [-X, X] and resolves
-    phases up to the spectral reach plus the potential's harmonics, and the
-    exact large-x model of the product psi0 member takes the rest.
+    Members settle to O(1) oscillation: the grid spans [-X, X], and the
+    exact large-x model of the product psi0 member takes the rest.  The grid
+    is sized by the waves it serves, k_max = 5 alpha: its callers ask for
+    the bracket waves |mu| <= 2 alpha + eps, and both :func:`apply_scheme`
+    and :func:`reproduce_psi0_term` require eps < alpha, so |mu| < 3 alpha;
+    the product psi0 member carries harmonics up to 2 alpha on top.  A chain
+    member has no transform to resolve, so the spectral reach does not
+    enter; W's complex zeros still cap the panel width
+    (:func:`im_zero_gap`), and below Im z of about 1.09 at alpha 1 they,
+    not the waves, set the layout.
     """
     f = TestFunction(kind="chain", ref=(member,))
-    layout = _panels_for(f, _spectral_reach(f) + 8 * model.alpha, model, X)
+    layout = _panels_for(f, 5 * model.alpha, model, X)
     nodes, _ = composite_gauss(*layout, 16)
     values = f.make_eval(model)(nodes)
     return _pair_moments(model, layout, nodes, values, im_tail_model(model, f"psi0*{member}", X), X)
@@ -1185,6 +1211,13 @@ def apply_scheme(
     kind, model = scheme.kind, scheme.model
     f.check_model(model)
     es, cuts = radii.ravel().tolist(), cutoffs.ravel().tolist()
+    # the phases read at x' must keep their digits, as in green: e^{-ikx'}
+    # up to the spectral cutoff (an interior chain member has no spectral
+    # part), the closed blocks' waves up to eps, and for the interior
+    # family psi0(x'), whose W holds sin(2 alpha x')
+    top_k = 0.0 if kind in _INTERIOR_IDS and f.is_chain else min(max(cuts), _spectral_range(model, f))
+    harmonic = 2 * model.alpha if kind in _INTERIOR_IDS else 0.0
+    check_phase_range(max(top_k, max(es), harmonic), abs(xp), "--xp")
     if kind in _INTERIOR_IDS:
         # the spectral integral reaches k = +-(alpha - eps), where
         # |k^2 - alpha^2| = eps (2 alpha - eps) must not fall below POLE_GUARD

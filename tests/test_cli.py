@@ -580,6 +580,54 @@ def test_sweep_packet_past_the_panel_bound_is_usage_error(family, testfn, monkey
     assert "more than 32768" in captured.err
 
 
+@pytest.mark.parametrize("testfn", ["psi1", "psi0"])
+def test_sweep_chain_member_past_the_panel_bound_names_member_alpha_and_window(testfn, monkeypatch, capsys):
+    # a chain member has no centre or width: the refusal names the member,
+    # alpha and the window, before any grid is built (5 alpha = 5000 needs
+    # 44,445 panels over the chain window)
+    def boom(*args):
+        raise AssertionError("built a grid")
+
+    monkeypatch.setattr(resolution, "composite_gauss", boom)
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", "--model", "interior", "--alpha", "1000", "--scheme", "res12", "--testfn", testfn])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert f"test function {testfn} at alpha 1000 over the window [-40, 40] needs 44445 grid panels" in captured.err
+    assert "center" not in captured.err and "width" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "family, rate",
+    [
+        # K = min(A, spectral reach) = min(50 / 0.4, 22) for the unit Gaussian
+        (["--n", "2", "--scheme", "int5", "--testfn", "gaussian"], 22.0),
+        # max(K, 2 alpha): a chain member has no spectral part
+        (["--model", "interior", "--alpha", "1.1", "--scheme", "res12", "--testfn", "psi1"], 2.2),
+    ],
+    ids=["boundary", "interior"],
+)
+def test_sweep_xp_past_the_phase_rounding_is_usage_error(family, rate, monkeypatch, capsys):
+    # green's check of the phase's rounding, rate * |x'| * 2**-53 <= 1e-8,
+    # at the largest phase rate the sweep reads.  `--xp 1e20` printed the
+    # target 0.5944 with exit 0 (interior); the benchmark's |x'| <= 1 and
+    # the 1e4 of a large-x' boundary sweep are far below the bound
+    bound = 1e-8 * 2.0**53 / rate
+    # just below the bound the boundary spectral integral caps its pieces
+    # on the e^{-ikx'} phase (about 20 s): stubbed, as only the check is tested
+    monkeypatch.setattr(resolution, "_spectral_integrals", lambda model, f, integrand, radii, *rest: [0j] * len(radii))
+    assert run(["sweep", *family, "--eps-grid", "0.4", "--xp", repr(bound * (1 - 1e-9))]) == 0
+    capsys.readouterr()
+    for xp in (bound * (1 + 1e-9), 1e20, -1e20):
+        with pytest.raises(SystemExit) as exc:
+            run(["sweep", *family, "--eps-grid", "0.4", "--xp", repr(xp)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert "(--xp) is out of range" in captured.err and f"{rate:g} * |x| * 2**-53" in captured.err
+
+
 @pytest.mark.parametrize(
     "args",
     [

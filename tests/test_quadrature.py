@@ -971,13 +971,16 @@ def test_oscrational_product_matches_the_mul_terms_oracle(a, b):
     _assert_product_matches_mul_terms(fa, fb)
 
 
-def _full_table_right_tails_oracle(nu, z, terms, X):
-    """Oracle: _right_tails as it was before zero frequencies left the table,
-    with a placeholder 1 at each zero, whose entries the closed form then
-    overwrites."""
+def _per_side_right_tails_oracle(nu, z, terms, X, full):
+    """Oracle: _right_tails as it was with an E_n table of its own per side,
+    over the side's nonzero frequencies or, with ``full``, as it was before
+    zero frequencies left the table: over the whole nu, with a placeholder 1
+    at each zero, whose entries the closed form then overwrites."""
     qs, groups, cs = terms
     zero = nu == 0.0
     zero_groups = zero.any(axis=1)
+    if zero_groups[groups[qs <= 1]].any():
+        raise ValueError("tail diverges for q <= 1 at zero frequency")
     d = X - z
     iw = 1j * np.where(zero, 1.0, nu)
     ph = np.exp(iw * X)
@@ -989,7 +992,12 @@ def _full_table_right_tails_oracle(nu, z, terms, X):
 
     qmin, qmax = int(qs.min()), int(qs.max())
     if qmax >= 1:
-        g = quadrature._scaled_expn(-iw * d, qmax)
+        if full:
+            g = quadrature._scaled_expn(-iw * d, qmax)
+        else:
+            g = np.zeros((qmax,) + nu.shape, dtype=np.complex128)
+            if not zero.all():
+                g[:, ~zero] = quadrature._scaled_expn(-iw[~zero] * d, qmax)
         for q in range(1, qmax + 1):
             collect(q, ph * g[q - 1], d ** (1 - q))
     if qmin <= 0:
@@ -1007,6 +1015,27 @@ def _full_table_right_tails_oracle(nu, z, terms, X):
     return out
 
 
+def _two_table_tails_oracle(f, X, k=None, full=False):
+    """Oracle: OscRational.integral_tails as it was with one E_n table per
+    side, each side through _per_side_right_tails_oracle(..., full)."""
+    kv = np.asarray(np.zeros(1) if k is None else k, dtype=np.float64)
+    total = np.zeros(kv.size, dtype=np.complex128)
+    if f.terms:
+        mus = sorted({mu for mu, _ in f.terms})
+        group = {mu: g for g, mu in enumerate(mus)}
+        flat = [(q, group[mu], c) for (mu, q), c in f.terms.items()]
+        qs, groups = (np.array([t[i] for t in flat], dtype=int) for i in range(2))
+        right = (qs, groups, np.array([t[2] for t in flat], dtype=np.complex128))
+        left = (qs, groups, np.array([(-1.0) ** t[0] * t[2] for t in flat], dtype=np.complex128))
+        nu = np.round(np.array(mus)[:, None] + kv.ravel(), 12)
+        sides = (_per_side_right_tails_oracle(nu, f.z, right, X, full),
+                 _per_side_right_tails_oracle(-nu, -f.z, left, X, full))
+        for g in range(len(mus)):
+            for side in sides:
+                total += side[g]
+    return complex(total[0]) if k is None else total.reshape(kv.shape)
+
+
 @given(
     terms=st.lists(st.tuples(st.sampled_from([0.0, 0.5, -0.5, 1.25]), st.integers(2, 6),
                              _coefficients), min_size=1, max_size=8),
@@ -1018,14 +1047,42 @@ def test_zero_frequency_tails_equal_the_full_table_oracle_bitwise(terms, ks, X):
     # zero frequencies (mu + k == 0, q >= 2) no longer enter the E_n table;
     # every other element reads the same value as from the whole table
     f = OscRational(0.2 + 0.9j, terms)
-    with mock.patch.object(quadrature, "_right_tails", _full_table_right_tails_oracle):
-        want = f.integral_tails(X, np.array(ks))
+    want = _two_table_tails_oracle(f, X, np.array(ks), full=True)
     assert np.array_equal(f.integral_tails(X, np.array(ks)), want)
+
+
+@given(
+    terms=st.lists(st.tuples(st.sampled_from([0.0, 0.5, -0.5, 1.25, -1.5]), st.integers(-3, 6),
+                             _coefficients), min_size=1, max_size=10),
+    ks=st.one_of(st.none(), st.lists(st.sampled_from([0.0, -0.5, 0.5, -1.25, 0.75, 1.5]),
+                                     min_size=1, max_size=6)),
+    z=st.sampled_from([0.2 + 0.9j, -0.4 - 1.3j, 0.5j, 1.0 + 0.1j]),
+    X=st.floats(3.0, 60.0),
+)
+# zero frequencies under q >= 2 beside q <= 0 terms of other groups, on a k array
+@example(terms=[(0.5, 3, 1.0), (0.5, 2, 0.5j), (-1.5, 0, 2.0), (-1.5, -3, -1.0), (1.25, 1, 0.3)],
+         ks=[-0.5, 0.0, 0.75], z=0.2 + 0.9j, X=40.0)
+# powers q <= 0 only: no table at all
+@example(terms=[(0.5, 0, 1.0), (-1.5, -2, 1.0j)], ks=[0.0, 1.5], z=0.5j, X=5.0)
+@settings(max_examples=120, deadline=None)
+def test_one_table_tails_equal_the_two_table_path_bitwise(terms, ks, z, X):
+    # both sides read one E_n table per call: every element, and so every
+    # tail, is bitwise the one that a table per side gave; where a zero
+    # frequency meets a power q <= 1 both refuse
+    f, k = OscRational(z, terms), None if ks is None else np.array(ks)
+    try:
+        want = _two_table_tails_oracle(f, X, k)
+    except ValueError:
+        with pytest.raises(ValueError):
+            f.integral_tails(X, k)
+        return
+    got = f.integral_tails(X, k)
+    assert type(got) is type(want) and np.array_equal(got, want)
 
 
 def test_zero_frequency_tails_build_no_table(monkeypatch):
     # the one-term tail of ort1's overlap (q = 2 at zero frequency) is closed;
-    # a mixed call tabulates only its nonzero frequencies
+    # a mixed call tabulates only its nonzero frequencies, both sides in one table
     sizes = []
     table = quadrature._scaled_expn
 
@@ -1038,7 +1095,9 @@ def test_zero_frequency_tails_build_no_table(monkeypatch):
     one = OscRational(z, [(0.0, 2, 1.0)]).integral_tails(X)
     assert sizes == [] and abs(one - ((X - z) ** -1 + (X + z) ** -1)) <= 1e-16
     OscRational(z, [(0.0, 2, 1.0), (0.5, 3, 1.0)]).integral_tails(X, np.array([0.0, 0.25]))
-    assert sizes == [3, 3]  # per side: (0.0 + 0.25, 0.5 + 0.0, 0.5 + 0.25)
+    assert sizes == [6]  # per side: (0.0 + 0.25, 0.5 + 0.0, 0.5 + 0.25)
+    OscRational(z, [(0.5, 0, 1.0), (-0.5, -2, 1.0)]).integral_tails(X, np.array([0.0, 0.25]))
+    assert sizes == [6]  # powers q <= 0 read no table
 
 
 def _osc_sums(coeffs):

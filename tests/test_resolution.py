@@ -889,14 +889,23 @@ def test_pair_moments_need_the_zero_distance_and_the_chain_tail(monkeypatch):
 
 
 def test_interior_layouts_of_the_benchmark_range_keep_their_width():
-    # the zero distance binds only below the benchmark's Im z: at alpha 1
-    # from Im z 0.5 and at alpha 1.5 from 1.2 the layouts are the ones the
-    # k-resolution alone gives
+    # a packet's transform grid: the zero distance binds only below the
+    # benchmark's Im z: at alpha 1 from Im z 0.5 and at alpha 1.5 from 1.2
+    # the layouts are the ones the k-resolution alone gives
     for alpha, im_z in ((1.0, 0.5), (1.5, 1.2)):
         model = InteriorModel(alpha, 1j * im_z)
-        for f in (_PSI1, TestFunction.gaussian(0.3, 0.8), TestFunction.gaussian(-0.3, 1.2)):
-            reach = rs._spectral_reach(f) + (8 * alpha if f.is_chain else 2 * alpha + rs._INTERIOR_REACH_PAD)
+        for f in (TestFunction.gaussian(0.3, 0.8), TestFunction.gaussian(-0.3, 1.2)):
+            reach = rs._spectral_reach(f) + 2 * alpha + rs._INTERIOR_REACH_PAD
             assert rs._panels_for(f, reach, model) == rs._panels_for(f, reach)
+    # a chain member's grid is sized by its waves, 5 alpha: half-unit panels
+    # at alpha 1, which W's zero distance undercuts below Im z = 1.0876
+    # (sinh 1 + 1 = 2 Im z), so the gap sets most of the benchmark's chain
+    # grids.  Either way they stay below the reach-sized grid they replace
+    for im_z in (0.5, 0.8, 1.0, 1.08, 1.09, 1.5, 2.0):
+        model = InteriorModel(1.0, 1j * im_z)
+        layout = rs._panels_for(_PSI1, 5.0, model)
+        assert (layout != rs._panels_for(_PSI1, 5.0)) == (im_z < 1.0876), im_z
+        assert layout[2] < rs._panels_for(_PSI1, rs._spectral_reach(_PSI1) + 8.0, model)[2], im_z
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.2])
@@ -1047,9 +1056,10 @@ def _inline_chain_pair_oracle(model, member, X, tail=im_tail_model):
     """Oracle: a chain member's pair moments as _interior_transform and
     reproduce_psi0_term each built them in place before they shared
     _chain_pair: layout, nodes, member values and the tail model of the
-    product psi0 member, from ``tail``."""
+    product psi0 member, from ``tail``; the layout is sized by the waves the
+    grid serves, 5 alpha, as _chain_pair's."""
     f = TestFunction(kind="chain", ref=(member,))
-    layout = rs._panels_for(f, rs._spectral_reach(f) + 8 * model.alpha, model, X)
+    layout = rs._panels_for(f, 5 * model.alpha, model, X)
     nodes, _ = quadrature.composite_gauss(*layout, 16)
     values = im_member(model, member, nodes)
     return rs._pair_moments(model, layout, nodes, values, tail(model, f"psi0*{member}", X), X)
@@ -1075,6 +1085,70 @@ def test_chain_pair_matches_the_product_tail_oracle(X):
             got = rs._chain_pair(model, member, X)(mus, 0.7)
             want = _inline_chain_pair_oracle(model, member, X, _product_tail_oracle)(mus, 0.7)
             assert np.max(np.abs(got - want)) < 1e-12, (alpha, z, member)
+
+
+def _reach_grid_chain_pair_oracle(model, member, X):
+    """Labelled oracle: a chain member's pair moments on the grid sized by
+    the chain transform's reach plus the potential's harmonics, 42 + 8 alpha,
+    as _chain_pair built them before it sized its grid by the waves it
+    serves.  Returns the pair and the scale of its sums, the integral of
+    |member psi0| over the window, to which the rounding of either grid's
+    sums is proportional."""
+    f = TestFunction(kind="chain", ref=(member,))
+    layout = rs._panels_for(f, rs._spectral_reach(f) + 8 * model.alpha, model, X)
+    nodes, weights = quadrature.composite_gauss(*layout, 16)
+    values = im_member(model, member, nodes)
+    scale = float(np.sum(np.abs(values * im_psi0(model, nodes)) * weights))
+    return rs._pair_moments(model, layout, nodes, values, im_tail_model(model, f"psi0*{member}", X), X), scale
+
+
+def _chain_bracket_waves(alpha):
+    # every wave of the interior brackets: 0, +-eps and +-2 alpha +- eps, at
+    # the widest radius eps = 0.9 alpha and at eps = min(0.4, 0.9 alpha)
+    radii = (0.9 * alpha, min(0.4, 0.9 * alpha))
+    return np.array(sorted({0.0} | {s * e for e in radii for s in (1, -1)}
+                           | {s1 * 2 * alpha + s2 * e for e in radii for s1 in (1, -1) for s2 in (1, -1)}))
+
+
+_WAVE_GRID_CASES = list(itertools.product(
+    (0.06, 0.5, 1.0, 3.0, 10.0), (1j, 0.3 + 0.7j, 0.1j, 2j),
+    (interior.TRANSFORM_WINDOW, interior.PAIR_WINDOW), ("psi0", "psi1")))
+
+
+def _wave_grid_misses(monkeypatch=None):
+    """Per case, |_chain_pair - reach-grid oracle| over the bracket waves in
+    units of the oracle's scale (at least 1).  ``monkeypatch`` builds
+    _chain_pair's layout without the zero-distance cap (a mutation control);
+    the oracle keeps it."""
+    misses = {}
+    for alpha, z, X, member in _WAVE_GRID_CASES:
+        model, mus = InteriorModel(alpha, z), _chain_bracket_waves(alpha)
+        pair, scale = _reach_grid_chain_pair_oracle(model, member, X)
+        want = pair(mus, 0.7)
+        if monkeypatch is None:
+            got = rs._chain_pair(model, member, X)(mus, 0.7)
+        else:
+            with monkeypatch.context() as m:
+                m.setattr(rs, "im_zero_gap", lambda model: math.inf)
+                got = rs._chain_pair(model, member, X)(mus, 0.7)
+        misses[alpha, z, X, member] = float(np.max(np.abs(got - want))) / max(1.0, scale)
+    return misses
+
+
+def test_chain_pair_on_its_wave_grid_matches_the_reach_grid_oracle():
+    # 173 instead of 445 panels at alpha 1, z = i; the misses are the two
+    # grids' rounding (worst 6.3e-14, at alpha 10), not their resolution
+    misses = _wave_grid_misses()
+    worst = max(misses, key=misses.get)
+    assert misses[worst] <= 1e-13, (worst, misses[worst])
+
+
+def test_chain_pair_wave_grid_mutation_control(monkeypatch):
+    # panels as wide as the waves alone allow, past W's zero distance (0.05
+    # at alpha 1, Im z 0.1), must miss: every Im z 0.1 case by 1.7e-6 to
+    # 1.7e-5 of the scale
+    misses = _wave_grid_misses(monkeypatch)
+    assert all(misses[case] > 1e-7 for case in misses if case[1] == 0.1j)
 
 
 def test_chain_pair_serves_both_callers(monkeypatch):
