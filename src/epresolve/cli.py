@@ -140,7 +140,9 @@ def _no_result(command: str, exc: ValueError) -> int:
 
 
 def _write_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # a non-finite number raises ValueError before anything is written,
+    # instead of printing a non-standard NaN or Infinity token
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
@@ -309,7 +311,11 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         "suites": names,
         "reports": [r.to_dict() for r in reports],
     }
-    _write_json(payload, args.out)
+    try:
+        _write_json(payload, args.out)
+    except ValueError as exc:
+        named = ", ".join(r.identity for r in reports if not math.isfinite(r.residual))
+        return _no_result("verify", ValueError(f"report {named}: {exc}"))
     if args.out is not None:
         for r in reports:
             print(r)

@@ -284,7 +284,11 @@ def _adaptive(
     level, over every piece, go to ``f`` together, in calls of at most
     ``_BATCH_PANELS`` panels, so ``f`` must act pointwise on a 1-D array.
     Below the cap the accepted panels do not depend on the visiting order or
-    on the other pieces.  Each piece sums its accepted panels by left edge.
+    on the other pieces.  A level queues its halves against the caps only
+    where some piece could reach its cap, that is where the most panels any
+    piece has evaluated plus two per failing panel reach ``max_panels``;
+    elsewhere every failing panel splits, which is what the queue would
+    find.  Each piece sums its accepted panels by left edge.
     Scalars give a complex value and a float error, arrays one of each per
     piece.
     """
@@ -318,17 +322,28 @@ def _adaptive(
         width, span = hi - lo, spans[piece]
         err = np.abs(vk - vg)
         fail = (err > tols[piece] * np.maximum(width / span, 1e-3)) & (width >= 1e-13 * span)
-        # a level keeps its panels grouped by piece: the halves queued by the
-        # failing panels before this one, in its own piece
-        before = np.cumsum(fail) - fail
-        queued = 2 * (before - before[np.searchsorted(piece, piece)])
         counted += np.bincount(piece, minlength=pieces)
-        split = fail & (counted[piece] + queued < max_panels)
-        capped[piece[fail & ~split]] = True
-        kept.append((piece[~split], lo[~split], vk[~split], err[~split]))
+        halves = 2 * np.count_nonzero(fail)
+        if counted.max() + halves < max_panels:
+            # no piece can reach its cap on this level: every failing panel
+            # splits, as the queue below would find
+            split = fail
+        else:
+            # a level keeps its panels grouped by piece: the halves queued by
+            # the failing panels before this one, in its own piece
+            before = np.cumsum(fail) - fail
+            queued = 2 * (before - before[np.searchsorted(piece, piece)])
+            split = fail & (counted[piece] + queued < max_panels)
+            capped[piece[fail & ~split]] = True
+            halves = 2 * np.count_nonzero(split)
+        keep = ~split
+        kept.append((piece[keep], lo[keep], vk[keep], err[keep]))
         mid = xm[split]
-        lo = np.stack([lo[split], mid], axis=1).ravel()
-        hi = np.stack([mid, hi[split]], axis=1).ravel()
+        # the halves of each split panel, left then right, in panel order
+        left, right = lo[split], hi[split]
+        lo, hi = np.empty(halves), np.empty(halves)
+        lo[0::2], lo[1::2] = left, mid
+        hi[0::2], hi[1::2] = mid, right
         piece = np.repeat(piece[split], 2)
     piece, lo, vk, err = (np.concatenate(part) for part in zip(*kept))
     order = np.lexsort((lo, piece))

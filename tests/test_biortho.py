@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epresolve import biortho
+from epresolve import biortho, quadrature
 from epresolve.biortho import (
     interior_biortho,
     overlap_chain_scatter,
@@ -17,9 +17,18 @@ from epresolve.biortho import (
     scatter_norm,
     smear_interior_scatter,
 )
-from epresolve.boundary import BoundaryModel
+from epresolve.boundary import BoundaryModel, bm_assoc, bm_scatter
+from epresolve.exact import el_mutate, i_power
 from epresolve.interior import InteriorModel, im_scatter
-from epresolve.quadrature import GaussianPacket, _adaptive, composite_gauss, packet_product_moment
+from epresolve.quadrature import (
+    GaussianPacket,
+    OscRational,
+    _adaptive,
+    _adaptive_oscillatory,
+    composite_gauss,
+    packet_product_moment,
+    quad_packet,
+)
 
 UNIT = GaussianPacket(0.0, 1.0)
 
@@ -147,6 +156,236 @@ def test_scatter_norm_detects_injected_coefficient_error(n):
     r_big = scatter_norm(m, delta=Fraction(1, 100)).residual
     assert r_small > 1e-4  # a defect this size must not pass unnoticed
     assert 9.5 < r_big / r_small < 10.5  # linear response to the defect size
+
+
+# ---------------------------------------------------------------------------
+# the boundary pairings off the real axis
+# ---------------------------------------------------------------------------
+
+# Oracles: the boundary pairings as they were integrated on the real axis,
+# each returning the value of its integral.  They agree with the shifted
+# lines while the real axis still converges (n <= 3, |Im z| >= 1).
+
+def _real_axis_ort1(model, l, lp):
+    f = bm_assoc(model, l) * bm_assoc(model, lp)
+    ((_, p),) = f.terms.keys()
+    c = next(iter(f.terms.values())).to_complex() * (2.0 * math.pi) ** (-0.5 * f.unit_pow)
+    return OscRational(model.z, [(0.0, -p, c)]).integral_line(X=50.0, tol=1e-12).value
+
+
+def _real_axis_ort2(model, l, g):
+    smeared = quad_packet(g, bm_scatter(model), model.z)
+    chain = bm_assoc(model, l)
+    R = max(25.0, 10.0 / g.width)
+    return _adaptive_oscillatory(lambda x: chain.eval(0.0, x, model.z) * smeared(x),
+                                 -R, R, 1e-11, abs(g.center) + 1.0).value
+
+
+def _real_axis_ort4(model, g1, g2):
+    F = bm_scatter(model)
+    phi1 = quad_packet(g1, F, model.z)
+    phi2 = quad_packet(g2, F.subst_neg_k() * i_power(2 * model.n), model.z)
+    R = max(30.0, 10.0 / min(g1.width, g2.width))
+    return _adaptive_oscillatory(lambda x: phi1(x) * phi2(x), -R, R, 1e-11,
+                                 abs(g1.center - g2.center) + 1.0).value
+
+
+def _real_axis_ort7(model, l, g):
+    # the two factors evaluated apart: no real node falls on x = z
+    smeared = quad_packet(g, bm_scatter(model).phase_shift_z(-1), model.z)
+    chain = bm_assoc(model, l)
+    R = max(30.0, 11.0 / g.width)
+    return _adaptive_oscillatory(lambda x: chain.eval(0.0, x, model.z) * smeared(x),
+                                 -R, R, 1e-11, abs(g.center) + 1.0).value
+
+
+def _line_values(monkeypatch, make):
+    """The report of ``make()`` and the values of the line integrals it took."""
+    values = []
+    osc, line = biortho._adaptive_oscillatory, OscRational.integral_line
+
+    def spy_osc(*args):
+        r = osc(*args)
+        values.append(r.value)
+        return r
+
+    def spy_line(self, *args, **kwargs):
+        r = line(self, *args, **kwargs)
+        values.append(r.value)
+        return r
+
+    with monkeypatch.context() as m:
+        m.setattr(biortho, "_adaptive_oscillatory", spy_osc)
+        m.setattr(OscRational, "integral_line", spy_line)
+        rep = make()
+    (value,) = values
+    return rep, value
+
+
+G1, G2 = GaussianPacket(0.7, 0.8), GaussianPacket(0.4, 1.1)
+G_CHAIN, G_GROW = GaussianPacket(0.8, 0.9), GaussianPacket(0.3, 1.0)
+ORACLE_ZS = (1j, 1.5j, -1j, 0.3 + 2j, -0.4 - 1.2j)
+
+
+def _pairings(model):
+    """(name, maker of the report, real-axis value, scale of the residual)."""
+    n = model.n
+    out = [("ort4", lambda: scatter_norm(model, G1, G2), lambda: _real_axis_ort4(model, G1, G2),
+            abs(packet_product_moment(G1, G2, 2 * n)) + G1.norm_l2() * G2.norm_l2())]
+    for l in range(n):
+        for lp in range(l, n - l):
+            out.append((f"ort1({l},{lp})", lambda l=l, lp=lp: overlap_zero(model, l, lp),
+                        lambda l=l, lp=lp: _real_axis_ort1(model, l, lp), 1.0))
+        out.append((f"ort2({l})", lambda l=l: overlap_chain_scatter(model, l, G_CHAIN),
+                    lambda l=l: _real_axis_ort2(model, l, G_CHAIN), G_CHAIN.norm_l2()))
+    for l in range(max(n, 1), n + 2):
+        out.append((f"ort7({l})", lambda l=l: overlap_growing(model, l, G_GROW),
+                    lambda l=l: _real_axis_ort7(model, l, G_GROW), G_GROW.norm_l2()))
+    return out
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_shifted_lines_match_the_real_axis_oracle(n, monkeypatch):
+    for z in ORACLE_ZS:
+        model = BoundaryModel(n, z)
+        for name, make, oracle, scale in _pairings(model):
+            rep, value = _line_values(monkeypatch, make)
+            assert rep.passed, (z, name, rep.residual)
+            assert abs(value - oracle()) <= 1e-12 * scale, (z, name)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_second_shift_gives_the_same_value(n, monkeypatch):
+    # ort1 at 5 instead of 8 from the real axis; ort2 and ort4 at 4.5
+    # instead of 3 from the pole (c 3.5 instead of 2 at Im z = 1)
+    for z in (1j, -0.5j, 0.3 + 2j):
+        model = BoundaryModel(n, z)
+        base = {name: _line_values(monkeypatch, make)[1] for name, make, _, _ in _pairings(model)}
+        monkeypatch.setattr(biortho, "_ORT1_SHIFT", 5.0)
+        monkeypatch.setattr(biortho, "_PACKET_DEPTH", 4.5)
+        for name, make, _, scale in _pairings(model):
+            if not name.startswith("ort7"):
+                assert abs(_line_values(monkeypatch, make)[1] - base[name]) <= 1e-12 * scale, (z, name)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_line_across_the_pole_gives_the_same_value(n, monkeypatch):
+    # crossing the pole at x = z is no mutation control for these pairings,
+    # because every integrand has zero residue there.  Two solutions f, g of
+    # -u'' + n(n+1)/(x-z)^2 u = E u at E_f != E_g have f g = (f g' - f' g)' /
+    # (E_f - E_g); a chain member l >= 1 reduces to l - 1 by the same
+    # identity; ort1 is a single (x - z)^-p with p >= 2.  At z = i, ort1's
+    # line 9 above the pole gives the value of its line 9 below, and ort2's
+    # and ort4's line 3 above that of their line 3 below, for ort4's pole of
+    # order 2n too
+    model = BoundaryModel(n, 1j)
+    base = {name: _line_values(monkeypatch, make)[1] for name, make, _, _ in _pairings(model)}
+    monkeypatch.setattr(biortho, "_ORT1_SHIFT", -10.0)
+    monkeypatch.setattr(biortho, "_packet_line", lambda z: (-4.0, biortho._away_from_pole(z, -4.0)))
+    for name, make, _, scale in _pairings(model):
+        rep, value = _line_values(monkeypatch, make)
+        if not name.startswith("ort7"):
+            assert _contour_line(rep).startswith("contour shift c = -")
+        assert abs(value - base[name]) <= 1e-12 * scale, name
+
+
+def _residue_at_z(model, delta):
+    """Residue of ort4's Phi1 Phi2 at x = z, with the continuum defect
+    ``delta``: the trapezoid rule on a circle of radius 1/2 about z."""
+    F = el_mutate(bm_scatter(model), delta) if delta else bm_scatter(model)
+    phi1 = quad_packet(G1, F, model.z)
+    phi2 = quad_packet(G2, F.subst_neg_k() * i_power(2 * model.n), model.z)
+    u = 0.5 * np.exp(2j * math.pi * np.arange(256) / 256)
+    return np.mean(phi1(model.z + u) * phi2(model.z + u) * u)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_ort4_across_a_pole_with_a_residue_fails(n, monkeypatch):
+    # mutation control: a line across the pole at x = z is caught exactly
+    # when the integrand has a residue there.  The continuum's Phi1 Phi2 has
+    # none; with a coefficient defect of 1e-6 the continuum is no solution
+    # and its pole (a double pole at n = 1) has one.  ort4 then passes on
+    # its own line, fails on the line 3 above z, and the two values differ
+    # by 2 pi i times the residue
+    model = BoundaryModel(n, 1j)
+    delta = Fraction(1, 10**6)
+    scale = abs(packet_product_moment(G1, G2, 2 * n)) + G1.norm_l2() * G2.norm_l2()
+    assert abs(_residue_at_z(model, 0)) <= 1e-12 * scale
+    residue = _residue_at_z(model, delta)
+    assert abs(2j * math.pi * residue) > 1e-6 * scale
+    below, value = _line_values(monkeypatch, lambda: scatter_norm(model, G1, G2, delta=delta))
+    monkeypatch.setattr(biortho, "_packet_line", lambda z: (-4.0, biortho._away_from_pole(z, -4.0)))
+    across, crossed = _line_values(monkeypatch, lambda: scatter_norm(model, G1, G2, delta=delta))
+    assert below.passed and not across.passed
+    assert abs(value - crossed - 2j * math.pi * residue) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_ort1_needs_its_exact_tails(n, monkeypatch):
+    # mutation control: the core alone misses the tails |t| >= 50 of
+    # c (t - z')^-p, of order |c| / 50 at p = 2, the pair (0, n - 1).
+    # Crossing the pole cannot bite ort1: a single (x - z)^-p with p >= 2
+    # has zero residue, so a line on either side gives the same value
+    model = BoundaryModel(n, 1j)
+    assert overlap_zero(model, 0, n - 1).passed
+    monkeypatch.setattr(OscRational, "integral_tails", lambda self, X, k=None: 0j)
+    assert not overlap_zero(model, 0, n - 1).passed
+
+
+@pytest.mark.parametrize("n,l", [(1, 1), (2, 3), (4, 4)])
+def test_ort7_detects_a_mutated_chain_coefficient(n, l, monkeypatch):
+    # mutation control: one coefficient of the growing member off by 1e-3
+    model = BoundaryModel(n, 1j)
+    assert overlap_growing(model, l).passed
+    monkeypatch.setattr(biortho, "bm_assoc", lambda m, j: el_mutate(bm_assoc(m, j), Fraction(1, 1000)))
+    assert not overlap_growing(model, l).passed
+
+
+@pytest.mark.parametrize("im", [0.5, 1.0, 2.0, -0.5])
+def test_boundary_pairings_pass_up_to_n8(im):
+    # on the real axis ort1 failed from n = 7 at z = i and ort4 at n = 8,
+    # Im z = 0.5
+    for n in range(1, 9):
+        model = BoundaryModel(n, complex(0.0, im))
+        reports = [overlap_zero(model, l, lp) for l in range(n) for lp in range(l, n - l)]
+        reports += [overlap_growing(model, n), scatter_norm(model)]
+        bad = [(r.identity, r.residual) for r in reports if not r.passed]
+        assert not bad, (n, im, bad)
+
+
+@pytest.mark.parametrize("im", [10.0, 20.0, 1e4, -30.0])
+def test_ort7_on_the_line_through_z(im):
+    # on the real axis the packet moments grew like e^{(w Im z)^2 / 4}:
+    # 2.0e-4 at Im z 10, 8.1e28 at 20 and NaN at 1e4
+    for n, l in ((1, 1), (1, 2), (2, 2), (3, 4)):
+        rep = overlap_growing(BoundaryModel(n, complex(0.2, im)), l)
+        assert rep.passed, (n, l, rep.residual)
+        assert _contour_line(rep).startswith("contour line through z: ")
+
+
+def _contour_line(rep):
+    (line,) = (t for t in rep.trace if t.startswith("contour "))
+    return line
+
+
+def test_boundary_traces_name_contour_evaluations_and_caps(monkeypatch):
+    # ort4 at n = 9, z = i caps one piece of its line and still passes
+    model = BoundaryModel(2, 1j)
+    for make, contour, caps in ((lambda: overlap_zero(model, 0, 1), "shift c = 8", 0),
+                                (lambda: overlap_chain_scatter(model, 0), "shift c = 2", 0),
+                                (lambda: scatter_norm(model), "shift c = 2", 0),
+                                (lambda: overlap_growing(model, 2), "line through z", 0),
+                                (lambda: scatter_norm(BoundaryModel(9, 1j)), "shift c = 2", 1)):
+        results = []
+        osc = biortho._adaptive_oscillatory
+        monkeypatch.setattr(biortho, "_adaptive_oscillatory", lambda *a: results.append(osc(*a)) or results[-1])
+        monkeypatch.setattr(quadrature, "_adaptive_oscillatory", biortho._adaptive_oscillatory)
+        rep = make()
+        monkeypatch.undo()
+        (r,) = results
+        assert r.evaluations > 0 and r.capped == caps
+        assert _contour_line(rep) == f"contour {contour}: {r.evaluations} evaluations, {caps} capped pieces"
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,35 @@ def test_verify_all_interior_passes(tmp_path):
     assert "susy" not in read_json(out)["suites"]
 
 
+@pytest.mark.parametrize("im", ["10", "20", "1e4", "-30"])
+def test_verify_biortho_far_from_the_axis_is_standard_json(im, capsys):
+    # ort7 on the real axis read 2.0e-4 at Im z 10 and 8.1e28 at 20 (exit 1)
+    # and printed a NaN token at 1e4; on the line through z it passes
+    assert run(["verify", "--n", "1", "--z", f"0,{im}", "--suite", "biortho"]) == 0
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out, parse_constant=_reject_constant)
+    assert all(r["passed"] for r in payload["reports"])
+    assert captured.err == ""
+
+
+def test_verify_non_finite_residual_is_no_result(monkeypatch, capsys, tmp_path):
+    # a NaN residual is refused by the JSON writer: exit 1, a diagnostic
+    # naming the report, and nothing written
+    from epresolve.report import VerificationReport
+
+    def nan_report(model, l, *args, **kwargs):
+        return VerificationReport("ort7", "growing continuation", "numeric", float("nan"), 1e-6)
+
+    monkeypatch.setattr(cli, "overlap_growing", nan_report)
+    out = tmp_path / "nan.json"
+    assert run(["verify", "--n", "1", "--suite", "biortho", "--out", str(out)]) == 1
+    assert run(["verify", "--n", "1", "--suite", "biortho"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.count("epresolve verify: no result: report ort7:") == 2
+    assert "Traceback" not in captured.err
+
+
 def test_verify_rejects_negative_index():
     with pytest.raises(SystemExit) as exc:
         run(["verify", "--n", "-1"])

@@ -649,6 +649,99 @@ def test_adaptive_counts_the_capped_pieces():
     assert got.evaluations == sum(r.evaluations for r in alone)
 
 
+def _queued_level_oracle(f, a, b, tol, max_panels=4000):
+    """Oracle: ``_adaptive`` before a level skipped its cap queue.  Every
+    level runs the cumsum/searchsorted queue and stacks its halves.  Returns
+    the result and, per level, (counted.max() + 2 * failing panels, failing
+    panels, split panels): the first is the margin that the kernel's cheap
+    level tests against ``max_panels``."""
+    starts, ends, tols = (np.atleast_1d(np.asarray(v, dtype=np.float64)) for v in (a, b, tol))
+    unit, wk, wg = quadrature._kronrod_panel()
+    pieces = starts.size
+    spans = ends - starts
+    piece = np.flatnonzero(spans > 0)
+    lo, hi = starts[piece], ends[piece]
+    counted = np.zeros(pieces, dtype=np.int64)
+    capped = np.zeros(pieces, dtype=bool)
+    kept = [(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.complex128), np.empty(0))]
+    evals, levels = 0, []
+    while lo.size:
+        xm, hl = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        vals = np.asarray(f((xm[:, None] + hl[:, None] * unit).ravel()), dtype=np.complex128)
+        vals = vals.reshape(-1, unit.size)
+        vk = hl * np.sum(wk * vals, axis=1)
+        vg = hl * np.sum(wg * vals[:, 1::2], axis=1)
+        evals += lo.size * unit.size
+        width, span = hi - lo, spans[piece]
+        err = np.abs(vk - vg)
+        fail = (err > tols[piece] * np.maximum(width / span, 1e-3)) & (width >= 1e-13 * span)
+        before = np.cumsum(fail) - fail
+        queued = 2 * (before - before[np.searchsorted(piece, piece)])
+        counted += np.bincount(piece, minlength=pieces)
+        split = fail & (counted[piece] + queued < max_panels)
+        capped[piece[fail & ~split]] = True
+        levels.append((int(counted.max()) + 2 * int(fail.sum()), int(fail.sum()), int(split.sum())))
+        kept.append((piece[~split], lo[~split], vk[~split], err[~split]))
+        mid = xm[split]
+        lo = np.stack([lo[split], mid], axis=1).ravel()
+        hi = np.stack([mid, hi[split]], axis=1).ravel()
+        piece = np.repeat(piece[split], 2)
+    piece, lo, vk, err = (np.concatenate(part) for part in zip(*kept))
+    order = np.lexsort((lo, piece))
+    values, errors = vk[order].tolist(), err[order].tolist()
+    bounds = np.searchsorted(piece[order], np.arange(pieces + 1)).tolist()
+    value = [sum(values[i:j]) for i, j in zip(bounds[:-1], bounds[1:])]
+    error = [sum(errors[i:j]) for i, j in zip(bounds[:-1], bounds[1:])]
+    result = quadrature.QuadResult(np.array(value, dtype=np.complex128), np.array(error), evals, int(capped.sum()))
+    return result, levels
+
+
+def _same_pieces(got, want):
+    return (got.value.tolist(), got.error.tolist(), got.evaluations, got.capped) == (
+        want.value.tolist(), want.error.tolist(), want.evaluations, want.capped)
+
+
+def test_adaptive_cap_within_a_level_matches_the_oracles_bitwise():
+    # sin(1e8 x) on [0, 1] reaches its cap of 50 panels on the level of 16
+    # failing panels, where the first 10 split and the last 6 are accepted;
+    # the Gaussian piece beside it converges.  The converging piece is the
+    # depth-first oracle's; the capped one is the former level kernel's, since
+    # depth-first bisection spends its cap on the leftmost panels first
+    def f(x):
+        return np.where(x < 1.0, np.sin(1e8 * x), np.exp(-x * x))
+
+    a, b, tol = np.array([0.0, 1.0]), np.array([1.0, 3.0]), np.array([1e-12, 1e-12])
+    got = quadrature._adaptive(f, a, b, tol, max_panels=50)
+    want, levels = _queued_level_oracle(f, a, b, tol, max_panels=50)
+    assert (16, 10) in [(failing, split) for _, failing, split in levels]
+    assert _same_pieces(got, want) and got.capped == 1
+    (value, error, _), _ = _oracle_adaptive(f, 1.0, 3.0, 1e-12, max_panels=50)
+    assert (complex(got.value[1]), float(got.error[1])) == (value, error)
+
+
+@pytest.mark.parametrize("offset", [1, 0, -2], ids=["margin-is-cap-minus-1", "margin-is-cap", "margin-is-cap-plus-2"])
+def test_adaptive_cheap_level_boundary_matches_the_queue_bitwise(offset):
+    # the level skips its cap queue while counted.max() + 2 * failing panels
+    # stays below max_panels: set the cap one above that margin, equal to
+    # it, and two below it, on a level of a near-pole piece beside a
+    # Gaussian one.  Two below, the last failing panel is the first that the
+    # queue keeps from splitting
+    def f(x):
+        return np.where(x < 1.0, 1.0 / (x - (0.2 + 1e-3j)), np.exp(-x * x))
+
+    a, b, tol = np.array([-1.0, 1.0]), np.array([1.0, 4.0]), np.array([1e-10, 1e-12])
+    _, free = _queued_level_oracle(f, a, b, tol)
+    margin = free[4][0]
+    assert margin < min(m for m, _, _ in free[5:])
+    cap = margin + offset
+    got = quadrature._adaptive(f, a, b, tol, max_panels=cap)
+    want, levels = _queued_level_oracle(f, a, b, tol, max_panels=cap)
+    assert levels[4][0] == cap - offset and levels[4][2] == levels[4][1] - (offset < 0) > 0
+    assert _same_pieces(got, want) and got.capped == 1
+    (value, error, _), _ = _oracle_adaptive(f, 1.0, 4.0, 1e-12)
+    assert (complex(got.value[1]), float(got.error[1])) == (value, error)
+
+
 # ---------------------------------------------------------------------------
 # quad_contour
 # ---------------------------------------------------------------------------
@@ -741,8 +834,9 @@ def test_contour_and_line_carry_the_cap_count():
     f = lambda k: np.exp(1e8j * k)
     for spec in (ContourSpec(3.0, 0.4, "up"), ContourSpec(6.0, 0.3, "up", centers=(-1.0, 1.0))):
         assert quad_contour(f, spec, tol=1e-10).capped == len(spec.centers) + 1
-    # ort1's integrand at n = 6, z = i: a monomial c (x - z)^-12, whose core
-    # reaches the cap at tol 1e-12 (at n = 5 it converges)
+    # the real-axis oracle of ort1 (tests/test_biortho.py) at n = 6, z = i:
+    # a monomial c (x - z)^-12, whose core reaches the cap at tol 1e-12 (at
+    # n = 5 it converges); ort1 itself integrates 8 below the axis
     m = BoundaryModel(6)
     f = bm_assoc(m, 0) * bm_assoc(m, 0)
     ((_, p),) = f.terms.keys()
