@@ -264,17 +264,19 @@ def _adaptive(
     b: float | np.ndarray,
     tol: float | np.ndarray,
     max_panels: int = 4000,
+    span: float | np.ndarray | None = None,
 ) -> QuadResult:
     """Deterministic adaptive bisection on [a, b] with embedded error rule.
 
-    ``a``, ``b`` and ``tol`` are scalars, or equal-length 1-D arrays of
-    pieces [a_i, b_i], each bisected over its own span with its own
-    tolerance tol_i and its own cap of ``max_panels`` panels; an empty piece
-    (b_i <= a_i) integrates to 0.  A panel is QUADPACK's embedded
-    Gauss-Kronrod pair (:func:`_kronrod_panel`): 21 evaluations give the
-    K21 value, of degree 31, and its 10 Gauss nodes the G10 value, of degree
-    19.  The K21 value is accepted when it lies within
-    tol * max(width / span, 1e-3) of G10, or when the panel is narrower than
+    ``a``, ``b``, ``tol`` and ``span`` are scalars, or equal-length 1-D
+    arrays of pieces [a_i, b_i], each bisected with its own tolerance tol_i,
+    reference span span_i (b_i - a_i unless given) and cap of ``max_panels``
+    panels; an empty piece (b_i <= a_i) integrates to 0.  A panel is
+    QUADPACK's embedded Gauss-Kronrod pair (:func:`_kronrod_panel`): 21
+    evaluations give the K21 value, of degree 31, and its 10 Gauss nodes the
+    G10 value, of degree 19.  The K21 value is accepted when it lies within
+    tol * max(width / span, 1e-3) of G10 (a band given its range's span
+    keeps the range's absolute floor), or when the panel is narrower than
     1e-13 * span; otherwise the panel is halved, while the panels its piece
     has evaluated plus the halves already queued stay below ``max_panels``.
     A piece that reaches the cap evaluates between ``max_panels`` and
@@ -301,6 +303,8 @@ def _adaptive(
     pieces = starts.size
     spans = ends - starts
     piece = np.flatnonzero(spans > 0)
+    if span is not None:
+        spans = np.broadcast_to(np.asarray(span, dtype=np.float64), spans.shape)
     lo, hi = starts[piece], ends[piece]
     counted = np.zeros(pieces, dtype=np.int64)
     capped = np.zeros(pieces, dtype=bool)

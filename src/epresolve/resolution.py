@@ -860,13 +860,14 @@ def _spectral_integrand(
 
 
 def _ladder_bands(a: float, eps: float, K: float) -> list[tuple[float, float]]:
-    """The k-bands of the interior punctured range at radius eps and cutoff K.
+    """The k-bands of a range punctured at +-a (the boundary family's k = 0
+    at a = 0) at radius eps and cutoff K.
 
     Around each puncture +-a, the offsets |k -+ a| from eps outward are cut
     at the powers of two above eps: a radius integrates its own band
     [eps, 2^ceil(log2 eps)] and then the shared ladder bands [2^j, 2^(j+1)].
-    Away from k = 0 the ladder runs up to offset 1 and one band goes on to
-    |k| = K; toward k = 0 it runs up to offset a, where the ladders of the
+    Away from k = 0 the rungs double up to |k| = K, where the last band
+    stops; toward k = 0 they run up to offset a, where the ladders of the
     two punctures meet.  Only the first band depends on eps, so the radii of
     a sweep share the rest (the geometric grading toward a singularity of
     hp-quadrature: Schwab, p- and hp-Finite Element Methods, 1998).  The
@@ -874,16 +875,16 @@ def _ladder_bands(a: float, eps: float, K: float) -> list[tuple[float, float]]:
     """
     first = math.ldexp(1.0, math.frexp(eps)[1])  # the least power of two above eps
 
-    def rungs(top: float, cap: float) -> list[float]:
-        # eps, then the powers of two in (eps, top) up to cap
+    def rungs(top: float) -> list[float]:
+        # eps, then the powers of two in (eps, top)
         out, r = [eps], first
-        while r < top and r <= cap:
+        while r < top:
             out.append(r)
             r *= 2.0
         return out
 
-    outward = [a + t for t in rungs(K - a, 1.0)] + [K]
-    inward = [0.0] + [a - t for t in reversed(rungs(a, a))]
+    outward = [a + t for t in rungs(K - a)] + [K]
+    inward = [0.0] + [a - t for t in reversed(rungs(a))]
     right = list(zip(inward[:-1], inward[1:])) + list(zip(outward[:-1], outward[1:]))
     right = [(lo, hi) for lo, hi in right if hi > lo]
     return [(-hi, -lo) for lo, hi in reversed(right)] + right
@@ -906,29 +907,32 @@ def _spectral_integrals(
     pieces of one :func:`_adaptive` call.
 
     ``integrand`` is the :func:`_spectral_integrand` of f, which does not
-    depend on the radius; the range stops at K = min(cutoff, reach).  The
-    boundary family integrates (-K, -eps) and (eps, K) at ``tol`` each.  The
-    interior family integrates the :func:`_ladder_bands` of each radius,
-    each band at tol * width / (2 max(K, a)), so that one radius's bands
-    share less than ``tol``.  A piece is keyed by its edges and tolerance, so
-    a sweep computes each shared band once and a scalar call computes the
-    same pieces: each radius's value is bitwise the one of a one-radius
-    call.  Each radius adds its pieces by ascending k.
+    depend on the radius; the range stops at K = min(cutoff, reach).  Both
+    families integrate the :func:`_ladder_bands` of each radius, about the
+    punctures +-a of the interior family and k = 0 of the boundary family.
+    An interior band takes tol * width / (2 max(K, a)), so that one radius's
+    bands share less than ``tol``.  A boundary band takes ``tol`` over the
+    reference span K: its panels keep the thresholds tol * max(width / K,
+    1e-3) of a side (eps, K) in one piece, with the absolute floor that a
+    band's own span would shrink next to the pole at k = 0.  A piece is
+    keyed by its edges, tolerance and span, so a sweep computes each shared
+    band once and a scalar call computes the same pieces: each radius's
+    value is bitwise the one of a one-radius call.  Each radius adds its
+    pieces by ascending k.
     """
     interior = isinstance(model, InteriorModel)
+    a = model.alpha if interior else 0.0
     reach = _spectral_range(model, f)
-    keys: dict[tuple[float, float, float], int] = {}
+    keys: dict[tuple[float, float, float, float], int] = {}
     per_radius = []
     for eps, cut in zip(radii, cutoffs):
         K = min(cut, reach)
-        if interior:
-            share = tol / (2 * max(K, model.alpha))
-            pieces = [(lo, hi, share * (hi - lo)) for lo, hi in _ladder_bands(model.alpha, eps, K)]
-        else:
-            pieces = [(-K, -eps, tol), (eps, K, tol)] if K > eps else []
+        share = tol / (2 * max(K, a))
+        pieces = [(lo, hi, share * (hi - lo), hi - lo) if interior else (lo, hi, tol, K)
+                  for lo, hi in _ladder_bands(a, eps, K)]
         per_radius.append([keys.setdefault(p, len(keys)) for p in pieces])
-    lo, hi, tols = np.array(list(keys), dtype=np.float64).reshape(-1, 3).T
-    values = _adaptive(integrand, lo, hi, tols).value.tolist()
+    lo, hi, tols, spans = np.array(list(keys), dtype=np.float64).reshape(-1, 4).T
+    values = _adaptive(integrand, lo, hi, tols, span=spans).value.tolist()
     return [sum((values[i] for i in idx[1:]), values[idx[0]]) if idx else 0.0 + 0.0j for idx in per_radius]
 
 

@@ -295,11 +295,11 @@ def _oracle_panel(f, a, b):
     return complex(vk), float(np.abs(np.atleast_1d(vk - vg))[0]), nodes.size
 
 
-def _gl15_gl7_adaptive_oracle(f, a, b, tol, max_panels=4000):
+def _gl15_gl7_adaptive_oracle(f, a, b, tol, max_panels=4000, span=None):
     """Oracle: ``_adaptive`` with the panel it had before the G10/K21 pair,
     a GL15 value accepted on its distance to a separate GL7 value (22
-    evaluations, a degree-13 error estimate); level batching, cap and
-    summation order as in the kernel."""
+    evaluations, a degree-13 error estimate); level batching, cap,
+    reference span and summation order as in the kernel."""
     scalar = np.ndim(a) == 0
     if scalar and b <= a:
         return quadrature.QuadResult(0.0, 0.0, 0)
@@ -311,6 +311,8 @@ def _gl15_gl7_adaptive_oracle(f, a, b, tol, max_panels=4000):
     pieces = starts.size
     spans = ends - starts
     piece = np.flatnonzero(spans > 0)
+    if span is not None:
+        spans = np.broadcast_to(np.asarray(span, dtype=np.float64), spans.shape)
     lo, hi = starts[piece], ends[piece]
     counted = np.zeros(pieces, dtype=np.int64)
     capped = np.zeros(pieces, dtype=bool)

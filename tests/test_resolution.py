@@ -812,6 +812,143 @@ def test_ladder_without_a_radius_own_band_is_caught(monkeypatch):
     assert np.all(_ladder_miss(model, f, radii, cutoffs) > 1e-6)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0, 2.0])
+def test_ladder_rungs_double_up_to_the_cutoff(alpha):
+    # outward of the right puncture each band past the radius's own one
+    # spans offsets [r, s] with s <= 2r, the last one included: no band runs
+    # on from offset 1 to K.  At alpha = 0 (the boundary family's puncture
+    # k = 0) the bands tile (-K, -eps) and (eps, K), two of them the
+    # radius's own, and a smaller radius has every other band too
+    radii = [0.9, 0.5, 0.4, 0.125, 0.05, 0.0125] if alpha == 0 else [0.37 * alpha, 0.25 * alpha, 0.05]
+    for eps, K in ((e, K) for e in radii for K in (125.0, 51.0, alpha + 8.0, alpha + 2.5, alpha + 0.3)):
+        bands = rs._ladder_bands(alpha, eps, K)
+        outer = [(lo - alpha, hi - alpha) for lo, hi in bands if lo > alpha + eps]
+        assert all(s <= 2 * r * (1 + 1e-12) for r, s in outer), (eps, K)  # a + t - a rounds
+        if alpha == 0:
+            assert _merged(bands) == ([(-K, -eps), (eps, K)] if K > eps else [])
+            own = [b for b in bands if {eps, -eps} & set(b)]
+            assert len(own) == (2 if K > eps else 0)
+            for smaller in (e for e in radii if e < eps):
+                assert set(bands) - set(own) <= set(rs._ladder_bands(0.0, smaller, K))
+
+
+def _two_piece_oracle(model, f, integrand, eps, A, tol):
+    """Oracle: the boundary spectral integral before the band ladder, the
+    pieces (-K, -eps) and (eps, K) of one ``_adaptive`` call at the whole
+    tolerance each, over their own spans."""
+    K = min(A, rs._spectral_reach(f))
+    if K <= eps:
+        return 0.0 + 0.0j
+    pieces = quadrature._adaptive(integrand, np.array([-K, eps]), np.array([-eps, K]), tol)
+    return complex(sum(pieces.value.tolist()))
+
+
+# (n, f, coupling c of the cutoffs A = c / eps): every kind of boundary f,
+# and the cutoffs 2 / eps below a Gaussian's spectral reach and a rational
+# f's, where K is no power of two
+_BOUNDARY_LADDER_CASES = {
+    "gaussian": (2, GAUSS, 50.0),
+    "hermite2-n3": (3, TestFunction.hermite_gaussian(2), 50.0),
+    "rational4": (1, TestFunction.rational_decay(4), 50.0),
+    "chain0-n2": (2, TestFunction.chain_boundary(0), 50.0),
+    "chain1-n3": (3, TestFunction.chain_boundary(1), 50.0),
+    "gaussian-c2": (2, GAUSS, 2.0),
+    "rational4-c2": (1, TestFunction.rational_decay(4), 2.0),
+}
+
+
+def _boundary_ladder(name, radii=(0.4, 0.2, 0.1, 0.05), tol=1e-9):
+    n, f, c = _BOUNDARY_LADDER_CASES[name]
+    model = BoundaryModel(n)
+    integrand = rs._spectral_integrand(model, rs._boundary_transform(model, f, rs._f_osc_moment(model, f)), XP)
+    got = rs._spectral_integrals(model, f, integrand, list(radii), [c / e for e in radii], tol)
+    want = [_two_piece_oracle(model, f, integrand, e, c / e, tol) for e in radii]
+    return np.array(got), np.array(want)
+
+
+@pytest.mark.parametrize("name", sorted(_BOUNDARY_LADDER_CASES))
+def test_boundary_ladder_matches_the_two_piece_oracle(name):
+    # the banded sweep against the two pieces per radius at the same
+    # tolerance: within 10 tol of the value's size
+    tol = 1e-9
+    got, want = _boundary_ladder(name, tol=tol)
+    assert np.all(np.abs(got - want) <= 10 * tol * np.maximum(1.0, np.abs(want))), name
+
+
+def test_boundary_ladder_without_a_radius_own_band_is_caught(monkeypatch):
+    # mutation control: dropping each radius's band [eps, 2^ceil(log2 eps)]
+    # on the right of k = 0 leaves a gap that the oracle sees
+    real = rs._ladder_bands
+    monkeypatch.setattr(rs, "_ladder_bands", lambda a, eps, K: [b for b in real(a, eps, K) if b[0] != a + eps])
+    got, want = _boundary_ladder("gaussian", radii=(0.4, 0.1, 0.05))
+    assert np.all(np.abs(got - want) > 1e-6)
+
+
+class _OverBudget(Exception):
+    pass
+
+
+# (n, scheme, f, radii, evaluations): the boundary-sweep jobs of the
+# benchmark and a res5 Gaussian sweep down to radius 0.0125, at the CLI's
+# cutoffs 50 / eps.  The two-piece layout took 2,856, 6,678 and 38,346
+_SWEEP_BUDGETS = {
+    "res3-gaussian": (2, SchemeId.RES3, GAUSS, (0.4, 0.2, 0.1, 0.05), 1000),
+    "res5-gaussian-0.0125": (2, SchemeId.RES5, GAUSS, (0.4, 0.2, 0.1, 0.05, 0.025, 0.0125), 3000),
+    "res5-hermite2-n3": (3, SchemeId.RES5, TestFunction.hermite_gaussian(2), (0.4, 0.2, 0.1, 0.05), 38346),
+}
+
+
+def _sweep_evaluations(name, monkeypatch, adaptive=rs._adaptive):
+    """The spectral integrand evaluations of a sweep through ``adaptive``;
+    _OverBudget as soon as they pass the case's budget."""
+    n, kind, f, radii, budget = _SWEEP_BUDGETS[name]
+    count = [0, 0]  # evaluations, capped pieces
+
+    def counting(integrand, *args, **kw):
+        def counted(k):
+            count[0] += np.size(k)
+            if count[0] > budget:
+                raise _OverBudget(name)
+            return integrand(k)
+
+        result = adaptive(counted, *args, **kw)
+        count[1] += result.capped
+        return result
+
+    monkeypatch.setattr(rs, "_adaptive", counting)
+    apply_scheme(Scheme(kind, BoundaryModel(n)), radii, [50.0 / e for e in radii], f, XP)
+    return count
+
+
+@pytest.mark.parametrize("name", sorted(_SWEEP_BUDGETS))
+def test_boundary_sweep_stays_within_its_evaluation_budget(name, monkeypatch):
+    evaluations, capped = _sweep_evaluations(name, monkeypatch)
+    assert evaluations <= _SWEEP_BUDGETS[name][-1] and capped == 0
+
+
+@pytest.mark.parametrize("name", ["res5-gaussian-0.0125", "res5-hermite2-n3"])
+def test_a_floor_that_scales_with_the_band_breaks_the_budget(name, monkeypatch):
+    # mutation control: each boundary band at its width's share of the
+    # side's tolerance over its own span, so that the floor 1e-3 tol shrinks
+    # with the band next to k = 0 (198,744 and 520,548 evaluations run out)
+    real = rs._adaptive
+
+    def band_floor(f, a, b, tol, max_panels=4000, span=None):
+        return real(f, a, b, tol * (b - a) / span, max_panels)
+
+    with pytest.raises(_OverBudget):
+        _sweep_evaluations(name, monkeypatch, band_floor)
+
+
+def test_the_two_piece_layout_breaks_the_res3_budget(monkeypatch):
+    # mutation control: (-K, -eps) and (eps, K) for each radius, as before the
+    # boundary ladder, take 2,856 evaluations
+    real = rs._ladder_bands
+    monkeypatch.setattr(rs, "_ladder_bands", lambda a, eps, K: real(a, eps, K) if a else [(-K, -eps), (eps, K)])
+    with pytest.raises(_OverBudget):
+        _sweep_evaluations("res3-gaussian", monkeypatch)
+
+
 def _pair_moments_oracle(model, f, xp):
     """Oracle: (member, mu) -> integral of f member e^{i mu (x - xp)} dx by
     adaptive bisection on [-PAIR_WINDOW, PAIR_WINDOW] (f's own window for a
