@@ -35,7 +35,10 @@ product with the continuum to u_{l-1}'s plus such a derivative.  ort1's
 integrand is one (x - z)^-p with p >= 2, and ort7's is entire.
 
 The interior pairings stay on the real axis: the interior W has complex
-zeros on both sides of it.
+zeros on both sides of it.  ort11, the bounded state's self-pairing, needs
+no core quadrature: (H - a^2) psi0 = 0 and (H - a^2) psi1 = psi0, so the
+same identity gives psi0^2 = (psi1 psi0' - psi0 psi1')', and that bracket is
+-2 a^2 / W in closed form (:func:`interior_biortho`).
 """
 
 from __future__ import annotations
@@ -325,6 +328,17 @@ def interior_biortho(
       the packet-smeared pole-free continuum vanishes;
     * ``"scatter_scatter"`` -- doubly smeared continuum diagonal equals the
       one-dimensional moment ∫ g^2 (k^2-a^2)^2 dk.
+
+    ``"zero_zero"`` takes its core on [-X, X] from the Lagrange identity
+    instead of quadrature.  (H - a^2) psi0 = 0 and (H - a^2) psi1 = psi0
+    give psi0^2 = psi0 (H - a^2) psi1 - psi1 (H - a^2) psi0
+    = (psi1 psi0' - psi0 psi1')', and the bracket is
+    psi1^2 (psi0 / psi1)'.  With N = 2a(x-z) sin(ax) + cos(ax),
+    psi0 / psi1 = (2a)^2 cos(ax) / N and (cos(ax) / N)' = -a W / N^2, while
+    psi1^2 = N^2 / (2a W^2), so the bracket is -2 a^2 / W and the core is
+    2 a^2 (1/W(-X) - 1/W(X)).  The exact tails |x| >= X of
+    :func:`~epresolve.interior.im_tail_model` complete it, as for
+    ``"zero_one"``, whose core is bisected.
     """
     aliases = {
         "ort11": "zero_zero",
@@ -335,17 +349,23 @@ def interior_biortho(
     which = aliases.get(which, which)
     if g is None:
         g = GaussianPacket(center=model.alpha + 0.55, width=0.25)
-    if which in ("zero_zero", "zero_one"):
+    if which == "zero_zero":
         X = PAIR_WINDOW * cutoff_scale
-        second = "psi0" if which == "zero_zero" else "psi1"
+        w_left, w_right = im_w_bundle(model, np.array([-X, X]))[0]
+        core = 2 * model.alpha**2 * (1.0 / w_left - 1.0 / w_right)
+        tail_model = im_tail_model(model, "psi0*psi0", X)
+        residual = abs(core + tail_model.integral_tails(X))
+        tol = 1e-6
+        trace = (f"bracket at +-{X}", f"tail terms {len(tail_model.terms)}")
+    elif which == "zero_one":
+        X = PAIR_WINDOW * cutoff_scale
 
         def integrand(x: np.ndarray) -> np.ndarray:
-            return im_member(model, "psi0", x) * im_member(model, second, x)
+            return im_member(model, "psi0", x) * im_member(model, "psi1", x)
 
         core = _adaptive_oscillatory(integrand, -X, X, 1e-12, 2 * model.alpha)
-        tail_model = im_tail_model(model, f"psi0*{second}", X)
-        value = core.value + tail_model.integral_tails(X)
-        residual = abs(value)
+        tail_model = im_tail_model(model, "psi0*psi1", X)
+        residual = abs(core.value + tail_model.integral_tails(X))
         tol = 1e-6
         trace = (f"core window {X}", f"tail terms {len(tail_model.terms)}")
     elif which in ("zero_scatter", "one_scatter"):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .biortho import interior_biortho, overlap_growing, overlap_zero, scatter_norm
 from .boundary import BoundaryModel
-from .greens import _boundary_indexes, green, indexes, pole_order
+from .greens import _boundary_indexes, green, indexes, pole_order, pole_probe
 from .interior import InteriorModel
 from .report import VerificationReport
 from .resolution import Scheme, SchemeId, TestFunction, apply_scheme
@@ -230,10 +230,7 @@ def _suite_greens(model, mutate: bool) -> list[VerificationReport]:
             trace=(f"extrapolated jump {jump.real:+.9e}{jump.imag:+.3e}i",),
         )
     ]
-    if isinstance(model, BoundaryModel):
-        center, radius = 0j, 0.5
-    else:
-        center, radius = complex(model.alpha), 0.25
+    center, radius = pole_probe(model)
     order = pole_order(model, center, radius)
     half = pole_order(model, center, radius / 2)
     reports.append(
@@ -367,7 +364,7 @@ def cmd_indexes(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     except ValueError as exc:
         parser.error(str(exc))
     try:
-        k_order = pole_order(model, 0j, 0.5) if isinstance(model, BoundaryModel) else None
+        k_order = pole_order(model, *pole_probe(model)) if isinstance(model, BoundaryModel) else None
         triple = indexes(model) if k_order is None else _boundary_indexes(model, k_order)
     except ValueError as exc:
         return _no_result("indexes", exc)

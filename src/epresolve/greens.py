@@ -23,7 +23,7 @@ from .boundary import BoundaryModel, ChainClass, bm_classify, bm_scatter
 from .exact import dfact
 from .interior import InteriorModel, im_scatter
 
-__all__ = ["IndexTriple", "check_phase_range", "green", "pole_order", "indexes"]
+__all__ = ["IndexTriple", "check_phase_range", "green", "pole_probe", "pole_order", "indexes"]
 
 # off-diagonal probe pairs; the second witness guards against an accidental
 # zero of the solution at a single probe point
@@ -155,6 +155,10 @@ def pole_order(
     integrand) vanish exactly for j at and above the order; the order is the
     smallest p with M_{p-1} significant and all later moments below
     tol * |M_{p-1}| * radius^(p-j).  Raises when no p separates cleanly.
+    The moments of both probe pairs are one matrix product: the (probes x
+    samples) array of G dk times the (samples x (max_order + 1)) powers
+    (k - center)^j.  :func:`pole_probe` gives the circle that the package
+    reads each family's order on.
 
     Moments are taken up to ``max_order``; the default bound comes from the
     model: max(12, 2n+3) for the inverse-square family, whose momentum-plane
@@ -174,12 +178,12 @@ def pole_order(
     ks = complex(center) + offs
     dk = 1j * offs * (2 * math.pi / _MOMENT_SAMPLES)
 
-    # both probe pairs in one evaluation: a (probes, samples) array
+    # both probe pairs in one evaluation: a (probes, samples) array, whose
+    # moments M_0..M_max_order are one product with the power matrix
     x, xp = (np.array(col)[:, None] for col in zip(*_PROBES))
+    moments = (_green_k(model, ks, x, xp) * dk) @ (offs[:, None] ** np.arange(max_order + 1))
     orders = []
-    for g in _green_k(model, ks, x, xp):
-        moments = [np.sum(offs**j * g * dk) for j in range(max_order + 1)]
-        mags = [abs(m) for m in moments]
+    for mags in np.abs(moments).tolist():
         floor = 1e-9 * max(mags)
         found = None
         for p in range(1, max_order + 1):
@@ -203,6 +207,21 @@ def pole_order(
     return max(orders)
 
 
+def pole_probe(model: BoundaryModel | InteriorModel) -> tuple[complex, float]:
+    """Centre and radius of the circle that :func:`pole_order` reads the
+    exceptional point on: k = 0 with radius 0.5 for the inverse-square
+    family, k = alpha with radius min(0.25, alpha/2) for the trigonometric
+    one.  The pi*i/k weight of the Green function has a pole at k = 0, so
+    the trigonometric circle, and the half-radius circle that the verify
+    suite reads beside it, must stay clear of the origin: at alpha = 0.26
+    a radius of 0.25 passes within 0.01 of it and the moments no longer
+    separate.
+    """
+    if isinstance(model, BoundaryModel):
+        return 0j, 0.5
+    return complex(model.alpha), min(0.25, model.alpha / 2)
+
+
 def indexes(model: BoundaryModel | InteriorModel) -> IndexTriple:
     """The (n1, n2, n3) triple of the exceptional point.
 
@@ -216,11 +235,11 @@ def indexes(model: BoundaryModel | InteriorModel) -> IndexTriple:
     if isinstance(model, BoundaryModel):
         # the pole order first: an out-of-range n fails there, before the
         # chain scans of _boundary_indexes, which grow with n
-        return _boundary_indexes(model, pole_order(model, 0j, 0.5))
+        return _boundary_indexes(model, pole_order(model, *pole_probe(model)))
     # trigonometric family: one square-summable member at the embedded energy
     # (the chain partner is bounded only), and the singular term of the
     # reduced schemes carries that single member
-    return IndexTriple(n1=1, n2=1, n3=pole_order(model, complex(model.alpha), 0.25))
+    return IndexTriple(n1=1, n2=1, n3=pole_order(model, *pole_probe(model)))
 
 
 def _boundary_indexes(model: BoundaryModel, raw: int) -> IndexTriple:

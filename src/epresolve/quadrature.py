@@ -655,8 +655,9 @@ def _tail_tables(sides: Sequence[tuple[np.ndarray, complex]], X: float, qmax: in
     One table serves every side: its elements do not depend on each other
     up to ``_TABLE_TOP`` orders, and the sides share qmax, so each side's
     rows are bitwise those of a table of its own.  Zero frequencies take
-    the closed form in :func:`_right_tails`; a call without a nonzero
-    frequency or without a power q >= 1 builds no table.
+    the closed form of :func:`_zero_tails`; a call without a power q >= 1
+    builds no table, and a tails call without a nonzero frequency makes
+    none.
     """
     args = []
     for nu, z in sides:
@@ -664,9 +665,27 @@ def _tail_tables(sides: Sequence[tuple[np.ndarray, complex]], X: float, qmax: in
         iw = 1j * np.where(zero, 1.0, nu)
         args.append(-iw[~zero] * (X - z))
     ends = np.cumsum([w.size for w in args])
-    if qmax < 1 or ends[-1] == 0:
+    if qmax < 1:
         return [np.zeros((max(qmax, 0), w.size), dtype=np.complex128) for w in args]
     return np.split(_scaled_expn(np.concatenate(args), qmax), ends[:-1], axis=1)
+
+
+def _zero_tails(
+    terms: tuple[np.ndarray, np.ndarray, np.ndarray], d: complex, zero_groups: np.ndarray
+) -> np.ndarray:
+    """Right tails of the groups flagged in ``zero_groups``, whose frequency
+    is zero: per group, the closed form sum c (X-z)^(1-q) / (q-1) of
+    :func:`osc_power_tail` at d = X - z.  Raises ``ValueError`` where such a
+    group holds a power q <= 1, whose tail diverges.
+    """
+    qs, groups, cs = terms
+    if zero_groups[groups[qs <= 1]].any():
+        raise ValueError("tail diverges for q <= 1 at zero frequency")
+    closed = np.zeros(len(zero_groups), dtype=np.complex128)
+    for q, g, c in zip(qs.tolist(), groups.tolist(), cs.tolist()):
+        if zero_groups[g]:
+            closed[g] += c * d ** (1 - q) / (q - 1)
+    return closed
 
 
 def _right_tails(
@@ -682,14 +701,14 @@ def _right_tails(
     table gives every q >= 1 as e^{i nu X} (X-z)^(1-q) g_q(-i nu (X-z)), the
     plain oscillation seeds the Abel-regularized recurrence in q <= 0, and
     each group collects its coefficients order by order.  Zero frequencies
-    take the closed form (q >= 2 only, as in the oracle).
+    take the closed form of :func:`_zero_tails`.
     """
     qs, groups, cs = terms
     zero = nu == 0.0
     zero_groups = zero.any(axis=1)
-    if zero_groups[groups[qs <= 1]].any():
-        raise ValueError("tail diverges for q <= 1 at zero frequency")
     d = X - z
+    if zero_groups.any():
+        closed = _zero_tails(terms, d, zero_groups)
     iw = 1j * np.where(zero, 1.0, nu)  # placeholder at zeros, overwritten below
     ph = np.exp(iw * X)
     out = np.zeros(nu.shape, dtype=np.complex128)
@@ -711,10 +730,6 @@ def _right_tails(
                 val = -ph * d**j / iw - (j / iw) * val
             collect(-j, val)
     if zero_groups.any():
-        closed = np.zeros(len(nu), dtype=np.complex128)
-        for q, g, c in zip(qs.tolist(), groups.tolist(), cs.tolist()):
-            if zero_groups[g]:
-                closed[g] += c * d ** (1 - q) / (q - 1)
         out[zero] = closed[np.nonzero(zero)[0]]
     return out
 
@@ -843,7 +858,9 @@ class OscRational:
         frequencies mu + k (rounded like the keys) reads its powers q >= 1
         off one :func:`_tail_tables` call for both sides, which seeds each
         nonzero frequency of each side once, and the groups are summed in
-        ascending mu, the right tail before the left.  Raises ``ValueError``
+        ascending mu, the right tail before the left.  Where every mu + k
+        is zero, each side is its :func:`_zero_tails` closed form alone,
+        with no table and no pass over the orders.  Raises ``ValueError``
         where mu + k vanishes under a power q <= 1, whose tail diverges.
         """
         kv = np.asarray(np.zeros(1) if k is None else k, dtype=np.float64)
@@ -858,8 +875,12 @@ class OscRational:
             nu = np.round(np.array(mus)[:, None] + kv.ravel(), 12)
             # t -> -t maps the left tail onto a right tail with reflected data
             args = ((nu, self.z, right), (-nu, -self.z, left))
-            tables = _tail_tables([(v, zc) for v, zc, _ in args], X, int(qs.max()))
-            sides = [_right_tails(*side, X, table) for side, table in zip(args, tables)]
+            if nu.any():
+                tables = _tail_tables([(v, zc) for v, zc, _ in args], X, int(qs.max()))
+                sides = [_right_tails(*side, X, table) for side, table in zip(args, tables)]
+            else:
+                every = np.ones(len(mus), dtype=bool)
+                sides = [_zero_tails(terms, X - zc, every)[:, None] for _, zc, terms in args]
             for g in range(len(mus)):
                 for side in sides:
                     total += side[g]

@@ -19,7 +19,15 @@ from epresolve.biortho import (
 )
 from epresolve.boundary import BoundaryModel, bm_assoc, bm_scatter
 from epresolve.exact import el_mutate, i_power
-from epresolve.interior import InteriorModel, im_scatter
+from epresolve.interior import (
+    PAIR_WINDOW,
+    InteriorModel,
+    im_jet,
+    im_member,
+    im_scatter,
+    im_tail_model,
+    im_w_bundle,
+)
 from epresolve.quadrature import (
     GaussianPacket,
     OscRational,
@@ -528,6 +536,61 @@ def test_interior_smearing_mutation_control(monkeypatch):
     for m in models:
         for which in ("zero_scatter", "scatter_scatter"):
             assert not interior_biortho(m, which).passed, (m, which)
+
+
+ORT11_MODELS = ((1.0, 1j), (1.5, 1j), (0.5, 0.3 + 0.7j), (1.2, -0.4 + 1.9j), (0.06, 1j))
+
+
+def _bracket_core(model, X):
+    # ort11's core on [-X, X]: the Lagrange bracket -2 a^2 / W between -X and X
+    w_left, w_right = im_w_bundle(model, np.array([-X, X]))[0]
+    return 2 * model.alpha**2 * (1.0 / w_left - 1.0 / w_right)
+
+
+@pytest.mark.parametrize("alpha,z", ORT11_MODELS)
+def test_ort11_bracket_matches_the_core_quadrature_oracle(alpha, z):
+    # oracle: ort11's former core, psi0^2 bisected over [-X, X]; the
+    # report's residual is the bracket plus the same exact tails
+    model = InteriorModel(alpha, z)
+    for X in (40.0, 60.0):
+        core = _adaptive_oscillatory(lambda x: im_member(model, "psi0", x) ** 2, -X, X, 1e-12, 2 * alpha)
+        assert abs(_bracket_core(model, X) - core.value) < 1e-14, (X, core.value)
+        tails = im_tail_model(model, "psi0*psi0", X).integral_tails(X)
+        rep = interior_biortho(model, "zero_zero", cutoff_scale=X / PAIR_WINDOW)
+        assert abs(rep.residual - abs(core.value + tails)) < 1e-14, (X, rep.residual)
+
+
+@pytest.mark.parametrize("alpha,z", ORT11_MODELS)
+def test_ort11_bracket_is_the_jet_oracles_lagrange_bracket(alpha, z):
+    # -2 a^2 / W is psi1 psi0' - psi0 psi1' of the im_jet coding
+    model = InteriorModel(alpha, z)
+    x = np.array([-60.0, -40.0, -3.7, -0.2, 0.0, 0.9, 2.5, 40.0, 60.0])
+    psi0, psi1 = im_jet(model, "psi0", x), im_jet(model, "psi1", x)
+    want = psi1.value * psi0.d1 - psi0.value * psi1.d1
+    got = -2 * alpha**2 / im_w_bundle(model, x)[0]
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+def test_ort11_mutation_controls(monkeypatch):
+    # -2.002 a^2 / W in place of -2 a^2 / W, through a W scaled by 1/1.001,
+    # and the bracket without its exact tails: both must fail ort11
+    models = [InteriorModel(a, z) for a, z in ORT11_MODELS]
+    assert all(interior_biortho(m, "zero_zero").passed for m in models)
+    bundle = biortho.im_w_bundle
+    monkeypatch.setattr(biortho, "im_w_bundle", lambda m, x: tuple(v / 1.001 for v in bundle(m, x)))
+    for m in models:
+        rep = interior_biortho(m, "zero_zero")
+        assert not rep.passed and rep.residual > rep.tolerance, (m, rep.residual)
+    monkeypatch.undo()
+    monkeypatch.setattr(biortho, "im_tail_model", lambda m, kind, X: OscRational(m.z))
+    for m in models:
+        assert not interior_biortho(m, "zero_zero").passed, m
+
+
+def test_ort11_trace_names_the_bracket(interior):
+    rep = interior_biortho(interior, "zero_zero")
+    assert rep.trace == ("bracket at +-60.0", "tail terms 60")
+    assert interior_biortho(interior, "zero_zero", cutoff_scale=2.0).trace[0] == "bracket at +-120.0"
 
 
 def test_interior_packet_below_resonance_still_orthogonal(interior):

@@ -19,6 +19,7 @@ from epresolve.greens import (
     green,
     indexes,
     pole_order,
+    pole_probe,
 )
 from epresolve.interior import InteriorModel, im_jet, im_potential
 from epresolve.resolution import eps_chain
@@ -221,6 +222,102 @@ def test_boundary_pole_orders(n, expected):
 def test_interior_pole_order():
     assert pole_order(INTERIOR, 1.0 + 0j, 0.25) == 2
     assert pole_order(INTERIOR, 1.0 + 0j, 0.125) == 2
+
+
+SMALL_ALPHAS = (0.01, 0.05, 0.1, 0.2, 0.26)
+PROBE_IMS = (0.1, 0.5, 1.0, 2.0)
+
+
+def test_pole_probe_keeps_small_alpha_circles_off_the_origin():
+    # the pi*i/k weight has a pole at k = 0: a circle of radius 0.25 about
+    # k = alpha reaches it for alpha <= 0.26, and radius min(0.25, alpha/2)
+    # reads order 2 at both radii of the verify suite
+    for alpha in SMALL_ALPHAS:
+        for im in PROBE_IMS:
+            model = InteriorModel(alpha, complex(0, im))
+            center, radius = pole_probe(model)
+            assert (center, radius) == (complex(alpha), min(0.25, alpha / 2))
+            assert pole_order(model, center, radius) == 2, (alpha, im)
+            assert pole_order(model, center, radius / 2) == 2, (alpha, im)
+            assert indexes(model).n3 == 2
+    # mutation control: the fixed radius 0.25 of the former rule refuses at alpha 0.2
+    with pytest.raises(ValueError, match="do not separate"):
+        pole_order(InteriorModel(0.2, 1j), 0.2 + 0j, 0.25)
+    # from alpha 0.5 on the rule is the fixed radius it replaced
+    assert pole_probe(InteriorModel(0.5, 1j)) == (0.5 + 0j, 0.25)
+    assert pole_probe(BoundaryModel(3)) == (0j, 0.5)
+
+
+def _per_moment_pole_order_oracle(model, center, radius):
+    """Oracle: pole_order as it was, one np.sum per moment and probe row,
+    returning the order or the refusal's message."""
+    max_order = max(12, 2 * model.n + 3) if isinstance(model, BoundaryModel) else 12
+    theta = np.arange(_MOMENT_SAMPLES) * (2 * math.pi / _MOMENT_SAMPLES)
+    offs = radius * np.exp(1j * theta)
+    dk = 1j * offs * (2 * math.pi / _MOMENT_SAMPLES)
+    x, xp = (np.array(col)[:, None] for col in zip(*_PROBES))
+    try:
+        rows = _green_k(model, complex(center) + offs, x, xp)
+    except ValueError as exc:
+        return str(exc)
+    orders = []
+    for g in rows:
+        mags = [abs(np.sum(offs**j * g * dk)) for j in range(max_order + 1)]
+        floor = 1e-9 * max(mags)
+        found = None
+        for p in range(1, max_order + 1):
+            if mags[p - 1] <= floor:
+                continue
+            if all(mags[j] < 1e-7 * mags[p - 1] * radius ** (p - j) for j in range(p, max_order + 1)):
+                found = p
+                break
+        if found is None:
+            return (f"contour moments up to order {max_order} do not separate into a "
+                    "clean pole order; the pole may be of higher order (raise max_order) "
+                    "or the contour may enclose another singularity")
+        orders.append(found)
+    return max(orders)
+
+
+def _product_pole_order(model, center, radius):
+    try:
+        return pole_order(model, center, radius)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _moment_cases():
+    for n in range(31):
+        for z in (1j, 0.5j, 2j, 0.3 + 1j, -0.5j):
+            for radius in (0.5, 0.25):
+                yield BoundaryModel(n, z), 0j, radius
+    for alpha in (0.3, 0.5, 1.0, 1.5, 2.0, 3.0):
+        for im in PROBE_IMS:
+            model = InteriorModel(alpha, complex(0, im))
+            center, radius = pole_probe(model)
+            for r in (radius, radius / 2):
+                yield model, center, r
+
+
+def test_moment_product_matches_the_per_moment_oracle(monkeypatch):
+    # the moments of both probe rows are one product with the power matrix:
+    # every order and every refusal is the one of the per-moment sums
+    cases = list(_moment_cases())
+    want = [_per_moment_pole_order_oracle(*case) for case in cases]
+    assert [_product_pole_order(*case) for case in cases] == want
+    assert sum(isinstance(w, int) for w in want) > len(want) // 2
+    # mutation control: a power matrix shifted by one column, M_j read as
+    # M_{j+1}, which G (k - center) in place of G gives the product
+    measure = greens._green_k
+
+    def shifted(model, ks, x, xp):
+        return measure(model, ks, x, xp) * (ks - shifted.center)
+
+    monkeypatch.setattr(greens, "_green_k", shifted)
+    for case, w in zip(cases, want):
+        shifted.center = case[1]
+        if isinstance(w, int):
+            assert _product_pole_order(*case) != w, case
 
 
 @pytest.mark.parametrize("im", [0.5, 1.0, 2.0], ids="z0.5i z1i z2i".split())

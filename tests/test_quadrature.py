@@ -1176,6 +1176,35 @@ def test_one_table_tails_equal_the_two_table_path_bitwise(terms, ks, z, X):
     assert type(got) is type(want) and np.array_equal(got, want)
 
 
+@given(
+    terms=st.lists(st.tuples(st.integers(2, 16), _coefficients), min_size=1, max_size=8),
+    mu=st.sampled_from([0.0, 0.5, -1.25]),
+    nk=st.one_of(st.none(), st.integers(1, 4)),
+    z=st.sampled_from([0.2 + 0.9j, -0.4 - 1.3j, 0.5j, 1.0 + 0.1j, -2.0 + 5.0j]),
+    X=st.floats(3.0, 120.0),
+)
+@example(terms=[(2, 1.0), (16, -0.5j), (7, 2.0)], mu=0.0, nk=None, z=0.5j, X=50.0)
+@settings(max_examples=120, deadline=None)
+def test_zero_frequency_tails_take_the_closed_form_alone(terms, mu, nk, z, X):
+    # where every frequency mu + k is zero, a tails call is its closed form
+    # alone: no E_n table and no pass over the orders, and every value is
+    # bitwise that of the per-order path, kept as the oracle
+    f = OscRational(z, [(mu, q, c) for q, c in terms])
+    k = None if nk is None else np.full(nk, -mu)
+    if mu != 0.0 and k is None:
+        k = np.array([-mu])
+    want = _two_table_tails_oracle(f, X, k)
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_scaled_expn", "_tail_tables", "_right_tails"):
+            mp.setattr(quadrature, name, mock.Mock(side_effect=AssertionError(name)))
+        got = f.integral_tails(X, k)
+        assert type(got) is type(want) and np.array_equal(got, want)
+        # the divergent q <= 1 stays refused
+        for q in (1, 0, -2):
+            with pytest.raises(ValueError, match="q <= 1"):
+                (f + OscRational(z, [(mu, q, 1.0)])).integral_tails(X, k)
+
+
 def test_zero_frequency_tails_build_no_table(monkeypatch):
     # the one-term tail of ort1's overlap (q = 2 at zero frequency) is closed;
     # a mixed call tabulates only its nonzero frequencies, both sides in one table
